@@ -71,10 +71,11 @@ def emit_bench_json(record: Mapping[str, Any]) -> None:
     ("Benchmark record schema"); keys are sorted so diffs between runs of
     the same benchmark align line-by-line.
 
-    Each record is also appended to ``benchmarks/history.jsonl`` keyed by
-    git SHA + bench id (best-effort; ``PERIGEE_BENCH_HISTORY=0`` disables),
+    With ``PERIGEE_BENCH_HISTORY=1`` each record is also appended to
+    ``benchmarks/history.jsonl`` keyed by git SHA + bench id (best-effort),
     giving the repo a perf trajectory that
-    ``python benchmarks/history.py check`` diffs in CI.
+    ``python benchmarks/history.py check`` diffs in CI.  Recording is
+    opt-in so that running the test suite leaves tracked files untouched.
     """
     print("BENCH-JSON " + json.dumps(dict(record), sort_keys=True))
     try:

@@ -5,10 +5,11 @@ Every benchmark already emits a scrapeable ``BENCH-JSON`` line through
 printed and thrown away, so the repo had no perf trajectory at all.  This
 module gives each record a durable home:
 
-* :func:`append_record` — called by ``emit_bench_json`` — appends the record
-  to ``benchmarks/history.jsonl`` keyed by the current git SHA and the
-  record's ``bench`` id.  Appending is best-effort and can be disabled with
-  ``PERIGEE_BENCH_HISTORY=0`` (useful for throwaway local runs).
+* :func:`append_record` — called by ``emit_bench_json`` when
+  ``PERIGEE_BENCH_HISTORY=1`` — appends the record to
+  ``benchmarks/history.jsonl`` keyed by the current git SHA and the
+  record's ``bench`` id.  Appending is best-effort and opt-in, so plain
+  test runs leave the tracked file alone; the CI benchmark steps set it.
 * :func:`check` — the CI step (``python benchmarks/history.py check``) —
   compares the current SHA's entries against the most recent *previous* SHA
   entry of each bench id and **warns** (never fails) when any ``*_s`` timing
@@ -65,10 +66,10 @@ def append_record(
 ) -> None:
     """Append one BENCH-JSON record to the history file (best-effort).
 
-    Disabled by ``PERIGEE_BENCH_HISTORY=0``.  Records without a ``bench`` id
-    are skipped — they cannot be diffed across runs.
+    Enabled only by ``PERIGEE_BENCH_HISTORY=1``.  Records without a
+    ``bench`` id are skipped — they cannot be diffed across runs.
     """
-    if os.environ.get("PERIGEE_BENCH_HISTORY", "1") == "0":
+    if os.environ.get("PERIGEE_BENCH_HISTORY") != "1":
         return
     bench = record.get("bench")
     if not bench:

@@ -9,6 +9,12 @@ neighbor-by-neighbor scoring).  One ``BENCH-JSON`` line is emitted per
 Perigee-Subset cell at N>=1000 must show the >=5x improvement the refactor
 targets.
 
+A second arm times the scoring phase of ``PerigeeBase.update`` — every
+node scored in one batched pass, read from the ``perigee.score`` span —
+against scoring the same round one node at a time through
+``select_retained_block``, on the largest size after the UCB history has
+filled; at N>=1000 the UCB cell must be >=2x faster.
+
 Knobs:
 
 * ``PERIGEE_BENCH_OBS_NODES``  (default "300,1000") — comma-separated sizes
@@ -19,6 +25,7 @@ Knobs:
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import time
@@ -27,9 +34,15 @@ import numpy as np
 import pytest
 
 from repro.config import default_config
-from repro.core.observations import NEVER, ObservationSet, percentile_score
+from repro.core.observations import (
+    NEVER,
+    ObservationSet,
+    normalized_observation_provider,
+    percentile_score,
+)
 from repro.core.simulator import Simulator
 from repro.protocols.registry import make_protocol
+from repro.telemetry.recorder import MetricsRecorder, use_recorder
 
 from benchmarks.conftest import emit_bench_json, print_banner
 
@@ -219,6 +232,77 @@ def test_bench_observation_pipeline(num_nodes):
                 f"subset observation round only {speedup:.1f}x faster than "
                 f"the dict pipeline at N={num_nodes}"
             )
+
+
+#: Rounds run before the batched-scoring arm so UCB histories are long.
+HISTORY_FILL_ROUNDS = 8
+
+
+def _score_per_node(protocol, simulator, observations):
+    """Score every node of one round one at a time, without rewiring."""
+    network = simulator.network
+    provider = normalized_observation_provider(observations)
+    budget = max(0, network.out_degree - protocol.exploration_budget(simulator.context))
+    for node_id in range(network.num_nodes):
+        outgoing = network.outgoing_neighbors(node_id)
+        if outgoing:
+            neighbors = np.fromiter(sorted(outgoing), dtype=np.int64, count=len(outgoing))
+            protocol.select_retained_block(
+                node_id, neighbors, provider(node_id, neighbors), budget, simulator._rng
+            )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_bench_batched_scoring(variant):
+    """Phase (a) of the round update vs a per-node select_retained_block loop."""
+    num_nodes = max(SIZES)
+    print_banner(
+        f"Batched scoring phase vs per-node scoring, {variant}, N={num_nodes}, "
+        f"B={BLOCKS}"
+    )
+    config = default_config(
+        num_nodes=num_nodes, rounds=4, blocks_per_round=BLOCKS, seed=0
+    )
+    simulator = Simulator(config, make_protocol(variant))
+    fill = HISTORY_FILL_ROUNDS if variant == "perigee-ucb" else 1
+    for round_index in range(fill):
+        simulator.run_round(round_index)
+    batch_s = per_node_s = 0.0
+    for _ in range(3):
+        blocks = simulator.mine_blocks()
+        result = simulator.propagate_blocks(blocks)
+        observations = simulator.collect_observations(blocks, result)
+        # The per-node arm folds into a copy of the UCB history, so both
+        # arms score the same round from the same state.
+        per_node = copy.deepcopy(simulator.protocol)
+        start = time.perf_counter()
+        _score_per_node(per_node, simulator, observations)
+        per_node_s += time.perf_counter() - start
+        recorder = MetricsRecorder()
+        with use_recorder(recorder):
+            simulator.protocol.update(
+                simulator.context, simulator.network, observations, simulator._rng
+            )
+        batch_s += recorder.span_stats("perigee.score").total_s
+    speedup = per_node_s / batch_s if batch_s > 0 else float("inf")
+    emit_bench_json(
+        {
+            "bench": "batched-scoring",
+            "num_nodes": num_nodes,
+            "blocks_per_round": BLOCKS,
+            "variant": variant,
+            "history_rounds": fill,
+            "batch_ms": round(batch_s / 3 * 1000.0, 2),
+            "per_node_ms": round(per_node_s / 3 * 1000.0, 2),
+            "speedup": round(speedup, 2),
+        }
+    )
+    assert batch_s > 0.0
+    if variant == "perigee-ucb" and num_nodes >= 1000:
+        assert speedup >= 2.0, (
+            f"batched UCB scoring only {speedup:.1f}x faster than per-node "
+            f"scoring at N={num_nodes}"
+        )
 
 
 @pytest.mark.skipif(

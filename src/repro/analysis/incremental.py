@@ -16,6 +16,7 @@ Perigee."  This module makes that claim measurable:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -83,6 +84,22 @@ class MixedDeploymentProtocol(PerigeeBase):
 
     def on_neighbors_dropped(self, node_id: int, dropped: set[int]) -> None:
         self._inner.on_neighbors_dropped(node_id, dropped)
+
+    @property
+    def scores_in_batch(self) -> bool:
+        """Adopters are scored in one pass exactly when the inner variant is."""
+        return self._inner.scores_in_batch
+
+    def select_retained_batch(
+        self,
+        node_ids: Sequence[int],
+        neighbors: Sequence[np.ndarray],
+        times: Sequence[np.ndarray],
+        retain_budget: int,
+    ) -> list[set[int]]:
+        return self._inner.select_retained_batch(
+            node_ids, neighbors, times, retain_budget
+        )
 
     def select_retained_block(
         self,

@@ -262,6 +262,13 @@ class P2PNetwork:
         is drawn, up to a bounded number of attempts.
 
         Returns the resulting outgoing neighbor set.
+
+        **Invariant:** this method and :meth:`fill_random_outgoing` change
+        the outgoing set of ``node_id`` only.  Disconnecting removes
+        ``node_id`` from a former peer's *incoming* set and connecting adds
+        it to the new peer's *incoming* set; no other node's
+        :meth:`outgoing_neighbors` changes.  ``PerigeeBase.update`` relies on
+        this to score every node before any node rewires.
         """
         self._check_node(node_id)
         keep_set = {int(peer) for peer in keep}

@@ -337,6 +337,7 @@ class RoundObservations:
         "times",
         "indptr",
         "_first_arrivals",
+        "_edge_keys",
     )
 
     def __init__(
@@ -355,6 +356,7 @@ class RoundObservations:
         self.times = times
         self.indptr = indptr
         self._first_arrivals: np.ndarray | None = None
+        self._edge_keys: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -476,6 +478,44 @@ class RoundObservations:
             if present.any():
                 out[present] = self.times[lo:hi][pos[present]][:, observed] - base
         return out
+
+    def normalized_blocks(
+        self, node_ids: Sequence[int], wanted: Sequence[np.ndarray]
+    ) -> list[np.ndarray]:
+        """:meth:`normalized_rows` for many nodes in one gather.
+
+        Returns ``[normalized_rows(v, w) for v, w in zip(node_ids, wanted)]``
+        bit for bit.  Every (node, neighbor) row is located with one
+        ``searchsorted`` over the sorted ``receiver * N + sender`` edge key
+        and normalised with one subtraction of :meth:`first_arrivals`;
+        nodes that missed a block of the round (``B_v < B``) drop columns,
+        so they take the per-node path instead.
+        """
+        counts = [ids.size for ids in wanted]
+        if not counts:
+            return []
+        owners = np.repeat(np.asarray(node_ids, dtype=np.int64), counts)
+        peers = np.concatenate(wanted).astype(np.int64, copy=False)
+        first = self.first_arrivals()
+        complete = np.isfinite(first).all(axis=1)
+        rows = np.full((peers.size, self.num_blocks), NEVER, dtype=float)
+        if self.senders.size:
+            if self._edge_keys is None:
+                self._edge_keys = self.receivers * self.num_nodes + self.senders
+            keys = self._edge_keys
+            query = owners * self.num_nodes + peers
+            pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+            present = (keys[pos] == query) & complete[owners]
+            rows[present] = self.times[pos[present]] - first[owners[present]]
+        blocks = []
+        start = 0
+        for node_id, ids, count in zip(node_ids, wanted, counts):
+            if complete[node_id]:
+                blocks.append(rows[start : start + count])
+            else:
+                blocks.append(self.normalized_rows(int(node_id), ids))
+            start += count
+        return blocks
 
     # ------------------------------------------------------------------ #
     # Derived rounds (security wrappers) and compatibility views

@@ -19,16 +19,23 @@ straight out of the round's columnar
 :class:`~repro.core.observations.RoundObservations` without materialising any
 per-node dictionaries; plain ``{node_id: ObservationSet}`` mappings are
 converted per node and behave identically.
+
+The built-in variants also provide :meth:`PerigeeBase.select_retained_batch`,
+which scores many nodes in one vectorised pass; :meth:`PerigeeBase.update`
+then scores every node once per round before the RNG-consuming rewire loop
+runs (see its docstring for why that is exact).
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import itertools
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.network import P2PNetwork
 from repro.core.observations import (
+    NormalizedRowsProvider,
     ObservationSet,
     batched_percentile_scores,
     normalized_observation_provider,
@@ -40,6 +47,19 @@ from repro.protocols.base import (
 )
 from repro.telemetry.flight import get_flight_recorder
 from repro.telemetry.recorder import get_recorder
+
+#: Nodes gathered and scored together by the scoring phase of an update.
+#: Bounds the phase's stacked temporaries (a few MB at out-degree 8 and
+#: ~50 blocks a round) independently of the overlay size.
+SCORE_CHUNK_NODES = 1024
+
+
+def _defining_class(cls: type, name: str) -> type | None:
+    """The class in ``cls``'s MRO whose own namespace defines ``name``."""
+    for klass in cls.__mro__:
+        if name in vars(klass):
+            return klass
+    return None
 
 
 class PerigeeBase(NeighborSelectionProtocol):
@@ -102,6 +122,21 @@ class PerigeeBase(NeighborSelectionProtocol):
         del node_id
         return True
 
+    @property
+    def scores_in_batch(self) -> bool:
+        """Whether :meth:`update` scores every node up front, in one pass.
+
+        True when the class that supplies :meth:`select_retained_batch` also
+        supplies :meth:`select_retained_block` — the built-in variants, whose
+        block scorer is a one-node call into the batch.  A subclass that
+        overrides only the per-node scorer (possibly drawing from ``rng``)
+        keeps being called per node, inside the rewire loop.
+        """
+        batch_owner = _defining_class(type(self), "select_retained_batch")
+        return batch_owner is not PerigeeBase and batch_owner is (
+            _defining_class(type(self), "select_retained_block")
+        )
+
     def update(
         self,
         context: ProtocolContext,
@@ -109,6 +144,20 @@ class PerigeeBase(NeighborSelectionProtocol):
         observations: Mapping[int, ObservationSet],
         rng: np.random.Generator,
     ) -> None:
+        """Algorithm 1 for every updating node, in two phases.
+
+        (a) *Score*: when :attr:`scores_in_batch`, every updating node's
+        retained set is computed before the rewire, in chunks of
+        :data:`SCORE_CHUNK_NODES` nodes.  This is exact because rewiring a
+        node changes only its own outgoing set (the invariant documented on
+        :meth:`P2PNetwork.replace_outgoing`), so each node's outgoing set at
+        its turn equals the one it had at round start, and the built-in
+        scorers draw nothing from ``rng``.
+
+        (b) *Rewire*: nodes take their turn in ``rng.permutation`` order,
+        exactly as a per-node loop would; variants without a batch scorer
+        are scored here, one node at a time.
+        """
         exploration = self.exploration_budget(context)
         retain_budget = max(0, network.out_degree - exploration)
         # Variants that only implement the legacy ObservationSet entry point
@@ -123,9 +172,9 @@ class PerigeeBase(NeighborSelectionProtocol):
         # Flight-recorder capture is read-only bookkeeping: when enabled we
         # note, per node, how many outgoing edges the rewire dropped/added
         # (against the set replace_outgoing actually installed — a random
-        # redraw can re-add a dropped peer) and buffer the raw timestamp
-        # blocks, scored in one batched pass after the loop.  Nothing here
-        # touches the RNG.
+        # redraw can re-add a dropped peer) and collect the timestamp blocks
+        # the scorers read, scored for the recorder in one batched pass
+        # after the loop.  Nothing here touches the RNG.
         flight = get_flight_recorder()
         flight_nodes: list[int] = []
         flight_dropped: list[int] = []
@@ -133,12 +182,17 @@ class PerigeeBase(NeighborSelectionProtocol):
         flight_blocks: list[np.ndarray] = []
         nodes_updated = 0
         neighbors_retained = 0
+        batched = self.scores_in_batch
         with recorder.span("perigee.score"):
             provider = (
                 None
                 if legacy_only
                 else normalized_observation_provider(observations)
             )
+            if batched:
+                offsets, kept, scored_blocks = self._score_updating_nodes(
+                    network, observations, provider, retain_budget, flight.enabled
+                )
         with recorder.span("perigee.rewire"):
             order = rng.permutation(network.num_nodes)
             for raw_id in order:
@@ -153,7 +207,11 @@ class PerigeeBase(NeighborSelectionProtocol):
                         flight_dropped.append(0)
                         flight_added.append(len(filled))
                     continue
-                if legacy_only:
+                if batched:
+                    retained = kept[offsets[node_id] : offsets[node_id + 1]].tolist()
+                    if flight.enabled:
+                        flight_blocks.append(scored_blocks[node_id])
+                elif legacy_only:
                     node_observations = observations.get(node_id)
                     if node_observations is None:
                         node_observations = ObservationSet(node_id=node_id)
@@ -200,6 +258,85 @@ class PerigeeBase(NeighborSelectionProtocol):
                 flight.record_scores(
                     batched_percentile_scores(flight_blocks, self._percentile)
                 )
+
+    def _score_updating_nodes(
+        self,
+        network: P2PNetwork,
+        observations: Mapping[int, ObservationSet],
+        provider: NormalizedRowsProvider,
+        retain_budget: int,
+        keep_blocks: bool,
+    ) -> tuple[list[int], np.ndarray, dict[int, np.ndarray]]:
+        """Phase (a) of :meth:`update`: score every updating node.
+
+        Returns ``(offsets, kept, blocks)``: node ``v`` retains
+        ``kept[offsets[v]:offsets[v + 1]]`` (stored flat, not as one set
+        per node, to keep large overlays small), and ``blocks`` maps each
+        scored node to its timestamp block when ``keep_blocks`` (the flight
+        recorder reads them) and is empty otherwise.  Nodes are gathered and
+        scored :data:`SCORE_CHUNK_NODES` at a time, which keeps the stacked
+        temporaries at a few MB however large the overlay is.
+        """
+        round_observations = getattr(observations, "round_observations", None)
+        nodes = [
+            node_id
+            for node_id in range(network.num_nodes)
+            if self.updates_node(node_id)
+        ]
+        counts = np.zeros(network.num_nodes + 1, dtype=np.int64)
+        parts: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        blocks_by_node: dict[int, np.ndarray] = {}
+        for start in range(0, len(nodes), SCORE_CHUNK_NODES):
+            chunk: list[int] = []
+            wanted: list[np.ndarray] = []
+            for node_id in nodes[start : start + SCORE_CHUNK_NODES]:
+                outgoing = network.outgoing_neighbors(node_id)
+                if outgoing:
+                    chunk.append(node_id)
+                    wanted.append(
+                        np.fromiter(
+                            sorted(outgoing), dtype=np.int64, count=len(outgoing)
+                        )
+                    )
+            if not chunk:
+                continue
+            if round_observations is not None:
+                blocks = round_observations.normalized_blocks(chunk, wanted)
+            else:
+                blocks = [
+                    provider(node_id, ids) for node_id, ids in zip(chunk, wanted)
+                ]
+            retained = self.select_retained_batch(
+                chunk, wanted, blocks, retain_budget
+            )
+            counts[np.asarray(chunk, dtype=np.int64) + 1] = [
+                len(peers) for peers in retained
+            ]
+            parts.append(
+                np.fromiter(itertools.chain.from_iterable(retained), dtype=np.int64)
+            )
+            if keep_blocks:
+                blocks_by_node.update(zip(chunk, blocks))
+        return np.cumsum(counts).tolist(), np.concatenate(parts), blocks_by_node
+
+    def select_retained_batch(
+        self,
+        node_ids: Sequence[int],
+        neighbors: Sequence[np.ndarray],
+        times: Sequence[np.ndarray],
+        retain_budget: int,
+    ) -> list[set[int]]:
+        """Retained sets for many nodes at once (the batch scorer).
+
+        Element ``i`` must equal ``select_retained_block(node_ids[i],
+        neighbors[i], times[i], retain_budget, rng)`` — same arguments, no
+        RNG.  Variants that provide it also implement
+        :meth:`select_retained_block` as a one-node call into it, so each
+        variant keeps a single scoring algorithm; see :attr:`scores_in_batch`.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} scores one node at a time"
+        )
 
     def select_retained_block(
         self,

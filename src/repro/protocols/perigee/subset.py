@@ -10,16 +10,32 @@ already-selected peers gain nothing, so the retained group complements itself
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.protocols.perigee.base import PerigeeBase
-from repro.protocols.scoring import greedy_subset_selection_block
+from repro.protocols.scoring import greedy_subset_selection_batch
 
 
 class PerigeeSubsetProtocol(PerigeeBase):
     """Greedy complement-aware group selection."""
 
     name = "perigee-subset"
+
+    def select_retained_batch(
+        self,
+        node_ids: Sequence[int],
+        neighbors: Sequence[np.ndarray],
+        times: Sequence[np.ndarray],
+        retain_budget: int,
+    ) -> list[set[int]]:
+        if retain_budget <= 0:
+            return [set() for _ in node_ids]
+        picks = greedy_subset_selection_batch(
+            neighbors, times, retain_budget, self.percentile
+        )
+        return [set(selected) for selected in picks]
 
     def select_retained_block(
         self,
@@ -29,10 +45,7 @@ class PerigeeSubsetProtocol(PerigeeBase):
         retain_budget: int,
         rng: np.random.Generator,
     ) -> set[int]:
-        del node_id, rng
-        if retain_budget <= 0:
-            return set()
-        selected = greedy_subset_selection_block(
-            neighbors, times, retain_budget, self.percentile
-        )
-        return set(selected)
+        del rng
+        return self.select_retained_batch(
+            [node_id], [neighbors], [times], retain_budget
+        )[0]

@@ -43,6 +43,7 @@ __all__ = [
     "confidence_interval",
     "confidence_intervals_stacked",
     "greedy_subset_selection",
+    "greedy_subset_selection_batch",
     "greedy_subset_selection_block",
     "group_score",
     "percentile_score",
@@ -305,6 +306,82 @@ def greedy_subset_selection_block(
         selected.append(int(neighbors[pick]))
         group_best = np.minimum(times[pick], group_best)
     return selected
+
+
+def greedy_subset_selection_batch(
+    neighbors: Sequence[np.ndarray],
+    times: Sequence[np.ndarray],
+    subset_size: int,
+    percentile: float = SCORE_PERCENTILE,
+) -> list[list[int]]:
+    """:func:`greedy_subset_selection_block` for many nodes at once.
+
+    Returns ``[greedy_subset_selection_block(n, t, subset_size, percentile)
+    for n, t in zip(neighbors, times)]`` bit for bit.  Nodes are grouped by
+    the shape ``(k, B)`` of their timestamp block and each group's greedy
+    runs on one ``(nodes, k, B)`` tensor: a step transforms, partitions and
+    scores every node's remaining candidates together, with already-picked
+    candidates masked out.  Nodes whose remaining candidates all score
+    infinity take the same finite-mean fallback as the one-node greedy.
+    """
+    if subset_size < 0:
+        raise ValueError("subset_size must be non-negative")
+    if not 0.0 <= percentile <= 100.0:
+        raise ValueError("percentile must be within [0, 100]")
+    if len(neighbors) != len(times):
+        raise ValueError("neighbors and times must align")
+    picks: list[list[int]] = [[] for _ in neighbors]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for index, (ids, block) in enumerate(zip(neighbors, times)):
+        shape = np.shape(block)
+        if len(shape) != 2 or shape[0] != len(ids):
+            raise ValueError("times must have one row per neighbor")
+        groups.setdefault(shape, []).append(index)
+    for (num_neighbors, num_blocks), members in groups.items():
+        steps = min(subset_size, num_neighbors)
+        if steps == 0:
+            continue
+        ids = np.stack([np.asarray(neighbors[i], dtype=np.int64) for i in members])
+        if num_blocks == 0:
+            # See greedy_subset_selection_block: ascending-id fallback.
+            for index, row in zip(members, ids[:, :steps].tolist()):
+                picks[index] = row
+            continue
+        stacked = np.stack([np.asarray(times[i], dtype=float) for i in members])
+        rank = percentile / 100.0 * (num_blocks - 1)
+        lower = int(math.floor(rank))
+        upper = int(math.ceil(rank))
+        weight = rank - lower
+        rows = np.arange(len(members))
+        available = np.ones((len(members), num_neighbors), dtype=bool)
+        group_best = np.full((len(members), num_blocks), NEVER, dtype=float)
+        chosen = np.empty((len(members), steps), dtype=np.int64)
+        for step in range(steps):
+            transformed = np.minimum(stacked, group_best[:, None, :])
+            transformed.partition((lower, upper), axis=2)
+            low = transformed[:, :, lower]
+            high = transformed[:, :, upper]
+            finite = np.isfinite(low) & np.isfinite(high) & available
+            if lower == upper:
+                scores = np.where(finite, low, NEVER)
+            else:
+                scores = np.where(
+                    finite, low * (1.0 - weight) + high * weight, NEVER
+                )
+            local = np.argmin(scores, axis=1)
+            for row in np.flatnonzero(~finite.any(axis=1)).tolist():
+                candidates = np.flatnonzero(available[row])
+                means = np.array(
+                    [_finite_mean(stacked[row, index]) for index in candidates]
+                )
+                local[row] = candidates[int(np.argmin(means))]
+            chosen[:, step] = local
+            available[rows, local] = False
+            group_best = np.minimum(stacked[rows, local], group_best)
+        selected = np.take_along_axis(ids, chosen, axis=1)
+        for index, row in zip(members, selected.tolist()):
+            picks[index] = row
+    return picks
 
 
 def greedy_subset_selection(
