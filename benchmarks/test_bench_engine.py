@@ -85,18 +85,16 @@ def test_bench_all_pairs_evaluation(benchmark, prepared_simulator):
 
 
 def test_bench_forwarding_time_matrix(benchmark, prepared_simulator):
-    """Bulk observation building: (u, v) -> per-block forwarding times."""
+    """Bulk observation building: the round's (2E, B) forwarding-time matrix."""
     simulator = prepared_simulator
     sources = np.arange(50) % simulator.config.num_nodes
     result = simulator.engine.propagate(simulator.network, sources)
 
     def build_matrix():
-        return simulator.engine.forwarding_time_matrix(simulator.network, result)
+        return simulator.engine.round_observations(simulator.network, result)
 
-    forwarding = benchmark(build_matrix)
-    assert len(forwarding) == 2 * simulator.network.num_edges()
-    sample = next(iter(forwarding.values()))
-    assert sample.shape == (50,)
+    observations = benchmark(build_matrix)
+    assert observations.times.shape == (2 * simulator.network.num_edges(), 50)
 
 
 def test_bench_event_driven_engine(benchmark, prepared_simulator):

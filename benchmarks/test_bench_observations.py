@@ -4,7 +4,8 @@ Times one full observe+score+rewire round — ``collect_observations`` plus
 ``protocol.update`` — for all three Perigee variants at several network
 sizes, against a faithful reimplementation of the original dict-of-dicts
 pipeline (per-edge ``record()`` loops, per-value Equation-2 normalisation,
-neighbor-by-neighbor scoring).  One ``BENCH-JSON`` line is emitted per
+neighbor-by-neighbor scoring), kept here as a private copy of the dict
+observation set it ran on.  One ``BENCH-JSON`` line is emitted per
 (variant, size) cell so the speedup can be scraped from CI logs, and the
 Perigee-Subset cell at N>=1000 must show the >=5x improvement the refactor
 targets.
@@ -29,17 +30,13 @@ import copy
 import math
 import os
 import time
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from repro.config import default_config
-from repro.core.observations import (
-    NEVER,
-    ObservationSet,
-    normalized_observation_provider,
-    percentile_score,
-)
+from repro.core.observations import NEVER, percentile_score
 from repro.core.simulator import Simulator
 from repro.protocols.registry import make_protocol
 from repro.telemetry.recorder import MetricsRecorder, use_recorder
@@ -58,10 +55,68 @@ VARIANTS = ("perigee-vanilla", "perigee-ucb", "perigee-subset")
 # --------------------------------------------------------------------------- #
 # Faithful legacy (pre-refactor) pipeline, used as the baseline under test
 # --------------------------------------------------------------------------- #
+@dataclass
+class _LegacyObservationSet:
+    """The dict-of-dicts observation set the seed pipeline scored from.
+
+    ``_by_block`` maps ``block_id -> {neighbor: timestamp}``; only the
+    operations the legacy round below performs are kept.
+    """
+
+    node_id: int
+    _by_block: dict[int, dict[int, float]] = field(default_factory=dict)
+
+    def record(self, block_id: int, neighbor: int, timestamp_ms: float) -> None:
+        if block_id < 0:
+            raise ValueError("block_id must be non-negative")
+        if neighbor < 0:
+            raise ValueError("neighbor must be a valid node id")
+        self._by_block.setdefault(block_id, {})[neighbor] = float(timestamp_ms)
+
+    @property
+    def block_ids(self) -> list[int]:
+        return sorted(self._by_block)
+
+    def timestamps_for_block(self, block_id: int) -> dict[int, float]:
+        return dict(self._by_block.get(block_id, {}))
+
+    def normalized(self) -> "_LegacyObservationSet":
+        """Equation 2: offsets from each block's first finite delivery."""
+        normalized = _LegacyObservationSet(node_id=self.node_id)
+        for block_id, deliveries in self._by_block.items():
+            finite = [t for t in deliveries.values() if math.isfinite(t)]
+            if not finite:
+                continue
+            first = min(finite)
+            for neighbor, timestamp in deliveries.items():
+                if math.isfinite(timestamp):
+                    normalized.record(block_id, neighbor, timestamp - first)
+                else:
+                    normalized.record(block_id, neighbor, NEVER)
+        return normalized
+
+    def relative_timestamps(self, neighbor: int) -> list[float]:
+        values: list[float] = []
+        for deliveries in self._by_block.values():
+            values.append(deliveries.get(neighbor, NEVER))
+        return values
+
+    def finite_relative_timestamps(self, neighbor: int) -> list[float]:
+        return [t for t in self.relative_timestamps(neighbor) if math.isfinite(t)]
+
+
+def _legacy_forwarding(engine, network, result):
+    """The seed's per-edge view: ``(sender, receiver) -> per-block times``."""
+    senders, receivers, times = engine._directed_forwarding_times(network, result)
+    if senders.size == 0:
+        return {}
+    return dict(zip(zip(senders.tolist(), receivers.tolist()), times))
+
+
 def _legacy_collect(engine, network, result, blocks):
-    forwarding = engine.forwarding_time_matrix(network, result)
+    forwarding = _legacy_forwarding(engine, network, result)
     observations = {
-        node_id: ObservationSet(node_id=node_id)
+        node_id: _LegacyObservationSet(node_id=node_id)
         for node_id in range(network.num_nodes)
     }
     for (sender, receiver), times in forwarding.items():
@@ -241,14 +296,17 @@ HISTORY_FILL_ROUNDS = 8
 def _score_per_node(protocol, simulator, observations):
     """Score every node of one round one at a time, without rewiring."""
     network = simulator.network
-    provider = normalized_observation_provider(observations)
     budget = max(0, network.out_degree - protocol.exploration_budget(simulator.context))
     for node_id in range(network.num_nodes):
         outgoing = network.outgoing_neighbors(node_id)
         if outgoing:
             neighbors = np.fromiter(sorted(outgoing), dtype=np.int64, count=len(outgoing))
             protocol.select_retained_block(
-                node_id, neighbors, provider(node_id, neighbors), budget, simulator._rng
+                node_id,
+                neighbors,
+                observations.normalized_rows(node_id, neighbors),
+                budget,
+                simulator._rng,
             )
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.config import default_config
-from repro.core.observations import ObservationSet
 from repro.core.simulator import Simulator
 from repro.datasets.bitnodes import generate_population
 from repro.latency.geo import GeographicLatencyModel
@@ -44,23 +43,25 @@ class EpsilonGreedyProtocol(PerigeeBase):
             raise ValueError("epsilon must be within [0, 1]")
         self._epsilon = epsilon
 
-    def select_retained(
+    def select_retained_block(
         self,
         node_id: int,
-        outgoing: set[int],
-        observations: ObservationSet,
+        neighbors: np.ndarray,
+        times: np.ndarray,
         retain_budget: int,
         rng: np.random.Generator,
     ) -> set[int]:
+        # ``times`` holds one row of time-normalised delivery offsets per
+        # outgoing neighbor (``inf`` where a block was never delivered).
         if retain_budget <= 0:
             return set()
 
-        def mean_delivery(neighbor: int) -> float:
-            samples = observations.finite_relative_timestamps(neighbor)
-            return float(np.mean(samples)) if samples else float("inf")
+        def mean_delivery(row: np.ndarray) -> float:
+            samples = row[np.isfinite(row)]
+            return float(np.mean(samples)) if samples.size else float("inf")
 
-        ranked = sorted(outgoing, key=lambda peer: (mean_delivery(peer), peer))
-        retained = ranked[:retain_budget]
+        ranked = sorted(zip(map(mean_delivery, times), neighbors.tolist()))
+        retained = [peer for _, peer in ranked[:retain_budget]]
         if retained and rng.random() < self._epsilon:
             # Drop one retained neighbor at random to explore more aggressively.
             retained = retained[:-1]
@@ -105,8 +106,9 @@ def main() -> None:
     )
     print()
     print(
-        "Custom protocols only need to implement select_retained(); everything "
-        "else (simulation, metrics, baselines) is reused from the library."
+        "Custom protocols only need to implement select_retained_block(); "
+        "everything else (simulation, metrics, baselines) is reused from the "
+        "library."
     )
 
 

@@ -27,10 +27,7 @@ import numpy as np
 from repro.config import SimulationConfig, default_config
 from repro.core.addrman import AddressManager
 from repro.core.network import P2PNetwork
-from repro.core.observations import (
-    ObservationMap,
-    normalized_observation_provider,
-)
+from repro.core.observations import RoundObservations
 from repro.core.propagation import PropagationEngine
 from repro.datasets.bitnodes import NodePopulation, generate_population
 from repro.latency.geo import GeographicLatencyModel
@@ -161,11 +158,9 @@ class _ChurnDriver:
         weights = weights / weights.sum()
         return self.rng.choice(online_ids, size=count, p=weights)
 
-    def collect_observations(self, sources: np.ndarray) -> ObservationMap:
+    def collect_observations(self, sources: np.ndarray) -> RoundObservations:
         result = self.engine.propagate(self.network, sources)
-        return ObservationMap(
-            self.engine.round_observations(self.network, result)
-        )
+        return self.engine.round_observations(self.network, result)
 
     def evaluate(self) -> float:
         """Median delay (over online sources) to reach the target among online nodes."""
@@ -203,7 +198,6 @@ def _run_arm(
         if adaptive:
             sources = driver.mine_sources(config.blocks_per_round)
             observations = driver.collect_observations(sources)
-            provider = normalized_observation_provider(observations)
             # Algorithm 1 for every online node, with exploration drawn from
             # the node's own address book (online peers only).
             for node_id in np.where(driver.online)[0]:
@@ -215,7 +209,7 @@ def _run_arm(
                 neighbors = np.fromiter(
                     sorted(outgoing), dtype=np.int64, count=len(outgoing)
                 )
-                times = provider(node_id, neighbors)
+                times = observations.normalized_rows(node_id, neighbors)
                 retain_budget = max(
                     0, config.out_degree - config.exploration_peers
                 )

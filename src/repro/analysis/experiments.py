@@ -38,13 +38,7 @@ from repro.config import SimulationConfig, default_config
 from repro.metrics.delay import DelayCurve, improvement_over_baseline
 from repro.metrics.topology import EdgeLatencyHistogram
 from repro.runtime.aggregate import records_to_result
-from repro.runtime.executor import (
-    ProgressCallback,
-    execute_sweep,
-    make_executor,
-    run_task,
-)
-from repro.runtime.scenarios import Scenario
+from repro.runtime.executor import ProgressCallback, execute_sweep, make_executor
 from repro.runtime.store import ResultStore
 from repro.runtime.tasks import SweepSpec
 
@@ -154,7 +148,6 @@ def _execute_spec(
     executor=None,
     progress: ProgressCallback | None = None,
     cluster: bool = False,
-    run=run_task,
     flight: bool = False,
     checkpoint_every: int = 0,
 ):
@@ -209,7 +202,7 @@ def _execute_spec(
     else:
         executor = _resolve_executor(workers, executor)
     return execute_sweep(
-        spec, executor=executor, store=resolved_store, progress=progress, run=run
+        spec, executor=executor, store=resolved_store, progress=progress
     )
 
 
@@ -218,8 +211,6 @@ def compare_protocols(
     protocol_names: tuple[str, ...] | list[str],
     repeats: int = 1,
     rounds: int | None = None,
-    latency_builder=None,
-    population_builder=None,
     collect_histograms: bool = False,
     experiment_name: str = "custom",
     scenario: str = "default",
@@ -244,21 +235,13 @@ def compare_protocols(
         Number of independent population/latency draws (the paper uses 3).
     rounds:
         Rounds to run adaptive protocols for (defaults to ``config.rounds``).
-    latency_builder:
-        Optional callable ``(population, rng) -> LatencyModel`` overriding the
-        default geographic model.  Closure-based builders cannot cross process
-        boundaries, so they force the serial in-process path; prefer a
-        registered scenario (``scenario=``) for anything that should scale.
-    population_builder:
-        Optional callable ``(config, rng) -> NodePopulation`` overriding the
-        default population generator (same serial-only caveat).
     collect_histograms:
         Also compute the Figure 5 edge-latency histogram of each final
         topology (first repeat).
     scenario / scenario_params:
         Name and parameters of a registered environment scenario
-        (:mod:`repro.runtime.scenarios`); the picklable replacement for the
-        builder callables.
+        (:mod:`repro.runtime.scenarios`) that builds each repeat's population
+        and latency model.
     workers:
         Number of worker processes; 1 (the default) runs serially in-process.
     store:
@@ -286,19 +269,6 @@ def compare_protocols(
         scenario_params=dict(scenario_params or {}),
         collect_histograms=collect_histograms,
     )
-    run = run_task
-    if latency_builder is not None or population_builder is not None:
-        if workers > 1 or executor is not None or store is not None or cluster:
-            raise ValueError(
-                "closure-based latency_builder/population_builder cannot be "
-                "pickled; register a scenario (repro.runtime.scenarios) to "
-                "use workers, a result store, or cluster execution"
-            )
-        custom = _legacy_scenario(latency_builder, population_builder)
-
-        def run(task):  # serial-only closure over the legacy builders
-            return run_task(task, scenario=custom)
-
     records = _execute_spec(
         spec,
         workers=workers,
@@ -306,35 +276,10 @@ def compare_protocols(
         executor=executor,
         progress=progress,
         cluster=cluster,
-        run=run,
         flight=flight,
         checkpoint_every=checkpoint_every,
     )
     return records_to_result(records, name=experiment_name)
-
-
-def _legacy_scenario(latency_builder, population_builder) -> Scenario:
-    """Adapt the legacy builder callables to the scenario interface."""
-
-    def build_population(config, params, rng):
-        from repro.datasets.bitnodes import generate_population
-
-        if population_builder is not None:
-            return population_builder(config, rng)
-        return generate_population(config, rng)
-
-    def build_latency(config, population, params, rng):
-        from repro.latency.geo import GeographicLatencyModel
-
-        if latency_builder is not None:
-            return latency_builder(population, rng)
-        return GeographicLatencyModel(population.nodes, rng)
-
-    return Scenario(
-        name="legacy-builders",
-        build_population=build_population,
-        build_latency=build_latency,
-    )
 
 
 # --------------------------------------------------------------------------- #

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.config import SimulationConfig, default_config
-from repro.core.observations import ObservationSet
 from repro.core.simulator import Simulator
 from repro.datasets.bitnodes import generate_population
 from repro.latency.geo import GeographicLatencyModel
@@ -113,23 +112,6 @@ class MixedDeploymentProtocol(PerigeeBase):
             node_id=node_id,
             neighbors=neighbors,
             times=times,
-            retain_budget=retain_budget,
-            rng=rng,
-        )
-
-    def select_retained(
-        self,
-        node_id: int,
-        outgoing: set[int],
-        observations: ObservationSet,
-        retain_budget: int,
-        rng: np.random.Generator,
-    ) -> set[int]:
-        """Delegate to the wrapped variant (used if callers bypass ``update``)."""
-        return self._inner.select_retained(
-            node_id=node_id,
-            outgoing=outgoing,
-            observations=observations,
             retain_budget=retain_budget,
             rng=rng,
         )

@@ -5,21 +5,13 @@ simulation driver."""
 from repro.core.block import Block
 from repro.core.network import P2PNetwork
 from repro.core.node import Node
-from repro.core.observations import (
-    Observation,
-    ObservationMap,
-    ObservationSet,
-    RoundObservations,
-)
+from repro.core.observations import RoundObservations
 from repro.core.propagation import PropagationEngine, PropagationResult
 from repro.core.simulator import RoundResult, Simulator
 
 __all__ = [
     "Block",
     "Node",
-    "Observation",
-    "ObservationMap",
-    "ObservationSet",
     "P2PNetwork",
     "PropagationEngine",
     "PropagationResult",

@@ -10,195 +10,25 @@ computed on the *time-normalised* observation set (Equation 2 of the paper):
 timestamps are re-expressed relative to the first time the node heard of each
 block from any neighbor.
 
-Two representations coexist:
-
-* :class:`RoundObservations` is the columnar, array-native storage for a
-  whole round — directed-edge arrays ``senders``/``receivers`` plus a
-  ``(2E, B)`` timestamp matrix, receiver-sorted with CSR-style ``indptr``
-  offsets for per-node slicing.  The propagation engine emits it directly
-  and the Perigee hot path consumes per-node array views of it, so the
-  per-round cost is a handful of NumPy passes instead of ``O(E·B)``
-  Python-level dictionary operations.
-* :class:`ObservationSet` is the original dict-of-dicts view, kept as the
-  public per-node API.  :class:`ObservationMap` bridges the two: it is the
-  mapping the simulator hands to protocols, lazily materialising an
-  :class:`ObservationSet` per node only when legacy callers ask for one.
+:class:`RoundObservations` is the one representation of a round's
+observations: columnar, array-native storage for all nodes at once —
+directed-edge arrays ``senders``/``receivers`` plus a ``(2E, B)`` timestamp
+matrix, receiver-sorted with CSR-style ``indptr`` offsets for per-node
+slicing.  The propagation engine emits it, the simulator hands it to
+:meth:`~repro.protocols.base.NeighborSelectionProtocol.update`, and the
+Perigee hot path reads Equation-2-normalised array views of it, so the
+per-round cost is a handful of NumPy passes.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 #: Sentinel used when a neighbor never delivered a block.
 NEVER = math.inf
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A single ``(block, neighbor, timestamp)`` tuple recorded by a node."""
-
-    block_id: int
-    neighbor: int
-    timestamp_ms: float
-
-    def __post_init__(self) -> None:
-        if self.block_id < 0:
-            raise ValueError("block_id must be non-negative")
-        if self.neighbor < 0:
-            raise ValueError("neighbor must be a valid node id")
-
-
-@dataclass
-class ObservationSet:
-    """All observations a node collected during one round.
-
-    The underlying storage is a mapping ``block_id -> {neighbor: timestamp}``,
-    which keeps per-block normalisation (Equation 2) and per-neighbor
-    extraction cheap.
-    """
-
-    node_id: int
-    _by_block: dict[int, dict[int, float]] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------ #
-    # Recording
-    # ------------------------------------------------------------------ #
-    def record(self, block_id: int, neighbor: int, timestamp_ms: float) -> None:
-        """Record that ``neighbor`` delivered ``block_id`` at ``timestamp_ms``."""
-        if block_id < 0:
-            raise ValueError("block_id must be non-negative")
-        if neighbor < 0:
-            raise ValueError("neighbor must be a valid node id")
-        self._by_block.setdefault(block_id, {})[neighbor] = float(timestamp_ms)
-
-    def record_many(
-        self, block_id: int, deliveries: dict[int, float]
-    ) -> None:
-        """Record a whole ``{neighbor: timestamp}`` mapping for one block."""
-        for neighbor, timestamp in deliveries.items():
-            self.record(block_id, neighbor, timestamp)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def block_ids(self) -> list[int]:
-        """Blocks for which at least one observation exists, sorted."""
-        return sorted(self._by_block)
-
-    @property
-    def neighbors_seen(self) -> set[int]:
-        """All neighbors appearing in at least one observation."""
-        seen: set[int] = set()
-        for deliveries in self._by_block.values():
-            seen.update(deliveries)
-        return seen
-
-    def num_observations(self) -> int:
-        """Total number of recorded ``(block, neighbor, timestamp)`` tuples."""
-        return sum(len(deliveries) for deliveries in self._by_block.values())
-
-    def __len__(self) -> int:
-        return self.num_observations()
-
-    def timestamps_for_block(self, block_id: int) -> dict[int, float]:
-        """The raw ``{neighbor: timestamp}`` map for one block (copy)."""
-        return dict(self._by_block.get(block_id, {}))
-
-    def iter_observations(self):
-        """Yield :class:`Observation` tuples in (block, neighbor) order."""
-        for block_id in sorted(self._by_block):
-            deliveries = self._by_block[block_id]
-            for neighbor in sorted(deliveries):
-                yield Observation(block_id, neighbor, deliveries[neighbor])
-
-    # ------------------------------------------------------------------ #
-    # Normalisation and per-neighbor views (Equation 2)
-    # ------------------------------------------------------------------ #
-    def first_arrival(self, block_id: int) -> float:
-        """Earliest time the node heard of ``block_id`` from any neighbor.
-
-        Returns :data:`NEVER` when the block was never observed.
-        """
-        deliveries = self._by_block.get(block_id)
-        if not deliveries:
-            return NEVER
-        return min(deliveries.values())
-
-    def normalized(self) -> "ObservationSet":
-        """Return the time-normalised observation set ``Õ_v``.
-
-        Every timestamp is replaced by its offset from the first time the
-        block reached the node.  Blocks that were never observed are dropped.
-        """
-        normalized = ObservationSet(node_id=self.node_id)
-        for block_id, deliveries in self._by_block.items():
-            finite = [t for t in deliveries.values() if math.isfinite(t)]
-            if not finite:
-                continue
-            first = min(finite)
-            for neighbor, timestamp in deliveries.items():
-                if math.isfinite(timestamp):
-                    normalized.record(block_id, neighbor, timestamp - first)
-                else:
-                    normalized.record(block_id, neighbor, NEVER)
-        return normalized
-
-    def relative_timestamps(self, neighbor: int) -> list[float]:
-        """The multiset ``T̃_{u,v}`` of relative timestamps for one neighbor.
-
-        The observation set must already be normalised (this method does not
-        normalise implicitly so callers control when normalisation happens).
-        Blocks the neighbor never delivered contribute :data:`NEVER`.
-        """
-        values: list[float] = []
-        for deliveries in self._by_block.values():
-            values.append(deliveries.get(neighbor, NEVER))
-        return values
-
-    def finite_relative_timestamps(self, neighbor: int) -> list[float]:
-        """Like :meth:`relative_timestamps` but dropping never-delivered blocks."""
-        return [t for t in self.relative_timestamps(neighbor) if math.isfinite(t)]
-
-    def times_block(self, neighbors: Sequence[int] | np.ndarray) -> np.ndarray:
-        """The ``(len(neighbors), num_blocks)`` timestamp block of this set.
-
-        Row ``i`` holds neighbor ``neighbors[i]``'s timestamp for every block
-        (:data:`NEVER` where the neighbor has no entry), with columns in the
-        set's block insertion order.  This is the bridge from the dict
-        representation to the array-native scoring functions: on observation
-        sets produced by the simulator the columns are ascending block ids,
-        matching the columnar :class:`RoundObservations` layout exactly.
-        """
-        ids = [int(neighbor) for neighbor in neighbors]
-        blocks = list(self._by_block.values())
-        if not blocks or not ids:
-            return np.zeros((len(ids), len(blocks)), dtype=float)
-        return np.array(
-            [[deliveries.get(n, NEVER) for deliveries in blocks] for n in ids],
-            dtype=float,
-        )
-
-    def merge(self, other: "ObservationSet") -> "ObservationSet":
-        """Union of two observation sets for the same node.
-
-        Used by scoring methods that accumulate observations over multiple
-        rounds (Perigee-UCB).  Block ids must not collide across rounds; the
-        simulator guarantees this by numbering blocks globally.
-        """
-        if other.node_id != self.node_id:
-            raise ValueError("cannot merge observation sets from different nodes")
-        merged = ObservationSet(node_id=self.node_id)
-        for source in (self, other):
-            for block_id, deliveries in source._by_block.items():
-                for neighbor, timestamp in deliveries.items():
-                    merged.record(block_id, neighbor, timestamp)
-        return merged
 
 
 def percentile_score(values: list[float] | np.ndarray, percentile: float = 90.0) -> float:
@@ -455,8 +285,8 @@ class RoundObservations:
             The observing node.
         wanted:
             Ascending array of neighbor ids to extract rows for; ids without
-            observations yield all-:data:`NEVER` rows (exactly what the dict
-            path reports for an unobserved neighbor).
+            observations yield all-:data:`NEVER` rows (an unobserved
+            neighbor delivered nothing).
 
         Returns
         -------
@@ -518,7 +348,7 @@ class RoundObservations:
         return blocks
 
     # ------------------------------------------------------------------ #
-    # Derived rounds (security wrappers) and compatibility views
+    # Derived rounds (security wrappers)
     # ------------------------------------------------------------------ #
     def with_times(self, times: np.ndarray) -> "RoundObservations":
         """A new round sharing this structure but with a replaced time matrix.
@@ -539,83 +369,6 @@ class RoundObservations:
             indptr=self.indptr,
         )
 
-    def node_observation_set(self, node_id: int) -> ObservationSet:
-        """Materialise the legacy dict-of-dicts view of one node."""
-        self._check_node(node_id)
-        observations = ObservationSet(node_id=node_id)
-        lo, hi = int(self.indptr[node_id]), int(self.indptr[node_id + 1])
-        if hi > lo and self.num_blocks:
-            neighbors = self.senders[lo:hi].tolist()
-            columns = self.times[lo:hi].T.tolist()
-            for block_id, column in zip(self.block_ids.tolist(), columns):
-                observations._by_block[int(block_id)] = dict(
-                    zip(neighbors, column)
-                )
-        return observations
-
     def _check_node(self, node_id: int) -> None:
         if not 0 <= node_id < self.num_nodes:
             raise IndexError(f"node id {node_id} out of range")
-
-
-class ObservationMap(Mapping):
-    """Mapping view ``node_id -> ObservationSet`` over a :class:`RoundObservations`.
-
-    This is what :meth:`repro.core.simulator.Simulator.collect_observations`
-    returns: array-native consumers grab :attr:`round_observations` and never
-    touch a dict, while legacy callers index it like the plain dictionary the
-    simulator used to build — each per-node :class:`ObservationSet` is
-    materialised lazily on first access and cached.
-    """
-
-    def __init__(self, round_observations: RoundObservations) -> None:
-        self._round = round_observations
-        self._cache: dict[int, ObservationSet] = {}
-
-    @property
-    def round_observations(self) -> RoundObservations:
-        return self._round
-
-    def __getitem__(self, node_id: int) -> ObservationSet:
-        if not 0 <= node_id < self._round.num_nodes:
-            raise KeyError(node_id)
-        cached = self._cache.get(node_id)
-        if cached is None:
-            cached = self._round.node_observation_set(node_id)
-            self._cache[node_id] = cached
-        return cached
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._round.num_nodes))
-
-    def __len__(self) -> int:
-        return self._round.num_nodes
-
-
-#: Signature of the per-node normalised-view providers below.
-NormalizedRowsProvider = Callable[[int, np.ndarray], np.ndarray]
-
-
-def normalized_observation_provider(observations) -> NormalizedRowsProvider:
-    """Resolve any observation mapping into a normalised array-view provider.
-
-    Returns a callable ``provider(node_id, wanted)`` yielding the
-    Equation-2-normalised ``(len(wanted), B_v)`` timestamp block for one
-    node, where ``wanted`` is an ascending array of neighbor ids.  For an
-    :class:`ObservationMap` (the simulator's output) this is a zero-copy-ish
-    slice of the columnar round data; for a plain ``{node_id:
-    ObservationSet}`` mapping (tests, hand-built scenarios) the set is
-    normalised and converted per node, preserving the legacy semantics
-    exactly.
-    """
-    round_observations = getattr(observations, "round_observations", None)
-    if round_observations is not None:
-        return round_observations.normalized_rows
-
-    def provider(node_id: int, wanted: np.ndarray) -> np.ndarray:
-        observation_set = observations.get(node_id)
-        if observation_set is None:
-            return np.zeros((wanted.size, 0), dtype=float)
-        return observation_set.normalized().times_block(wanted)
-
-    return provider

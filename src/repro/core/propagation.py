@@ -653,9 +653,8 @@ class PropagationEngine:
 
         Returns ``(senders, receivers, times)`` where row ``i`` of the
         ``(2E, B)`` matrix ``times`` holds ``t^b_{senders[i], receivers[i]}``
-        for every block ``b``.  This is the shared (E, B)-native intermediate
-        behind both the columnar :class:`RoundObservations` emission and the
-        legacy per-edge dictionary.
+        for every block ``b``: the (E, B)-native intermediate behind the
+        columnar :class:`RoundObservations` emission.
         """
         edges = network.to_numpy_edges()
         if edges.shape[0] == 0:
@@ -691,10 +690,9 @@ class PropagationEngine:
     ) -> RoundObservations:
         """Columnar observation structure for a whole round.
 
-        This is the array-native interface the simulator uses: the
-        ``(2E, B)`` forwarding-time matrix goes straight into a
-        receiver-sorted :class:`RoundObservations` without ever
-        materialising per-edge dictionaries.  ``block_ids`` defaults to
+        This is what the simulator hands protocols: the ``(2E, B)``
+        forwarding-time matrix goes straight into a receiver-sorted
+        :class:`RoundObservations`.  ``block_ids`` defaults to
         ``0..num_blocks-1`` (callers with globally numbered blocks pass
         their own ids).
         """
@@ -710,25 +708,6 @@ class PropagationEngine:
             receivers=receivers,
             times=times,
         )
-
-    def forwarding_time_matrix(
-        self,
-        network: P2PNetwork,
-        result: PropagationResult,
-    ) -> dict[tuple[int, int], np.ndarray]:
-        """Vectorised forwarding times for *all* blocks in ``result``.
-
-        Returns a mapping from directed edge ``(u, v)`` to an array of length
-        ``num_blocks`` holding ``t^b_{u,v}`` for every block ``b``.  Kept for
-        callers that want per-edge vectors; the simulator itself consumes
-        :meth:`round_observations` instead.
-        """
-        senders, receivers, times = self._directed_forwarding_times(
-            network, result
-        )
-        if senders.size == 0:
-            return {}
-        return dict(zip(zip(senders.tolist(), receivers.tolist()), times))
 
     def _forward_time(
         self, arrival: np.ndarray, source: int, sender: int, receiver: int

@@ -24,7 +24,7 @@ import numpy as np
 from repro.config import SimulationConfig
 from repro.core.block import Block
 from repro.core.network import P2PNetwork
-from repro.core.observations import ObservationMap
+from repro.core.observations import RoundObservations
 from repro.core.propagation import PropagationEngine, PropagationResult
 from repro.datasets.bitnodes import NodePopulation, generate_population
 from repro.latency.base import LatencyModel
@@ -336,24 +336,21 @@ class Simulator:
 
     def collect_observations(
         self, blocks: list[Block], result: PropagationResult
-    ) -> ObservationMap:
-        """Build each node's observation set for a round.
+    ) -> RoundObservations:
+        """Build every node's observation set for a round.
 
         Every node records, for every block, the delivery timestamp from each
-        of its communication neighbors (Section 4.1).  The returned mapping
-        is a lazy view over the engine's columnar
-        :class:`~repro.core.observations.RoundObservations`: array-native
-        protocols read the round data directly, while indexing the mapping
-        materialises the legacy per-node :class:`ObservationSet` on demand.
+        of its communication neighbors (Section 4.1).  The engine emits all
+        of them at once as one columnar
+        :class:`~repro.core.observations.RoundObservations`, which is what
+        the protocol's update receives.
         """
         block_ids = np.array([block.block_id for block in blocks], dtype=np.int64)
-        round_observations = self._engine.round_observations(
+        observations = self._engine.round_observations(
             self._network, result, block_ids=block_ids
         )
-        get_recorder().incr(
-            "round.edges_observed", int(round_observations.senders.size)
-        )
-        return ObservationMap(round_observations)
+        get_recorder().incr("round.edges_observed", observations.num_directed_edges)
+        return observations
 
     def evaluate(self) -> np.ndarray:
         """Per-source time to reach the configured hash power target (ms).

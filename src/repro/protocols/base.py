@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from repro.config import SimulationConfig
 from repro.core.network import P2PNetwork
 from repro.core.node import Node
-from repro.core.observations import ObservationSet
+from repro.core.observations import RoundObservations
 from repro.latency.base import LatencyModel
 
 
@@ -74,19 +73,16 @@ class NeighborSelectionProtocol(abc.ABC):
         self,
         context: ProtocolContext,
         network: P2PNetwork,
-        observations: Mapping[int, ObservationSet],
+        observations: RoundObservations,
         rng: np.random.Generator,
     ) -> None:
         """Per-round topology update (Algorithm 1).
 
-        ``observations`` maps node ids to their round observations — the
-        simulator passes a lazy
-        :class:`~repro.core.observations.ObservationMap` whose backing
-        :class:`~repro.core.observations.RoundObservations` array-native
-        protocols read directly; a plain dict works identically.  The default
-        implementation is a no-op, which is the correct behaviour for the
-        static baselines ("we do not change the topology with each round",
-        Section 5.1).
+        ``observations`` holds every node's round observations in columnar
+        form (node ``v``'s set is the row range of its receiver slice).  The
+        default implementation is a no-op, which is the correct behaviour
+        for the static baselines ("we do not change the topology with each
+        round", Section 5.1).
         """
 
     def reset(self) -> None:

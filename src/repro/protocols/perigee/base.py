@@ -12,13 +12,9 @@ The base class implements the template, the topology initialisation (an
 arbitrary random topology, as if obtained from a bootstrapping server) and the
 mechanics of retaining/replacing connections under the incoming-capacity
 limits.  Subclasses provide :meth:`select_retained_block`, which receives the
-node's normalised observations as a ``(neighbors, blocks)`` timestamp block —
-when the simulator hands the update an
-:class:`~repro.core.observations.ObservationMap`, those blocks are sliced
-straight out of the round's columnar
-:class:`~repro.core.observations.RoundObservations` without materialising any
-per-node dictionaries; plain ``{node_id: ObservationSet}`` mappings are
-converted per node and behave identically.
+node's normalised observations as a ``(neighbors, blocks)`` timestamp block
+sliced out of the round's columnar
+:class:`~repro.core.observations.RoundObservations`.
 
 The built-in variants also provide :meth:`PerigeeBase.select_retained_batch`,
 which scores many nodes in one vectorised pass; :meth:`PerigeeBase.update`
@@ -29,17 +25,12 @@ runs (see its docstring for why that is exact).
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.network import P2PNetwork
-from repro.core.observations import (
-    NormalizedRowsProvider,
-    ObservationSet,
-    batched_percentile_scores,
-    normalized_observation_provider,
-)
+from repro.core.observations import RoundObservations, batched_percentile_scores
 from repro.protocols.base import (
     NeighborSelectionProtocol,
     ProtocolContext,
@@ -141,7 +132,7 @@ class PerigeeBase(NeighborSelectionProtocol):
         self,
         context: ProtocolContext,
         network: P2PNetwork,
-        observations: Mapping[int, ObservationSet],
+        observations: RoundObservations,
         rng: np.random.Generator,
     ) -> None:
         """Algorithm 1 for every updating node, in two phases.
@@ -160,14 +151,6 @@ class PerigeeBase(NeighborSelectionProtocol):
         """
         exploration = self.exploration_budget(context)
         retain_budget = max(0, network.out_degree - exploration)
-        # Variants that only implement the legacy ObservationSet entry point
-        # get the full per-node set with its real (global) block ids — some
-        # third-party scorers accumulate observations across rounds and rely
-        # on the simulator's global block numbering.
-        legacy_only = (
-            type(self).select_retained_block is PerigeeBase.select_retained_block
-            and type(self).select_retained is not PerigeeBase.select_retained
-        )
         recorder = get_recorder()
         # Flight-recorder capture is read-only bookkeeping: when enabled we
         # note, per node, how many outgoing edges the rewire dropped/added
@@ -184,14 +167,9 @@ class PerigeeBase(NeighborSelectionProtocol):
         neighbors_retained = 0
         batched = self.scores_in_batch
         with recorder.span("perigee.score"):
-            provider = (
-                None
-                if legacy_only
-                else normalized_observation_provider(observations)
-            )
             if batched:
                 offsets, kept, scored_blocks = self._score_updating_nodes(
-                    network, observations, provider, retain_budget, flight.enabled
+                    network, observations, retain_budget, flight.enabled
                 )
         with recorder.span("perigee.rewire"):
             order = rng.permutation(network.num_nodes)
@@ -211,22 +189,11 @@ class PerigeeBase(NeighborSelectionProtocol):
                     retained = kept[offsets[node_id] : offsets[node_id + 1]].tolist()
                     if flight.enabled:
                         flight_blocks.append(scored_blocks[node_id])
-                elif legacy_only:
-                    node_observations = observations.get(node_id)
-                    if node_observations is None:
-                        node_observations = ObservationSet(node_id=node_id)
-                    retained = self.select_retained(
-                        node_id=node_id,
-                        outgoing=set(outgoing),
-                        observations=node_observations.normalized(),
-                        retain_budget=retain_budget,
-                        rng=rng,
-                    )
                 else:
                     neighbors = np.fromiter(
                         sorted(outgoing), dtype=np.int64, count=len(outgoing)
                     )
-                    times = provider(node_id, neighbors)
+                    times = observations.normalized_rows(node_id, neighbors)
                     if flight.enabled:
                         flight_blocks.append(times)
                     retained = self.select_retained_block(
@@ -262,8 +229,7 @@ class PerigeeBase(NeighborSelectionProtocol):
     def _score_updating_nodes(
         self,
         network: P2PNetwork,
-        observations: Mapping[int, ObservationSet],
-        provider: NormalizedRowsProvider,
+        observations: RoundObservations,
         retain_budget: int,
         keep_blocks: bool,
     ) -> tuple[list[int], np.ndarray, dict[int, np.ndarray]]:
@@ -277,7 +243,6 @@ class PerigeeBase(NeighborSelectionProtocol):
         scored :data:`SCORE_CHUNK_NODES` at a time, which keeps the stacked
         temporaries at a few MB however large the overlay is.
         """
-        round_observations = getattr(observations, "round_observations", None)
         nodes = [
             node_id
             for node_id in range(network.num_nodes)
@@ -300,12 +265,7 @@ class PerigeeBase(NeighborSelectionProtocol):
                     )
             if not chunk:
                 continue
-            if round_observations is not None:
-                blocks = round_observations.normalized_blocks(chunk, wanted)
-            else:
-                blocks = [
-                    provider(node_id, ids) for node_id, ids in zip(chunk, wanted)
-                ]
+            blocks = observations.normalized_blocks(chunk, wanted)
             retained = self.select_retained_batch(
                 chunk, wanted, blocks, retain_budget
             )
@@ -355,61 +315,12 @@ class PerigeeBase(NeighborSelectionProtocol):
         are ``inf``).  Implementations return a subset of ``neighbors`` of
         size at most ``retain_budget``.
 
-        Variants implement *either* this array entry point (preferred — it is
-        the hot path) *or* the legacy :meth:`select_retained`; each default
-        implementation converts and delegates to the other, so existing
-        third-party protocols written against the ObservationSet interface
-        keep working unchanged.  (`update` routes legacy-only variants
-        through the real per-node sets with their global block ids; this
-        direct bridge only exists for callers holding a bare timestamp
-        block, where ids are synthesised as ``0..B_v-1``.)
+        Variants that score without ``rng`` should also provide
+        :meth:`select_retained_batch` and implement this as a one-node call
+        into it, so :meth:`update` scores every node up front.
         """
-        if type(self).select_retained is PerigeeBase.select_retained:
-            raise NotImplementedError(
-                "Perigee variants must implement select_retained_block() "
-                "(or the legacy select_retained())"
-            )
-        observations = ObservationSet(node_id=node_id)
-        neighbor_ids = neighbors.tolist()
-        for block_index, column in enumerate(times.T.tolist()):
-            observations._by_block[block_index] = dict(
-                zip(neighbor_ids, column)
-            )
-        return self.select_retained(
-            node_id=node_id,
-            outgoing=set(neighbor_ids),
-            observations=observations,
-            retain_budget=retain_budget,
-            rng=rng,
-        )
-
-    def select_retained(
-        self,
-        node_id: int,
-        outgoing: set[int],
-        observations: ObservationSet,
-        retain_budget: int,
-        rng: np.random.Generator,
-    ) -> set[int]:
-        """Legacy per-node entry point over a normalised :class:`ObservationSet`.
-
-        Converts the set into the array layout once and delegates to
-        :meth:`select_retained_block`; kept for callers that drive Algorithm 1
-        themselves (churn experiments, tests) and as the extension point of
-        dict-based third-party variants.
-        """
-        neighbors = np.fromiter(
-            sorted(int(peer) for peer in outgoing),
-            dtype=np.int64,
-            count=len(outgoing),
-        )
-        times = observations.times_block(neighbors)
-        return self.select_retained_block(
-            node_id=node_id,
-            neighbors=neighbors,
-            times=times,
-            retain_budget=retain_budget,
-            rng=rng,
+        raise NotImplementedError(
+            "Perigee variants must implement select_retained_block()"
         )
 
     def on_neighbors_dropped(self, node_id: int, dropped: set[int]) -> None:

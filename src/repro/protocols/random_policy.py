@@ -9,12 +9,10 @@ topology Theorem 1 shows to be logarithmically suboptimal.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from repro.core.network import P2PNetwork
-from repro.core.observations import ObservationSet
+from repro.core.observations import RoundObservations
 from repro.protocols.base import (
     NeighborSelectionProtocol,
     ProtocolContext,
@@ -53,7 +51,7 @@ class RandomProtocol(NeighborSelectionProtocol):
         self,
         context: ProtocolContext,
         network: P2PNetwork,
-        observations: Mapping[int, ObservationSet],
+        observations: RoundObservations,
         rng: np.random.Generator,
     ) -> None:
         if not self._reshuffle:

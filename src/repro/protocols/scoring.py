@@ -4,21 +4,20 @@ All Perigee variants share the same skeleton (Algorithm 1) and differ only in
 how they turn a node's observation set into scores.  The three scoring
 methods live here as standalone, unit-testable functions:
 
-* :func:`vanilla_scores` — the 90th percentile of each neighbor's relative
-  delivery timestamps within a round (Section 4.2.1).
+* :func:`~repro.core.observations.percentile_scores` — the 90th percentile
+  of each neighbor's relative delivery timestamps within a round
+  (Section 4.2.1); Perigee-Vanilla ranks neighbors by it.
 * :func:`ucb_scores` — percentile estimates plus upper/lower confidence
   bounds computed over a neighbor's whole connection history
   (Section 4.2.2, Equations 3 and 4).
-* :func:`greedy_subset_selection` — the greedy complement-aware group
+* :func:`greedy_subset_selection_block` — the greedy complement-aware group
   selection of Section 4.3.
 
-Every scoring method is array-native: the hot path operates on a
-``(neighbors, blocks)`` timestamp block (one NumPy pass per node, no
-Python-level loop over observations), and the ``ObservationSet``-based
-signatures convert once via
-:meth:`~repro.core.observations.ObservationSet.times_block` and delegate.
-The ``*_block`` variants are what the Perigee protocols feed directly from
-:class:`~repro.core.observations.RoundObservations` views.
+Every scoring method is array-native: it operates on a ``(neighbors,
+blocks)`` timestamp block sliced out of
+:class:`~repro.core.observations.RoundObservations` (one NumPy pass per
+node, no Python-level loop over observations), and the ``*_batch``
+variants score many nodes' blocks at once.
 """
 
 from __future__ import annotations
@@ -29,12 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.observations import (
-    NEVER,
-    ObservationSet,
-    percentile_score,
-    percentile_scores,
-)
+from repro.core.observations import NEVER
 
 __all__ = [
     "SCORE_PERCENTILE",
@@ -42,14 +36,10 @@ __all__ = [
     "ConfidenceInterval",
     "confidence_interval",
     "confidence_intervals_stacked",
-    "greedy_subset_selection",
     "greedy_subset_selection_batch",
     "greedy_subset_selection_block",
-    "group_score",
-    "percentile_score",
     "ucb_eviction_candidate",
     "ucb_scores",
-    "vanilla_scores",
 ]
 
 #: Percentile used throughout the paper's scoring functions.
@@ -57,23 +47,6 @@ SCORE_PERCENTILE = 90.0
 
 #: Default exploration constant ``c`` of the UCB confidence bounds.
 DEFAULT_UCB_CONSTANT = 60.0
-
-
-def vanilla_scores(
-    observations: ObservationSet,
-    neighbors: set[int] | frozenset[int],
-    percentile: float = SCORE_PERCENTILE,
-) -> dict[int, float]:
-    """Per-neighbor VanillaScoring scores (lower is better).
-
-    ``observations`` must already be time-normalised (Equation 2); the Perigee
-    protocols normalise before calling.  Neighbors with no observations score
-    infinity.
-    """
-    ordered = sorted(int(neighbor) for neighbor in neighbors)
-    times = observations.times_block(ordered)
-    scores = percentile_scores(times, percentile)
-    return {neighbor: float(score) for neighbor, score in zip(ordered, scores)}
 
 
 @dataclass(frozen=True)
@@ -244,14 +217,17 @@ def greedy_subset_selection_block(
     subset_size: int,
     percentile: float = SCORE_PERCENTILE,
 ) -> list[int]:
-    """Array-native greedy complement-aware selection (Section 4.3).
+    """SubsetScoring's greedy complement-aware selection (Section 4.3).
 
     ``neighbors`` is an ascending id array and ``times`` the matching
-    ``(k, B)`` normalised timestamp block.  Each greedy step evaluates every
-    remaining neighbor's transformed multiset
-    ``min(t̃_{u,v}, min_{i<=k} t̃_{u_i,v})`` in one vectorised pass.  Ties
-    resolve to the lowest neighbor id, matching the dict-based
-    implementation bit for bit.
+    ``(k, B)`` normalised timestamp block.  The first pick is the neighbor
+    with the best individual percentile score; each later pick minimises
+    the percentile of the *transformed* timestamps
+    ``min(t̃_{u,v}, min_{i<=k} t̃_{u_i,v})``, so a neighbor is only credited
+    for blocks it delivers faster than the group selected so far.  Each
+    step scores every remaining neighbor in one vectorised pass; ties
+    resolve to the lowest neighbor id.  Returns the selected neighbors in
+    pick order (length ``<= subset_size``).
     """
     if subset_size < 0:
         raise ValueError("subset_size must be non-negative")
@@ -384,56 +360,8 @@ def greedy_subset_selection_batch(
     return picks
 
 
-def greedy_subset_selection(
-    observations: ObservationSet,
-    neighbors: set[int] | frozenset[int],
-    subset_size: int,
-    percentile: float = SCORE_PERCENTILE,
-) -> list[int]:
-    """SubsetScoring's greedy complement-aware neighbor selection (Section 4.3).
-
-    The first neighbor picked is the one with the best individual percentile
-    score.  Each subsequent pick minimises the percentile of the *transformed*
-    timestamps ``min(t̃_{u,v}, min_{i<=k} t̃_{u_i,v})`` — i.e. a neighbor is
-    only credited for blocks it would deliver faster than the group selected
-    so far, so picks complement each other rather than duplicating coverage of
-    the same fast region.
-
-    Returns the selected neighbors in pick order (length ``<= subset_size``).
-    """
-    if subset_size < 0:
-        raise ValueError("subset_size must be non-negative")
-    ordered = np.array(
-        sorted({int(neighbor) for neighbor in neighbors}), dtype=np.int64
-    )
-    if subset_size == 0 or ordered.size == 0:
-        return []
-    times = observations.times_block(ordered)
-    return greedy_subset_selection_block(ordered, times, subset_size, percentile)
-
-
 def _finite_mean(values: np.ndarray) -> float:
     finite = values[np.isfinite(values)]
     if finite.size == 0:
         return math.inf
     return float(finite.mean())
-
-
-def group_score(
-    observations: ObservationSet,
-    group: list[int] | set[int],
-    percentile: float = SCORE_PERCENTILE,
-) -> float:
-    """Joint score of a neighbor group: the percentile of per-block best delivery.
-
-    This is the quantity SubsetScoring approximately optimises — the maximum
-    delay taken by the group as a whole to forward 90% of blocks.
-    """
-    members = sorted({int(member) for member in group})
-    if not members:
-        return NEVER
-    times = observations.times_block(members)
-    if times.shape[1] == 0:
-        return percentile_score([], percentile)
-    best = np.min(times, axis=0)
-    return percentile_score(best, percentile)

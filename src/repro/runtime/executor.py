@@ -33,7 +33,7 @@ from repro.runtime.checkpoint import (
     task_checkpoint_dir,
     write_checkpoint,
 )
-from repro.runtime.scenarios import Scenario, get_scenario
+from repro.runtime.scenarios import get_scenario
 from repro.runtime.store import ResultStore
 from repro.runtime.tasks import SweepSpec, Task, TaskRecord
 from repro.telemetry.flight import (
@@ -63,7 +63,6 @@ def _histogram_payload(histogram) -> dict:
 
 def run_task(
     task: Task,
-    scenario: Scenario | None = None,
     flight_store: str | os.PathLike | None = None,
     force_flight: bool = False,
     checkpoint_store: str | os.PathLike | None = None,
@@ -75,11 +74,6 @@ def run_task(
     ----------
     task:
         The task to run.
-    scenario:
-        Optional scenario override; by default the task's scenario name is
-        resolved through the registry (which is what worker processes do).
-        Passing an explicit scenario supports legacy closure-based builders
-        on the serial path.
     flight_store:
         Store directory under which flight-recorder artifacts land
         (``<flight_store>/runs/<hash>/``).  Recording happens only when this
@@ -120,13 +114,11 @@ def run_task(
             "task.run", protocol=task.protocol, experiment=task.experiment
         ):
             config = task.config
-            resolved = (
-                scenario if scenario is not None else get_scenario(task.scenario)
-            )
+            scenario = get_scenario(task.scenario)
             params = task.scenario_params
             env_rng = np.random.default_rng(task.environment_seed())
-            population = resolved.build_population(config, params, env_rng)
-            latency = resolved.build_latency(config, population, params, env_rng)
+            population = scenario.build_population(config, params, env_rng)
+            latency = scenario.build_latency(config, population, params, env_rng)
             protocol = make_protocol(task.protocol)
             evaluator = DelayEvaluator.from_params(task.evaluation_params)
             simulator = Simulator(

@@ -1,11 +1,9 @@
 """Named environment scenarios: picklable population/latency builders.
 
-The figure runners used to customise their environment with local closures
-(``population_builder``/``latency_builder``).  Closures cannot cross process
-boundaries, so the runtime replaces them with *named scenarios*: module-level
-builder functions looked up by name in a registry.  A task only carries the
-scenario name plus JSON parameters, and each worker resolves the same
-builders locally.
+Closures cannot cross process boundaries, so the figure runners customise
+their environment through *named scenarios*: module-level builder functions
+looked up by name in a registry.  A task only carries the scenario name plus
+JSON parameters, and each worker resolves the same builders locally.
 
 Builders receive the repeat's environment RNG and must consume it
 identically regardless of which protocol's task invoked them — the

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import default_config
-from repro.core.observations import ObservationMap, ObservationSet
 from repro.core.simulator import Simulator
 from repro.datasets.bitnodes import generate_population
 from repro.latency.geo import GeographicLatencyModel
@@ -47,33 +46,17 @@ class _HeadStartPerigee(PerigeeSubsetProtocol):
         self._head_start_ms = head_start_ms
 
     def update(self, context, network, observations, rng) -> None:
-        round_observations = getattr(observations, "round_observations", None)
-        if round_observations is not None:
-            # Array path: shift every row whose sender is adversarial, in one
-            # vectorised pass over the columnar round data.
-            adversaries = np.fromiter(
-                sorted(self._adversaries),
-                dtype=np.int64,
-                count=len(self._adversaries),
-            )
-            boosted_rows = np.isin(round_observations.senders, adversaries)
-            times = round_observations.times.copy()
-            times[boosted_rows] = np.maximum(
-                0.0, times[boosted_rows] - self._head_start_ms
-            )
-            boosted = ObservationMap(round_observations.with_times(times))
-        else:
-            rebuilt_map: dict[int, ObservationSet] = {}
-            for node_id, obs in observations.items():
-                rebuilt = ObservationSet(node_id=node_id)
-                for record in obs.iter_observations():
-                    timestamp = record.timestamp_ms
-                    if record.neighbor in self._adversaries:
-                        timestamp = max(0.0, timestamp - self._head_start_ms)
-                    rebuilt.record(record.block_id, record.neighbor, timestamp)
-                rebuilt_map[node_id] = rebuilt
-            boosted = rebuilt_map
-        super().update(context, network, boosted, rng)
+        # Shift every row whose sender is adversarial, in one vectorised
+        # pass over the columnar round data.
+        adversaries = np.fromiter(
+            sorted(self._adversaries), dtype=np.int64, count=len(self._adversaries)
+        )
+        boosted_rows = np.isin(observations.senders, adversaries)
+        times = observations.times.copy()
+        times[boosted_rows] = np.maximum(
+            0.0, times[boosted_rows] - self._head_start_ms
+        )
+        super().update(context, network, observations.with_times(times), rng)
 
 
 @dataclass(frozen=True)

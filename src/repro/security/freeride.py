@@ -23,7 +23,7 @@ from scipy.sparse import csr_matrix
 
 from repro.config import SimulationConfig, default_config
 from repro.core.network import P2PNetwork
-from repro.core.observations import NEVER, ObservationMap, ObservationSet
+from repro.core.observations import NEVER
 from repro.core.propagation import PropagationEngine
 from repro.core.simulator import Simulator
 from repro.datasets.bitnodes import NodePopulation, generate_population
@@ -113,33 +113,14 @@ class _FreeRidingAwarePerigee(PerigeeSubsetProtocol):
         self._free_riders = frozenset(int(node) for node in free_riders)
 
     def update(self, context, network, observations, rng) -> None:
-        round_observations = getattr(observations, "round_observations", None)
-        if round_observations is not None:
-            # Array path: blank every row whose sender free-rides, in one
-            # vectorised pass over the columnar round data.
-            riders = np.fromiter(
-                sorted(self._free_riders),
-                dtype=np.int64,
-                count=len(self._free_riders),
-            )
-            censored_rows = np.isin(round_observations.senders, riders)
-            times = round_observations.times.copy()
-            times[censored_rows] = NEVER
-            censored = ObservationMap(round_observations.with_times(times))
-        else:
-            rebuilt_map: dict[int, ObservationSet] = {}
-            for node_id, obs in observations.items():
-                rebuilt = ObservationSet(node_id=node_id)
-                for record in obs.iter_observations():
-                    timestamp = (
-                        NEVER
-                        if record.neighbor in self._free_riders
-                        else record.timestamp_ms
-                    )
-                    rebuilt.record(record.block_id, record.neighbor, timestamp)
-                rebuilt_map[node_id] = rebuilt
-            censored = rebuilt_map
-        super().update(context, network, censored, rng)
+        # Blank every row whose sender free-rides, in one vectorised pass
+        # over the columnar round data.
+        riders = np.fromiter(
+            sorted(self._free_riders), dtype=np.int64, count=len(self._free_riders)
+        )
+        times = observations.times.copy()
+        times[np.isin(observations.senders, riders)] = NEVER
+        super().update(context, network, observations.with_times(times), rng)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,13 @@
-"""Property-based parity: array-native pipeline vs the legacy dict pipeline.
+"""Property-based parity: the array-native pipeline vs plain-dict references.
 
-The array refactor (columnar ``RoundObservations``, vectorised Equation-2
-normalisation and scoring) promises *bit-for-bit* the same behaviour as the
-original ``ObservationSet`` dict-of-dicts pipeline.  This suite pins that
-promise with reference implementations copied from the pre-refactor code
-(dict-built observation sets, per-value normalisation, scalar percentile
-loops, per-neighbor ``np.percentile`` confidence intervals) and asserts exact
-equality — normalised timestamps, scores, retained-neighbor sets for all
-three Perigee variants, and whole-simulation outcomes — across random
-topologies, latencies and seeds.
+The columnar ``RoundObservations`` with vectorised Equation-2 normalisation
+and scoring promises *bit-for-bit* the behaviour of the original dict-of-dicts
+observation pipeline.  This suite pins that promise with reference
+implementations written over plain dicts (per-edge scalar collection,
+per-value normalisation, scalar percentile loops, per-neighbor
+``np.percentile`` confidence intervals) and asserts exact equality —
+normalised timestamps, scores, retained-neighbor sets, and whole-simulation
+outcomes — across random topologies, latencies and seeds.
 """
 
 import math
@@ -22,9 +21,7 @@ from repro.config import default_config
 from repro.core.network import P2PNetwork
 from repro.core.observations import (
     NEVER,
-    ObservationMap,
-    ObservationSet,
-    normalized_observation_provider,
+    RoundObservations,
     percentile_score,
     percentile_scores,
 )
@@ -42,7 +39,6 @@ from repro.protocols.scoring import (
     confidence_interval,
     confidence_intervals_stacked,
     greedy_subset_selection_block,
-    vanilla_scores,
 )
 from repro.security.eclipse import _HeadStartPerigee
 from repro.security.freeride import _FreeRidingAwarePerigee
@@ -72,39 +68,83 @@ def build_round(num_nodes, out_degree, num_blocks, seed):
 
 
 def legacy_collect(engine, network, result, block_ids):
-    """The seed's ``Simulator.collect_observations``: dicts built per edge."""
-    forwarding = engine.forwarding_time_matrix(network, result)
-    observations = {
-        node_id: ObservationSet(node_id=node_id)
-        for node_id in range(network.num_nodes)
-    }
-    for (sender, receiver), times in forwarding.items():
-        obs = observations[receiver]
-        for index, block_id in enumerate(block_ids):
-            obs.record(block_id, sender, float(times[index]))
+    """Reference collection: ``{node: {block_id: {neighbor: timestamp}}}``.
+
+    Built one block at a time from the engine's scalar per-edge
+    ``forwarding_times``, the way the seed's simulator recorded observation
+    sets; nodes without neighbors observe nothing.
+    """
+    observations = {node_id: {} for node_id in range(network.num_nodes)}
+    for index, block_id in enumerate(block_ids):
+        forwarding = engine.forwarding_times(network, result, index)
+        for receiver, deliveries in forwarding.items():
+            if deliveries:
+                observations[receiver][block_id] = dict(deliveries)
     return observations
 
 
-def legacy_vanilla_scores(observations, neighbors, percentile=90.0):
+def legacy_normalized(by_block):
+    """The seed's Equation-2 normalisation of one node's dict set."""
+    normalized = {}
+    for block_id, deliveries in by_block.items():
+        finite = [t for t in deliveries.values() if math.isfinite(t)]
+        if not finite:
+            continue
+        first = min(finite)
+        normalized[block_id] = {
+            neighbor: timestamp - first if math.isfinite(timestamp) else NEVER
+            for neighbor, timestamp in deliveries.items()
+        }
+    return normalized
+
+
+def legacy_times_block(by_block, neighbors):
+    """``(len(neighbors), blocks)`` timestamps of a dict set, ``NEVER`` if absent."""
+    rows = [
+        [deliveries.get(neighbor, NEVER) for deliveries in by_block.values()]
+        for neighbor in neighbors
+    ]
+    return np.array(rows, dtype=float).reshape(len(neighbors), len(by_block))
+
+
+def round_from_dicts(num_nodes, block_ids, reference):
+    """The columnar round holding exactly the reference dict observations."""
+    edges = sorted(
+        (sender, receiver)
+        for receiver, by_block in reference.items()
+        for sender in (by_block[block_ids[0]] if by_block else ())
+    )
+    times = [
+        [reference[receiver][block_id][sender] for block_id in block_ids]
+        for sender, receiver in edges
+    ]
+    return RoundObservations.from_directed_edges(
+        num_nodes,
+        block_ids,
+        senders=[sender for sender, _ in edges],
+        receivers=[receiver for _, receiver in edges],
+        times=np.array(times, dtype=float).reshape(len(edges), len(block_ids)),
+    )
+
+
+def legacy_vanilla_scores(by_block, neighbors, percentile=90.0):
     """The seed's per-neighbor percentile loop."""
     scores = {}
     for neighbor in neighbors:
         values = []
-        for deliveries in observations._by_block.values():
+        for deliveries in by_block.values():
             values.append(deliveries.get(neighbor, NEVER))
         scores[neighbor] = percentile_score(values, percentile)
     return scores
 
 
-def legacy_greedy_subset(observations, neighbors, subset_size, percentile=90.0):
+def legacy_greedy_subset(by_block, neighbors, subset_size, percentile=90.0):
     """The seed's dict-based greedy complement-aware selection."""
     remaining = {int(neighbor) for neighbor in neighbors}
     if subset_size == 0 or not remaining:
         return []
-    block_ids = observations.block_ids
-    per_block = [
-        observations.timestamps_for_block(block_id) for block_id in block_ids
-    ]
+    block_ids = sorted(by_block)
+    per_block = [by_block[block_id] for block_id in block_ids]
     timestamps = {
         neighbor: np.array(
             [deliveries.get(neighbor, NEVER) for deliveries in per_block],
@@ -175,17 +215,17 @@ def test_materialised_observation_sets_match_legacy_collection(
     )
     block_ids = list(range(num_blocks))
     reference = legacy_collect(engine, network, result, block_ids)
-    observation_map = ObservationMap(
-        engine.round_observations(network, result, block_ids=block_ids)
-    )
-    assert set(observation_map) == set(reference)
+    observations = engine.round_observations(network, result, block_ids=block_ids)
+    assert observations.num_nodes == len(reference)
     for node_id, expected in reference.items():
-        materialised = observation_map[node_id]
-        assert materialised.block_ids == expected.block_ids
-        for block_id in expected.block_ids:
-            assert materialised.timestamps_for_block(block_id) == (
-                expected.timestamps_for_block(block_id)
-            )
+        neighbors = observations.neighbors_of(node_id).tolist()
+        columns = observations.raw_times(node_id).T.tolist()
+        materialised = {
+            block_id: dict(zip(neighbors, column))
+            for block_id, column in zip(block_ids, columns)
+            if neighbors
+        }
+        assert materialised == expected
 
 
 @common_settings
@@ -198,17 +238,14 @@ def test_normalized_rows_match_legacy_normalisation(
     )
     block_ids = list(range(num_blocks))
     reference = legacy_collect(engine, network, result, block_ids)
-    observation_map = ObservationMap(
-        engine.round_observations(network, result, block_ids=block_ids)
-    )
-    provider = normalized_observation_provider(observation_map)
+    observations = engine.round_observations(network, result, block_ids=block_ids)
     for node_id in range(num_nodes):
-        normalized = reference[node_id].normalized()
+        normalized = legacy_normalized(reference[node_id])
         neighbors = np.array(
             sorted(network.neighbors(node_id)), dtype=np.int64
         )
-        rows = provider(node_id, neighbors)
-        expected = normalized.times_block(neighbors)
+        rows = observations.normalized_rows(node_id, neighbors)
+        expected = legacy_times_block(normalized, neighbors)
         # Exact equality, including the inf pattern of never-delivered blocks.
         assert rows.shape == expected.shape
         assert np.array_equal(rows, expected)
@@ -225,11 +262,13 @@ def test_vanilla_scores_match_legacy_loop(num_nodes, out_degree, num_blocks, see
     )
     block_ids = list(range(num_blocks))
     reference = legacy_collect(engine, network, result, block_ids)
+    observations = engine.round_observations(network, result, block_ids=block_ids)
     for node_id in range(num_nodes):
-        normalized = reference[node_id].normalized()
-        outgoing = set(network.outgoing_neighbors(node_id))
+        normalized = legacy_normalized(reference[node_id])
+        outgoing = sorted(network.outgoing_neighbors(node_id))
         expected = legacy_vanilla_scores(normalized, outgoing)
-        actual = vanilla_scores(normalized, outgoing)
+        times = observations.normalized_rows(node_id, np.array(outgoing, dtype=np.int64))
+        actual = dict(zip(outgoing, percentile_scores(times).tolist()))
         assert actual == expected
 
 
@@ -243,13 +282,14 @@ def test_greedy_subset_matches_legacy_selection(
     )
     block_ids = list(range(num_blocks))
     reference = legacy_collect(engine, network, result, block_ids)
+    observations = engine.round_observations(network, result, block_ids=block_ids)
     for node_id in range(num_nodes):
-        normalized = reference[node_id].normalized()
+        normalized = legacy_normalized(reference[node_id])
         outgoing = sorted(network.outgoing_neighbors(node_id))
         expected = legacy_greedy_subset(normalized, outgoing, budget)
         neighbors = np.array(outgoing, dtype=np.int64)
         actual = greedy_subset_selection_block(
-            neighbors, normalized.times_block(neighbors), budget
+            neighbors, observations.normalized_rows(node_id, neighbors), budget
         )
         assert actual == expected
 
@@ -331,12 +371,13 @@ def test_percentile_scores_matches_scalar_rows(
 # --------------------------------------------------------------------------- #
 # Retained-neighbor and full-simulation parity for the three variants
 # --------------------------------------------------------------------------- #
-class _ForcedDictPath:
-    """Mixin forcing ``update`` onto the legacy dict-of-ObservationSet path."""
+class _DictPathSimulator(Simulator):
+    """Collects every round through the plain-dict reference collection."""
 
-    def update(self, context, network, observations, rng):
-        forced = {node_id: observations[node_id] for node_id in observations}
-        super().update(context, network, forced, rng)
+    def collect_observations(self, blocks, result):
+        block_ids = [block.block_id for block in blocks]
+        reference = legacy_collect(self.engine, self.network, result, block_ids)
+        return round_from_dicts(self.network.num_nodes, block_ids, reference)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -345,74 +386,70 @@ def test_simulation_identical_on_array_and_dict_paths(variant, seed):
     config = default_config(
         num_nodes=50, rounds=5, blocks_per_round=12, seed=seed
     )
-
-    forced_cls = type("Forced" + variant.__name__, (_ForcedDictPath, variant), {})
-    fast = Simulator(config, variant()).run(rounds=5)
-    slow = Simulator(config, forced_cls()).run(rounds=5)
-
+    fast = Simulator(config, variant())
+    slow = _DictPathSimulator(config, variant())
+    fast_result = fast.run(rounds=5)
+    slow_result = slow.run(rounds=5)
     assert (
-        fast.final_reach_times_ms.tobytes() == slow.final_reach_times_ms.tobytes()
+        fast_result.final_reach_times_ms.tobytes()
+        == slow_result.final_reach_times_ms.tobytes()
     )
-    fast_net = Simulator(config, variant())
-    slow_net = Simulator(config, forced_cls())
-    fast_net.run(rounds=5)
-    slow_net.run(rounds=5)
-    assert fast_net.network.edge_list() == slow_net.network.edge_list()
+    assert fast.network.edge_list() == slow.network.edge_list()
 
 
 class _LegacyOnlyVanilla(PerigeeBase):
-    """A PerigeeBase subclass implementing only the legacy dict entry point."""
+    """A variant with only the per-node entry point, scored by the scalar loop.
+
+    Without a batch scorer, ``update`` scores it node by node inside the
+    rewire loop; the seed's per-neighbor ``percentile_score`` loop must pick
+    exactly what the built-in batched Vanilla picks.
+    """
 
     name = "legacy-only-vanilla"
 
-    def select_retained(self, node_id, outgoing, observations, retain_budget, rng):
+    def select_retained_block(self, node_id, neighbors, times, retain_budget, rng):
         del node_id, rng
         if retain_budget <= 0:
             return set()
         scores = {
-            neighbor: percentile_score(
-                observations.relative_timestamps(neighbor), 90.0
-            )
-            for neighbor in outgoing
+            neighbor: percentile_score(row, 90.0)
+            for neighbor, row in zip(neighbors.tolist(), times)
         }
-        ranked = sorted(outgoing, key=lambda peer: (scores[peer], peer))
+        ranked = sorted(scores, key=lambda peer: (scores[peer], peer))
         return set(ranked[:retain_budget])
 
 
 def test_legacy_select_retained_subclass_matches_vanilla():
-    """Third-party variants written against ObservationSet still work."""
+    """Third-party variants scoring one node at a time match the batch path."""
     config = default_config(num_nodes=40, rounds=4, blocks_per_round=10, seed=6)
     legacy = Simulator(config, _LegacyOnlyVanilla())
     vanilla = Simulator(config, PerigeeVanillaProtocol())
+    assert not legacy.protocol.scores_in_batch
     legacy.run(rounds=4)
     vanilla.run(rounds=4)
     assert legacy.network.edge_list() == vanilla.network.edge_list()
 
 
 def test_legacy_variant_receives_global_block_ids():
-    """update() hands legacy dict variants the real (global) block numbering.
+    """``update`` receives the simulator's real (global) block numbering.
 
-    Third-party scorers may accumulate observation sets across rounds via
-    ``ObservationSet.merge``, which relies on the simulator numbering blocks
-    globally — the array fast path must not renumber them per round.
+    Variants that accumulate observations across rounds rely on blocks
+    being numbered globally — the round must not renumber them per round.
     """
     seen_block_ids: list[int] = []
 
-    class _Recorder(PerigeeBase):
+    class _Recorder(PerigeeVanillaProtocol):
         name = "recorder"
 
-        def select_retained(
-            self, node_id, outgoing, observations, retain_budget, rng
-        ):
-            del node_id, rng
-            seen_block_ids.extend(observations.block_ids)
-            return set(sorted(outgoing)[:retain_budget])
+        def update(self, context, network, observations, rng):
+            seen_block_ids.extend(observations.block_ids.tolist())
+            super().update(context, network, observations, rng)
 
     config = default_config(num_nodes=30, rounds=3, blocks_per_round=5, seed=4)
     Simulator(config, _Recorder()).run(rounds=3)
     # Rounds mine blocks 0..4, 5..9, 10..14; the last round's ids must
     # surface as-is, not as a per-round 0..4 renumbering.
-    assert max(seen_block_ids) >= 10
+    assert seen_block_ids == list(range(15))
 
 
 def test_base_without_any_selector_raises():
@@ -448,10 +485,8 @@ def test_simulation_deterministic_across_runs(variant_name):
 def test_security_wrappers_identical_on_array_and_dict_paths(wrapper_kwargs):
     wrapper, kwargs = wrapper_kwargs
     config = default_config(num_nodes=40, rounds=4, blocks_per_round=10, seed=2)
-
-    forced_cls = type("Forced" + wrapper.__name__, (_ForcedDictPath, wrapper), {})
     fast = Simulator(config, wrapper(**kwargs))
-    slow = Simulator(config, forced_cls(**kwargs))
+    slow = _DictPathSimulator(config, wrapper(**kwargs))
     fast.run(rounds=4)
     slow.run(rounds=4)
     assert fast.network.edge_list() == slow.network.edge_list()

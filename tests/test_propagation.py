@@ -135,12 +135,14 @@ class TestForwardingTimes:
     ):
         sources = [0, 5]
         result = engine.propagate(random_network, sources)
-        bulk = engine.forwarding_time_matrix(random_network, result)
-        for block_index in range(2):
-            scalar = engine.forwarding_times(random_network, result, block_index)
-            for receiver, deliveries in scalar.items():
-                for sender, value in deliveries.items():
-                    assert bulk[(sender, receiver)][block_index] == pytest.approx(value)
+        observations = engine.round_observations(random_network, result)
+        assert observations.num_directed_edges == 2 * random_network.num_edges()
+        edges = zip(observations.senders.tolist(), observations.receivers.tolist())
+        for row, (sender, receiver) in enumerate(edges):
+            for block_index, source in enumerate(sources):
+                arrival = result.arrival_times[block_index]
+                scalar = engine._forward_time(arrival, source, sender, receiver)
+                assert observations.times[row, block_index] == pytest.approx(scalar)
 
     def test_forwarding_block_index_out_of_range(self, engine, random_network):
         result = engine.propagate(random_network, [0])

@@ -8,14 +8,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.network import P2PNetwork
-from repro.core.observations import NEVER, ObservationSet, percentile_score
+from repro.core.observations import (
+    NEVER,
+    RoundObservations,
+    percentile_score,
+    percentile_scores,
+)
 from repro.core.propagation import PropagationEngine
 from repro.latency.base import MatrixLatencyModel
 from repro.metrics.delay import hash_power_reach_times, reach_time_for_source
 from repro.protocols.scoring import (
     confidence_interval,
-    greedy_subset_selection,
-    group_score,
+    greedy_subset_selection_block,
 )
 
 common_settings = settings(
@@ -182,19 +186,22 @@ def test_percentile_score_bounds(values, percentile):
 )
 def test_greedy_subset_selection_properties(num_neighbors, num_blocks, budget, seed):
     rng = np.random.default_rng(seed)
-    observations = ObservationSet(node_id=0)
-    neighbors = set(range(1, num_neighbors + 1))
-    for block in range(num_blocks):
-        for neighbor in neighbors:
-            observations.record(block, neighbor, float(rng.uniform(0, 100)))
-    selected = greedy_subset_selection(observations, neighbors, budget)
+    neighbors = np.arange(1, num_neighbors + 1)
+    times = rng.uniform(0, 100, size=(num_neighbors, num_blocks))
+    selected = greedy_subset_selection_block(neighbors, times, budget)
     assert len(selected) == min(budget, num_neighbors)
     assert len(set(selected)) == len(selected)
-    assert set(selected) <= neighbors
+    assert set(selected) <= set(neighbors.tolist())
+
+    def group_score(group):
+        # The percentile of the group's per-block best delivery.
+        best = times[np.asarray(group) - 1].min(axis=0)
+        return percentile_scores(best[None, :])[0]
+
     # Greedy extension never worsens the joint group score.
     if len(selected) >= 2:
-        shorter = group_score(observations, selected[:-1])
-        longer = group_score(observations, selected)
+        shorter = group_score(selected[:-1])
+        longer = group_score(selected)
         if math.isfinite(shorter):
             assert longer <= shorter + 1e-9
 
@@ -228,13 +235,15 @@ def test_normalized_observations_have_zero_minimum_per_block(
     num_blocks, num_neighbors, seed
 ):
     rng = np.random.default_rng(seed)
-    observations = ObservationSet(node_id=0)
-    for block in range(num_blocks):
-        for neighbor in range(1, num_neighbors + 1):
-            observations.record(block, neighbor, float(rng.uniform(10, 500)))
-    normalized = observations.normalized()
-    for block in normalized.block_ids:
-        deliveries = normalized.timestamps_for_block(block)
-        finite = [t for t in deliveries.values() if math.isfinite(t)]
-        assert min(finite) == pytest.approx(0.0)
-        assert all(t >= 0 for t in finite)
+    neighbors = np.arange(1, num_neighbors + 1)
+    observations = RoundObservations.from_directed_edges(
+        num_neighbors + 1,
+        np.arange(num_blocks),
+        senders=neighbors,
+        receivers=np.zeros(num_neighbors, dtype=np.int64),
+        times=rng.uniform(10, 500, size=(num_neighbors, num_blocks)),
+    )
+    normalized = observations.normalized_rows(0, neighbors)
+    assert normalized.shape == (num_neighbors, num_blocks)
+    assert np.all(normalized.min(axis=0) == pytest.approx(0.0))
+    assert np.all(normalized >= 0)

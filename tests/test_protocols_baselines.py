@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import default_config
 from repro.core.network import P2PNetwork
-from repro.core.observations import ObservationSet
+from repro.core.observations import RoundObservations
 from repro.datasets.bitnodes import generate_population
 from repro.latency.geo import GeographicLatencyModel
 from repro.metrics.topology import intra_continental_fraction
@@ -45,7 +45,7 @@ class TestRandomProtocol:
         protocol = RandomProtocol()
         context, network, rng = build(protocol, context_and_network)
         before = {n: network.outgoing_neighbors(n) for n in network.node_ids()}
-        observations = {n: ObservationSet(node_id=n) for n in network.node_ids()}
+        observations = RoundObservations.empty(network.num_nodes)
         protocol.update(context, network, observations, rng)
         after = {n: network.outgoing_neighbors(n) for n in network.node_ids()}
         assert before == after
@@ -55,7 +55,7 @@ class TestRandomProtocol:
         protocol = RandomProtocol(reshuffle_each_round=True)
         context, network, rng = build(protocol, context_and_network)
         before = {n: network.outgoing_neighbors(n) for n in network.node_ids()}
-        observations = {n: ObservationSet(node_id=n) for n in network.node_ids()}
+        observations = RoundObservations.empty(network.num_nodes)
         protocol.update(context, network, observations, rng)
         after = {n: network.outgoing_neighbors(n) for n in network.node_ids()}
         assert before != after

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import default_config
 from repro.core.network import P2PNetwork
-from repro.core.observations import ObservationSet
+from repro.core.observations import RoundObservations
 from repro.core.simulator import Simulator
 from repro.datasets.bitnodes import generate_population
 from repro.latency.geo import GeographicLatencyModel
@@ -29,17 +29,17 @@ def setup():
 
 
 def observations_preferring(network, preferred_latency=0.0, other_latency=50.0, blocks=12):
-    """Build observation sets where each node's lowest-id outgoing neighbor is fastest."""
-    observations = {}
+    """Build a round where each node's lowest-id outgoing neighbor is fastest."""
+    senders, receivers, latencies = [], [], []
     for node_id in network.node_ids():
-        obs = ObservationSet(node_id=node_id)
-        outgoing = sorted(network.outgoing_neighbors(node_id))
-        for block in range(blocks):
-            for index, peer in enumerate(outgoing):
-                timestamp = preferred_latency if index == 0 else other_latency + index
-                obs.record(block, peer, timestamp)
-        observations[node_id] = obs
-    return observations
+        for index, peer in enumerate(sorted(network.outgoing_neighbors(node_id))):
+            senders.append(peer)
+            receivers.append(node_id)
+            latencies.append(preferred_latency if index == 0 else other_latency + index)
+    times = np.repeat(np.array(latencies, dtype=float)[:, None], blocks, axis=1)
+    return RoundObservations.from_directed_edges(
+        network.num_nodes, np.arange(blocks), senders, receivers, times
+    )
 
 
 class TestCommonBehaviour:
@@ -106,11 +106,12 @@ class TestVanillaAndSubsetRetention:
         protocol.build_topology(context, network, rng)
         node_id = 0
         outgoing = set(network.outgoing_neighbors(node_id))
-        observations = observations_preferring(network)[node_id].normalized()
-        retained = protocol.select_retained(
+        neighbors = np.array(sorted(outgoing), dtype=np.int64)
+        observations = observations_preferring(network)
+        retained = protocol.select_retained_block(
             node_id=node_id,
-            outgoing=outgoing,
-            observations=observations,
+            neighbors=neighbors,
+            times=observations.normalized_rows(node_id, neighbors),
             retain_budget=3,
             rng=rng,
         )
@@ -152,16 +153,20 @@ class TestUCBSpecifics:
         protocol = PerigeeUCBProtocol(exploration_constant=5.0)
         protocol.build_topology(context, network, rng)
         node_id = 0
-        outgoing = sorted(network.outgoing_neighbors(node_id))
+        outgoing = np.array(sorted(network.outgoing_neighbors(node_id)))
         bad = outgoing[-1]
-        obs = ObservationSet(node_id=node_id)
-        for block in range(40):
-            for peer in outgoing:
-                obs.record(block, peer, 500.0 if peer == bad else 1.0)
-        retained = protocol.select_retained(
+        delivery = np.where(outgoing == bad, 500.0, 1.0)
+        observations = RoundObservations.from_directed_edges(
+            network.num_nodes,
+            np.arange(40),
+            outgoing,
+            np.full(outgoing.size, node_id),
+            np.repeat(delivery[:, None], 40, axis=1),
+        )
+        retained = protocol.select_retained_block(
             node_id=node_id,
-            outgoing=set(outgoing),
-            observations=obs.normalized(),
+            neighbors=outgoing,
+            times=observations.normalized_rows(node_id, outgoing),
             retain_budget=len(outgoing),
             rng=rng,
         )

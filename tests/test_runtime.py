@@ -327,35 +327,34 @@ class TestStoreAndResume:
 
 class TestScenarioNumerics:
     def test_miner_speedup_scenario_matches_legacy_builders(self):
-        """The registered scenario reproduces the closure-based environment."""
-        from repro.analysis.experiments import compare_protocols
+        """The registered scenario builds the hand-composed Figure 4(b) model."""
+        from repro.datasets.bitnodes import generate_population
+        from repro.latency.geo import GeographicLatencyModel
+        from repro.latency.relay import apply_miner_speedup
 
         config = default_config(
-            num_nodes=30,
-            rounds=2,
-            blocks_per_round=8,
-            seed=5,
-            hash_power_distribution="concentrated",
+            num_nodes=30, seed=5, hash_power_distribution="concentrated"
         )
-
-        def latency_builder(population, rng):
-            from repro.latency.geo import GeographicLatencyModel
-            from repro.latency.relay import apply_miner_speedup
-
-            base = GeographicLatencyModel(population.nodes, rng)
-            return apply_miner_speedup(
-                base, population.high_power_miners, speedup=0.1
-            )
-
-        via_scenario = compare_protocols(
-            config,
-            ("random",),
+        spec = SweepSpec(
+            name="figure4b",
+            config=config,
+            protocols=("random",),
             scenario="miner-speedup",
             scenario_params={"speedup": 0.1},
         )
-        via_builders = compare_protocols(
-            config, ("random",), latency_builder=latency_builder
+        task = spec.expand()[0]
+        scenario = get_scenario(task.scenario)
+        rng = np.random.default_rng(task.environment_seed())
+        population = scenario.build_population(config, task.scenario_params, rng)
+        via_scenario = scenario.build_latency(
+            config, population, task.scenario_params, rng
         )
-        assert via_scenario.curves["random"].sorted_delays_ms.tobytes() == (
-            via_builders.curves["random"].sorted_delays_ms.tobytes()
+
+        rng = np.random.default_rng(task.environment_seed())
+        population = generate_population(config, rng)
+        direct = apply_miner_speedup(
+            GeographicLatencyModel(population.nodes, rng),
+            population.high_power_miners,
+            speedup=0.1,
         )
+        assert via_scenario.as_matrix().tobytes() == direct.as_matrix().tobytes()

@@ -2,26 +2,46 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.core.observations import NEVER, ObservationSet
+from repro.core.observations import NEVER, RoundObservations, percentile_scores
 from repro.protocols.scoring import (
     ConfidenceInterval,
     confidence_interval,
-    greedy_subset_selection,
-    group_score,
+    greedy_subset_selection_block,
     ucb_eviction_candidate,
     ucb_scores,
-    vanilla_scores,
 )
 
 
-def make_observations(node_id, data):
-    """data: {block_id: {neighbor: relative timestamp}}"""
-    observations = ObservationSet(node_id=node_id)
-    for block_id, deliveries in data.items():
-        observations.record_many(block_id, deliveries)
-    return observations
+def node_block(data, neighbors):
+    """Node 0's normalised ``(neighbors, times)`` block for one round.
+
+    ``data`` maps ``block_id -> {neighbor: timestamp}``; the round is built
+    as directed edges into node 0 and normalised by Equation 2.
+    """
+    block_ids = sorted(data)
+    senders = sorted({peer for deliveries in data.values() for peer in deliveries})
+    times = np.array(
+        [[data[block].get(peer, NEVER) for block in block_ids] for peer in senders],
+        dtype=float,
+    ).reshape(len(senders), len(block_ids))
+    observations = RoundObservations.from_directed_edges(
+        max(senders + list(neighbors)) + 1,
+        block_ids,
+        senders=senders,
+        receivers=[0] * len(senders),
+        times=times,
+    )
+    neighbors = np.array(sorted(neighbors), dtype=np.int64)
+    return neighbors, observations.normalized_rows(0, neighbors)
+
+
+def group_score(times, percentile=90.0):
+    """SubsetScoring's objective: the percentile of the per-block best delivery."""
+    best = np.min(times, axis=0, initial=NEVER)
+    return percentile_scores(best[None, :], percentile)[0]
 
 
 class TestVanillaScores:
@@ -30,27 +50,27 @@ class TestVanillaScores:
             block: {1: 0.0, 2: 50.0}
             for block in range(10)
         }
-        observations = make_observations(0, data)
-        scores = vanilla_scores(observations, {1, 2})
-        assert scores[1] < scores[2]
-        assert scores[1] == pytest.approx(0.0)
-        assert scores[2] == pytest.approx(50.0)
+        _, times = node_block(data, [1, 2])
+        scores = percentile_scores(times)
+        assert scores[0] < scores[1]
+        assert scores[0] == pytest.approx(0.0)
+        assert scores[1] == pytest.approx(50.0)
 
     def test_unobserved_neighbor_scores_infinity(self):
-        observations = make_observations(0, {1: {1: 0.0}})
-        scores = vanilla_scores(observations, {1, 9})
-        assert math.isinf(scores[9])
+        _, times = node_block({1: {1: 0.0}}, [1, 9])
+        scores = percentile_scores(times)
+        assert math.isinf(scores[1])
 
     def test_neighbor_missing_many_blocks_penalised(self):
         data = {block: {1: 1.0} for block in range(10)}
         for block in range(3):
             data[block][2] = 0.5
-        observations = make_observations(0, data)
-        scores = vanilla_scores(observations, {1, 2})
+        _, times = node_block(data, [1, 2])
+        scores = percentile_scores(times)
         # Neighbor 2 only delivered 3 of 10 blocks; the 90th percentile of its
         # multiset (with 7 "never" entries) is infinite.
-        assert math.isinf(scores[2])
-        assert math.isfinite(scores[1])
+        assert math.isinf(scores[1])
+        assert math.isfinite(scores[0])
 
 
 class TestConfidenceIntervals:
@@ -112,8 +132,7 @@ class TestUCBEviction:
 class TestGreedySubsetSelection:
     def test_first_pick_is_best_individual_neighbor(self):
         data = {block: {1: 5.0, 2: 0.0, 3: 20.0} for block in range(10)}
-        observations = make_observations(0, data)
-        selected = greedy_subset_selection(observations, {1, 2, 3}, 1)
+        selected = greedy_subset_selection_block(*node_block(data, [1, 2, 3]), 1)
         assert selected == [2]
 
     def test_complementary_neighbor_preferred_over_redundant(self):
@@ -126,31 +145,28 @@ class TestGreedySubsetSelection:
             data[block] = {1: 0.0, 2: 1.0, 3: 80.0}
         for block in range(5, 10):
             data[block] = {1: 90.0, 2: 95.0, 3: 0.0}
-        observations = make_observations(0, data)
-        selected = greedy_subset_selection(observations, {1, 2, 3}, 2)
+        selected = greedy_subset_selection_block(*node_block(data, [1, 2, 3]), 2)
         assert selected[0] in (1, 3)
         assert set(selected) == {1, 3}
 
     def test_selection_size_respected(self):
         data = {block: {n: float(n) for n in range(1, 7)} for block in range(5)}
-        observations = make_observations(0, data)
-        selected = greedy_subset_selection(observations, set(range(1, 7)), 4)
+        selected = greedy_subset_selection_block(*node_block(data, range(1, 7)), 4)
         assert len(selected) == 4
         assert len(set(selected)) == 4
 
     def test_zero_budget_returns_empty(self):
-        observations = make_observations(0, {1: {1: 0.0}})
-        assert greedy_subset_selection(observations, {1}, 0) == []
+        assert greedy_subset_selection_block(*node_block({1: {1: 0.0}}, [1]), 0) == []
 
     def test_negative_budget_rejected(self):
-        observations = make_observations(0, {1: {1: 0.0}})
         with pytest.raises(ValueError):
-            greedy_subset_selection(observations, {1}, -1)
+            greedy_subset_selection_block(*node_block({1: {1: 0.0}}, [1]), -1)
 
     def test_all_infinite_neighbors_still_fill_budget(self):
-        data = {block: {1: NEVER, 2: NEVER} for block in range(3)}
-        observations = make_observations(0, data)
-        selected = greedy_subset_selection(observations, {1, 2}, 2)
+        # Neighbor 3 delivers every block, so no block is dropped, but the
+        # two candidates never deliver: the finite-mean fallback fills up.
+        data = {block: {1: NEVER, 2: NEVER, 3: 0.0} for block in range(3)}
+        selected = greedy_subset_selection_block(*node_block(data, [1, 2]), 2)
         assert set(selected) == {1, 2}
 
 
@@ -160,13 +176,14 @@ class TestGroupScore:
             0: {1: 10.0, 2: 0.0},
             1: {1: 0.0, 2: 10.0},
         }
-        observations = make_observations(0, data)
-        assert group_score(observations, [1, 2], percentile=50.0) == pytest.approx(0.0)
-        assert group_score(observations, [1], percentile=50.0) == pytest.approx(5.0)
+        _, pair = node_block(data, [1, 2])
+        _, single = node_block(data, [1])
+        assert group_score(pair, percentile=50.0) == pytest.approx(0.0)
+        assert group_score(single, percentile=50.0) == pytest.approx(5.0)
 
     def test_empty_group_scores_infinity(self):
-        observations = make_observations(0, {0: {1: 1.0}})
-        assert math.isinf(group_score(observations, []))
+        _, times = node_block({0: {1: 1.0}}, [])
+        assert math.isinf(group_score(times))
 
     def test_greedy_selection_improves_group_score(self):
         data = {}
@@ -174,8 +191,7 @@ class TestGroupScore:
             data[block] = {1: 0.0, 2: 40.0, 3: 50.0}
         for block in range(6, 12):
             data[block] = {1: 60.0, 2: 0.0, 3: 55.0}
-        observations = make_observations(0, data)
-        best_pair = greedy_subset_selection(observations, {1, 2, 3}, 2)
-        assert group_score(observations, best_pair) <= group_score(
-            observations, [1, 3]
-        )
+        best_pair = greedy_subset_selection_block(*node_block(data, [1, 2, 3]), 2)
+        _, chosen = node_block(data, best_pair)
+        _, alternative = node_block(data, [1, 3])
+        assert group_score(chosen) <= group_score(alternative)

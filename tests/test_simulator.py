@@ -89,19 +89,21 @@ class TestObservationsCollection:
         blocks = simulator.mine_blocks(4)
         result = simulator.propagate_blocks(blocks)
         observations = simulator.collect_observations(blocks, result)
-        assert set(observations) == set(range(simulator.config.num_nodes))
-        for node_id, obs in observations.items():
+        assert observations.num_nodes == simulator.config.num_nodes
+        assert observations.block_ids.tolist() == [b.block_id for b in blocks]
+        for node_id in range(simulator.config.num_nodes):
             neighbors = simulator.network.neighbors(node_id)
-            assert obs.neighbors_seen == set(neighbors)
-            assert len(obs.block_ids) == len(blocks)
+            assert observations.neighbors_of(node_id).tolist() == sorted(neighbors)
 
     def test_observation_timestamps_not_negative(self, simulator):
         blocks = simulator.mine_blocks(3)
         result = simulator.propagate_blocks(blocks)
         observations = simulator.collect_observations(blocks, result)
-        for obs in observations.values():
-            for record in obs.iter_observations():
-                assert record.timestamp_ms >= 0.0
+        assert observations.times.shape == (
+            observations.num_directed_edges,
+            len(blocks),
+        )
+        assert (observations.times >= 0.0).all()
 
 
 class TestRounds:
