@@ -267,7 +267,8 @@ def test_vanilla_scores_match_legacy_loop(num_nodes, out_degree, num_blocks, see
         normalized = legacy_normalized(reference[node_id])
         outgoing = sorted(network.outgoing_neighbors(node_id))
         expected = legacy_vanilla_scores(normalized, outgoing)
-        times = observations.normalized_rows(node_id, np.array(outgoing, dtype=np.int64))
+        neighbors = np.array(outgoing, dtype=np.int64)
+        times = observations.normalized_rows(node_id, neighbors)
         actual = dict(zip(outgoing, percentile_scores(times).tolist()))
         assert actual == expected
 

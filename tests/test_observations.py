@@ -2,9 +2,8 @@
 
 import math
 
-import pytest
-
 import numpy as np
+import pytest
 
 from repro.core.observations import (
     NEVER,
