@@ -12,10 +12,12 @@ module gives each record a durable home:
   test runs leave the tracked file alone; the CI benchmark steps set it.
 * :func:`check` — the CI step (``python benchmarks/history.py check``) —
   compares the current SHA's entries against the most recent *previous* SHA
-  entry of each bench id and **warns** (never fails) when any ``*_s`` timing
-  field regressed by more than 20%.  Timing on shared CI runners is noisy;
-  the budget-enforcing asserts live in the benchmarks themselves, this is
-  the trend line.
+  entry of each bench configuration (the bench id plus whichever of
+  :data:`CONFIG_FIELDS` the record carries, so ladder rungs and variants
+  are compared like for like) and **warns** (never fails) when any ``*_s``
+  or ``*_ms`` timing field regressed by more than 20%.  Timing on shared
+  CI runners is noisy; the budget-enforcing asserts live in the
+  benchmarks themselves, this is the trend line.
 
 The file is append-only JSONL (one ``{"sha", "bench", "record"}`` object per
 line) so merges are trivial and a torn final line — e.g. from a killed run —
@@ -36,6 +38,10 @@ HISTORY_FILENAME = "history.jsonl"
 
 #: Relative timing regression (current / previous - 1) that triggers a warning.
 REGRESSION_THRESHOLD = 0.20
+
+#: Record fields that tell apart the configurations one bench id sweeps
+#: (engine ladder rungs, observation variants, latency backends, sizes).
+CONFIG_FIELDS = ("variant", "mode", "memory", "num_nodes", "churn_edges")
 
 
 def history_path() -> Path:
@@ -102,8 +108,20 @@ def _timing_fields(record: Mapping[str, Any]) -> dict[str, float]:
     return {
         key: float(value)
         for key, value in record.items()
-        if key.endswith("_s") and isinstance(value, (int, float)) and value > 0
+        if key.endswith(("_s", "_ms"))
+        and isinstance(value, (int, float))
+        and value > 0
     }
+
+
+def _config_label(entry: Mapping[str, Any]) -> str:
+    """``bench`` plus the record's :data:`CONFIG_FIELDS`, e.g.
+    ``engine-incremental [num_nodes=2000, churn_edges=16]``."""
+    record = entry.get("record", {})
+    config = ", ".join(
+        f"{field}={record[field]}" for field in CONFIG_FIELDS if field in record
+    )
+    return f"{entry['bench']} [{config}]" if config else str(entry["bench"])
 
 
 def check(
@@ -111,7 +129,8 @@ def check(
     sha: str | None = None,
     threshold: float = REGRESSION_THRESHOLD,
 ) -> list[str]:
-    """Diff the current SHA's records against the last previous entry per bench.
+    """Diff the current SHA's records against the last previous entry per
+    bench configuration (see :func:`_config_label`).
 
     Returns the warning lines (also printed); an empty list means no timing
     field regressed beyond ``threshold``.  Always an advisory: the caller
@@ -122,7 +141,8 @@ def check(
     previous: dict[str, dict] = {}
     for entry in iter_entries(path):
         bucket = current if entry.get("sha") == sha else previous
-        bucket[entry["bench"]] = entry  # last write wins: latest entry per id
+        # Last write wins: latest entry per bench configuration.
+        bucket[_config_label(entry)] = entry
     warnings: list[str] = []
     for bench, entry in sorted(current.items()):
         baseline = previous.get(bench)
@@ -134,10 +154,11 @@ def check(
         for field in sorted(set(now) & set(then)):
             ratio = now[field] / then[field]
             if ratio > 1.0 + threshold:
+                unit = "ms" if field.endswith("_ms") else "s"
                 warnings.append(
                     f"WARNING: bench {bench} field {field} regressed "
                     f"{(ratio - 1.0):.0%} vs {baseline.get('sha')} "
-                    f"({then[field]:.4f}s -> {now[field]:.4f}s)"
+                    f"({then[field]:.4f}{unit} -> {now[field]:.4f}{unit})"
                 )
         print(
             f"bench {bench}: {len(set(now) & set(then))} timing field(s) "

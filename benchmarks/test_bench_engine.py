@@ -5,19 +5,19 @@ Perigee round, so regressions in the simulator itself (as opposed to the
 algorithms under study) are visible.  pytest-benchmark's statistics are the
 output here.
 
-The incremental-engine ladder is the acceptance benchmark for the cached
-CSR + delta-SSSP engine: starting from a converging Perigee-Subset
-topology, it times ``propagate`` + sampled delay evaluation per round with
-the incremental engine on vs off across a churn ladder (rewired edges per
-round), and emits one ``BENCH-JSON engine-incremental`` record per cell.
-Under ``PERIGEE_BENCH_LARGE=1`` (the CI perf-smoke arm, N=20000) the
-low-churn speedup must be >= 3x.
+The incremental-engine ladder records what the patched CSR weight graph
+buys: starting from a converging Perigee-Subset topology, it times
+``propagate`` + sampled delay evaluation per round with the weight graph
+rebuilt from scratch vs patched from the rewire delta, across a churn
+ladder (rewired edges per round), and emits one ``BENCH-JSON
+engine-incremental`` record per cell.  It asserts only that the patched arm
+really patches; the speedup is recorded, not gated.
 
 Knobs:
 
 * ``PERIGEE_BENCH_ENGINE_NODES``  (default 2000; 20000 when LARGE)
 * ``PERIGEE_BENCH_ENGINE_ROUNDS`` (default 3)    — timed rounds per cell
-* ``PERIGEE_BENCH_LARGE``         (default off)  — N=20000 + >=3x gate
+* ``PERIGEE_BENCH_LARGE``         (default off)  — N=20000
 * ``PERIGEE_BENCH_XLARGE``        (default off)  — N=100000 single-round +
   sampled-eval smoke under a 3 GiB traced-allocation budget
 """
@@ -48,13 +48,9 @@ ENGINE_NODES = int(
 )
 ENGINE_ROUNDS = int(os.environ.get("PERIGEE_BENCH_ENGINE_ROUNDS", "3"))
 
-#: Undirected edges rewired per measured round.  Converging Perigee rounds
-#: change only a handful of subscriptions, so the low end is the regime the
-#: >=3x gate speaks about; 256 stresses the repair path.
+#: Undirected edges rewired per measured round: none, a handful, and a
+#: heavy splice into the cached edge arrays.
 CHURN_LADDER = (0, 16, 256)
-
-#: Low-churn gate (PERIGEE_BENCH_LARGE=1): incremental must be >= 3x faster.
-SPEEDUP_GATE = 3.0
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +121,7 @@ def test_bench_full_perigee_round(benchmark):
 
 
 # --------------------------------------------------------------------------- #
-# Incremental engine: rebuild-vs-repair round-cost ladder
+# Incremental engine: rebuild-vs-patch round-cost ladder
 # --------------------------------------------------------------------------- #
 def _churn_schedule(
     network: P2PNetwork, rounds: int, count: int, seed: int
@@ -183,8 +179,8 @@ def _arm_round_cost(
     )
     network = base_network.copy()
     hash_power = simulator.population.hash_power
-    # Untimed warm round: primes the graph cache and the SSSP states, the
-    # steady state a converging run lives in.
+    # Untimed warm round: primes the graph cache, the steady state a
+    # converging run lives in.
     engine.propagate(network, block_schedule[0])
     evaluator.evaluate(engine, network, hash_power, target_fractions=(0.9,))
     start = time.perf_counter()
@@ -197,7 +193,7 @@ def _arm_round_cost(
 
 
 def test_bench_incremental_engine_ladder():
-    """Per-round cost, incremental on vs off, across the churn ladder."""
+    """Per-round cost, graph rebuilt vs patched, across the churn ladder."""
     print_banner(
         f"Incremental engine ladder, N={ENGINE_NODES}, "
         f"{ENGINE_ROUNDS} timed rounds per cell"
@@ -224,7 +220,6 @@ def test_bench_incremental_engine_ladder():
     base_network = simulator.network
 
     rng = np.random.default_rng(99)
-    speedups: dict[int, float] = {}
     for churn in CHURN_LADDER:
         schedule = _churn_schedule(
             base_network, ENGINE_ROUNDS, churn, seed=1000 + churn
@@ -245,7 +240,6 @@ def test_bench_incremental_engine_ladder():
                 block_schedule,
             )
         speedup = costs[False] / costs[True] if costs[True] > 0 else float("inf")
-        speedups[churn] = speedup
         on_stats = stats[True]
         emit_bench_json(
             {
@@ -259,25 +253,12 @@ def test_bench_incremental_engine_ladder():
                 "incremental_round_s": round(costs[True], 4),
                 "speedup": round(speedup, 2),
                 "graph_patches": int(on_stats["graph_patches"]),
-                "sssp_hits": int(on_stats["sssp_hits"]),
-                "sssp_repaired": int(on_stats["sssp_repaired"]),
-                "sssp_rebuilt": int(on_stats["sssp_rebuilt"]),
             }
         )
         # The incremental arm must actually be exercising its cache.
         assert on_stats["graph_misses"] <= 1
-        if churn == 0:
-            assert on_stats["sssp_repaired"] == 0
-        else:
+        if churn > 0:
             assert on_stats["graph_patches"] >= ENGINE_ROUNDS
-    if LARGE:
-        low_churn = min(c for c in CHURN_LADDER if c > 0)
-        for churn in (0, low_churn):
-            assert speedups[churn] >= SPEEDUP_GATE, (
-                f"incremental engine speedup {speedups[churn]:.2f}x at "
-                f"churn={churn} is below the {SPEEDUP_GATE}x gate at "
-                f"N={ENGINE_NODES}"
-            )
 
 
 @pytest.mark.skipif(

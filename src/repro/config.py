@@ -73,12 +73,14 @@ class SimulationConfig:
     rounds:
         Number of protocol rounds to simulate.
     bandwidth_mbps:
-        Per-node upload bandwidth in Mbit/s used by the event-driven engine.
-        ``None`` (the default) disables bandwidth constraints, matching the
-        paper's "small blocks" default where link propagation dominates.
+        Must stay ``None``: the simulator's analytic engine models the
+        paper's "small blocks" default, where link propagation dominates,
+        and never reads a bandwidth.  Any other value is rejected so that
+        two tasks differing only here cannot hash apart while producing the
+        same records.  Bandwidth-limited propagation lives in
+        :class:`repro.core.eventsim.EventSimConfig`.
     block_size_kb:
-        Block size in kilobytes, only meaningful when ``bandwidth_mbps`` is
-        set.
+        Block size in kilobytes stamped on every simulated block.
     extra:
         Free-form extension parameters consumed by specific experiments
         (e.g. relay-network settings).
@@ -142,8 +144,10 @@ class SimulationConfig:
             raise ConfigurationError("metric_dimension must be at least 1")
         if self.rounds < 1:
             raise ConfigurationError("rounds must be at least 1")
-        if self.bandwidth_mbps is not None and self.bandwidth_mbps <= 0:
-            raise ConfigurationError("bandwidth_mbps must be positive when set")
+        if self.bandwidth_mbps is not None:
+            raise ConfigurationError(
+                "bandwidth_mbps is not read by the simulator and must be None"
+            )
         if self.block_size_kb <= 0:
             raise ConfigurationError("block_size_kb must be positive")
 

@@ -58,7 +58,7 @@ class P2PNetwork:
         self._incoming: list[set[int]] = [set() for _ in range(num_nodes)]
         # Topology version + bounded change log.  Every successful edge
         # mutation bumps the version and appends one entry, so incremental
-        # consumers (the propagation engine's graph/SSSP caches) can patch
+        # consumers (the propagation engine's weight-graph cache) can patch
         # their state from the delta instead of re-reading all N adjacency
         # sets.  ``_log_base_version`` is the oldest version the log can
         # still diff against; bulk rewrites and trimming advance it.

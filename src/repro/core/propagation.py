@@ -28,31 +28,19 @@ from __future__ import annotations
 
 import os
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from repro.core.network import P2PNetwork
 from repro.core.observations import RoundObservations
-from repro.core.sssp import SsspState, repair_sssp
 from repro.latency.base import LatencyModel
 from repro.telemetry.recorder import get_recorder
 
 #: Environment switch for the incremental engine ("0" disables; default on).
 INCREMENTAL_ENGINE_ENV = "PERIGEE_INCREMENTAL_ENGINE"
-
-#: Byte budget (in MiB) of the per-source shortest-path-tree cache; override
-#: with ``PERIGEE_SSSP_CACHE_MB``.  Each cached source costs ``12 * N`` bytes
-#: (a float64 distance row plus an int32 predecessor row).
-SSSP_CACHE_MB_ENV = "PERIGEE_SSSP_CACHE_MB"
-DEFAULT_SSSP_CACHE_MB = 256.0
-
-#: Total undirected pairs retained across the engine's per-patch delta log;
-#: sources that fall behind the window are recomputed from scratch.
-_MAX_DELTA_LOG_PAIRS = 1 << 16
 
 
 def _incremental_default() -> bool:
@@ -66,11 +54,10 @@ class _GraphCache:
     canonical key ``u * N + v`` (``u < v``) together with each edge's link
     latency, so a round's rewire delta is applied with a few vectorised
     array splices instead of re-reading all ``N`` adjacency sets.  ``graph``
-    is the directed CSR rebuilt from those arrays (C-speed), and ``csc`` its
-    lazily materialised column view (in-edges, used by SSSP repair).
+    is the directed CSR rebuilt from those arrays (C-speed).
     """
 
-    __slots__ = ("network_ref", "version", "keys", "pairs", "delta", "graph", "csc")
+    __slots__ = ("network_ref", "version", "keys", "pairs", "delta", "graph")
 
     def __init__(
         self,
@@ -87,7 +74,6 @@ class _GraphCache:
         self.pairs = pairs
         self.delta = delta
         self.graph = graph
-        self.csc: csc_matrix | None = None
 
 
 @dataclass(frozen=True)
@@ -155,39 +141,14 @@ class PropagationEngine:
         self._num_nodes = latency.num_nodes
         # Incremental mode (default on; PERIGEE_INCREMENTAL_ENGINE=0 or the
         # constructor argument disable it): cache the directed CSR weight
-        # graph and patch it from the network's change log, and cache
-        # per-source shortest-path trees repaired in place by delta-SSSP.
-        # Results are bit-identical either way — the caches only change how
-        # the same distances are computed (pinned by the parity suite).
+        # graph and patch it from the network's change log.  Results are
+        # bit-identical either way — the cache only changes how the same
+        # graph is built (pinned by the parity suite).
         self._incremental = (
             _incremental_default() if incremental is None else bool(incremental)
         )
         self._graph_cache: _GraphCache | None = None
-        self._sssp_states: "OrderedDict[int, SsspState]" = OrderedDict()
-        # Per-patch delta batches: (from_version, to_version, added_pairs,
-        # added_delta, removed_pairs).  Contiguous: each batch starts where
-        # the previous one ended, and cached states are only ever stamped
-        # with batch-boundary versions.
-        self._delta_log: list[
-            tuple[int, int, np.ndarray, np.ndarray, np.ndarray]
-        ] = []
-        self._delta_log_pairs = 0
-        budget_mb = float(
-            os.environ.get(SSSP_CACHE_MB_ENV, DEFAULT_SSSP_CACHE_MB)
-        )
-        per_state = 12 * max(1, self._num_nodes)
-        self._max_cached_sources = max(8, int(budget_mb * 2**20) // per_state)
-        # Python-loop settling costs ~two orders of magnitude more per node
-        # than SciPy's C pass, so repair only pays for small affected sets.
-        self._repair_limit = max(32, self._num_nodes // 20)
-        self._stats = {
-            "graph_hits": 0,
-            "graph_patches": 0,
-            "graph_misses": 0,
-            "sssp_hits": 0,
-            "sssp_repaired": 0,
-            "sssp_rebuilt": 0,
-        }
+        self._stats = {"graph_hits": 0, "graph_patches": 0, "graph_misses": 0}
 
     @property
     def num_nodes(self) -> int:
@@ -195,7 +156,7 @@ class PropagationEngine:
 
     @property
     def incremental(self) -> bool:
-        """Whether the incremental graph/SSSP caches are enabled."""
+        """Whether the incremental weight-graph cache is enabled."""
         return self._incremental
 
     def cache_stats(self) -> dict[str, int | bool]:
@@ -203,13 +164,10 @@ class PropagationEngine:
 
         ``graph_hits``/``graph_patches``/``graph_misses`` count weight-graph
         requests served from cache / patched from the rewire delta / rebuilt
-        from scratch; ``sssp_hits``/``sssp_repaired``/``sssp_rebuilt`` count
-        per-source trees served unchanged / repaired by delta-SSSP / fully
-        recomputed.
+        from scratch.
         """
         stats: dict[str, int | bool] = dict(self._stats)
         stats["incremental"] = self._incremental
-        stats["cached_sources"] = len(self._sssp_states)
         return stats
 
     @property
@@ -268,7 +226,7 @@ class PropagationEngine:
         return csr_matrix((weights, (rows, cols)), shape=(n, n))
 
     def _rebuild_graph_cache(self, network: P2PNetwork) -> _GraphCache:
-        """Full cache (re)build; invalidates all cached SSSP states."""
+        """Full cache (re)build from the network's current edge set."""
         n = self._num_nodes
         version = network.topology_version
         edges = network.to_numpy_edges()
@@ -289,9 +247,6 @@ class PropagationEngine:
             graph=self._csr_from_pairs(pairs, delta),
         )
         self._graph_cache = cache
-        self._sssp_states.clear()
-        self._delta_log.clear()
-        self._delta_log_pairs = 0
         return cache
 
     def _apply_patch(
@@ -318,11 +273,6 @@ class PropagationEngine:
             keep = np.ones(keys.shape[0], dtype=bool)
             keep[idx] = False
             keys, pairs, delta = keys[keep], pairs[keep], delta[keep]
-            removed_pairs = removed_pairs[
-                np.argsort(removed_pairs[:, 0] * n + removed_pairs[:, 1])
-            ]
-        else:
-            removed_pairs = np.zeros((0, 2), dtype=np.int64)
         if added:
             added_pairs = np.asarray(added, dtype=np.int64)
             order = np.argsort(added_pairs[:, 0] * n + added_pairs[:, 1])
@@ -340,23 +290,9 @@ class PropagationEngine:
             keys = np.insert(keys, pos, akeys)
             pairs = np.insert(pairs, pos, added_pairs, axis=0)
             delta = np.insert(delta, pos, added_delta)
-        else:
-            added_pairs = np.zeros((0, 2), dtype=np.int64)
-            added_delta = np.zeros(0, dtype=float)
         cache.keys, cache.pairs, cache.delta = keys, pairs, delta
         cache.graph = self._csr_from_pairs(pairs, delta)
-        cache.csc = None
-        from_version = cache.version
         cache.version = network.topology_version
-        self._delta_log.append(
-            (from_version, cache.version, added_pairs, added_delta, removed_pairs)
-        )
-        self._delta_log_pairs += added_pairs.shape[0] + removed_pairs.shape[0]
-        while self._delta_log_pairs > _MAX_DELTA_LOG_PAIRS and self._delta_log:
-            _, _, dropped_added, _, dropped_removed = self._delta_log.pop(0)
-            self._delta_log_pairs -= (
-                dropped_added.shape[0] + dropped_removed.shape[0]
-            )
         return True
 
     def _graph_for(self, network: P2PNetwork) -> csr_matrix:
@@ -381,197 +317,6 @@ class PropagationEngine:
         self._stats["graph_misses"] += 1
         recorder.incr("engine.graph_cache.miss")
         return cache.graph
-
-    # ------------------------------------------------------------------ #
-    # Incremental SSSP cache
-    # ------------------------------------------------------------------ #
-    def _delta_since(
-        self, version: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Directed net delta from ``version`` to the cache's current version.
-
-        Returns ``(removed_directed, added_directed, added_weights)`` or
-        ``None`` when the delta log no longer covers ``version``.
-        """
-        log = self._delta_log
-        start = None
-        for index, batch in enumerate(log):
-            if batch[0] == version:
-                start = index
-                break
-        if start is None:
-            return None
-        batches = log[start:]
-        if len(batches) == 1:
-            _, _, added_pairs, added_delta, removed_pairs = batches[0]
-        else:
-            # Net across batches: membership at `version` (opposite of the
-            # first op seen) versus membership now (the last op seen).
-            first: dict[tuple[int, int], bool] = {}
-            last: dict[tuple[int, int], tuple[bool, float]] = {}
-            for _, _, apairs, adelta, rpairs in batches:
-                for u, v in rpairs.tolist():
-                    pair = (u, v)
-                    if pair not in first:
-                        first[pair] = False
-                    last[pair] = (False, 0.0)
-                for (u, v), link in zip(apairs.tolist(), adelta.tolist()):
-                    pair = (u, v)
-                    if pair not in first:
-                        first[pair] = True
-                    last[pair] = (True, link)
-            added_list: list[tuple[int, int]] = []
-            added_links: list[float] = []
-            removed_list: list[tuple[int, int]] = []
-            for pair, (final_added, link) in last.items():
-                was_present = not first[pair]
-                if final_added and not was_present:
-                    added_list.append(pair)
-                    added_links.append(link)
-                elif not final_added and was_present:
-                    removed_list.append(pair)
-            added_pairs = (
-                np.asarray(added_list, dtype=np.int64)
-                if added_list
-                else np.zeros((0, 2), dtype=np.int64)
-            )
-            added_delta = np.asarray(added_links, dtype=float)
-            removed_pairs = (
-                np.asarray(removed_list, dtype=np.int64)
-                if removed_list
-                else np.zeros((0, 2), dtype=np.int64)
-            )
-        removed_directed = np.concatenate(
-            [removed_pairs, removed_pairs[:, ::-1]], axis=0
-        )
-        added_directed = np.concatenate(
-            [added_pairs, added_pairs[:, ::-1]], axis=0
-        )
-        if added_pairs.shape[0]:
-            u = added_pairs[:, 0]
-            v = added_pairs[:, 1]
-            added_weights = np.concatenate(
-                [self._validation[u] + added_delta, self._validation[v] + added_delta]
-            )
-        else:
-            added_weights = np.zeros(0, dtype=float)
-        return removed_directed, added_directed, added_weights
-
-    def _raw_arrival_rows(
-        self,
-        network: P2PNetwork,
-        unique_sources: np.ndarray,
-        store_new: bool = True,
-    ) -> np.ndarray:
-        """Raw (graph-space) distance rows for *unique* sources.
-
-        Serves each source from its cached shortest-path tree when current,
-        repairs the tree by delta-SSSP when the net rewire delta is small,
-        and falls back to one batched SciPy pass for the rest.  With
-        ``store_new=False`` fallback rows are not cached (used by the
-        per-round ``propagate``, whose miners rarely repeat).
-        """
-        graph = self._graph_for(network)
-        cache = self._graph_cache
-        assert cache is not None
-        version = cache.version
-        out = np.empty((unique_sources.size, self._num_nodes), dtype=float)
-        misses: list[int] = []
-        delta_memo: dict[int, tuple | None] = {}
-        bails: dict[int, int] = {}
-        hits = repaired = 0
-
-        def get_csc() -> csc_matrix:
-            if cache.csc is None:
-                cache.csc = cache.graph.tocsc()
-            return cache.csc
-
-        states = self._sssp_states
-        for position, source in enumerate(unique_sources.tolist()):
-            state = states.get(source)
-            if state is not None:
-                if state.version == version:
-                    states.move_to_end(source)
-                    out[position] = state.dist
-                    hits += 1
-                    continue
-                if state.version not in delta_memo:
-                    delta = self._delta_since(state.version)
-                    if (
-                        delta is not None
-                        and delta[0].shape[0] + delta[1].shape[0]
-                        > self._repair_limit
-                    ):
-                        # A delta touching more directed edges than a repair
-                        # may settle will orphan too much to finish; skip
-                        # straight to the (batched, cheaper) rebuild.
-                        delta = None
-                    delta_memo[state.version] = delta
-                delta = delta_memo[state.version]
-                if delta is not None:
-                    removed_d, added_d, added_w = delta
-                    settled = repair_sssp(
-                        state,
-                        graph,
-                        get_csc,
-                        removed_d,
-                        added_d,
-                        added_w,
-                        self._repair_limit,
-                    )
-                    if settled is not None:
-                        state.version = version
-                        states.move_to_end(source)
-                        out[position] = state.dist
-                        repaired += 1
-                        continue
-                    # Repeated bail-outs mean this delta is too disruptive
-                    # for every tree: stop burning repair attempts on it and
-                    # let the remaining stale sources rebuild in one batch.
-                    bails[state.version] = bails.get(state.version, 0) + 1
-                    if bails[state.version] >= 3:
-                        delta_memo[state.version] = None
-                del states[source]
-            misses.append(position)
-
-        if misses:
-            miss_sources = unique_sources[misses]
-            if store_new:
-                dist, pred = dijkstra(
-                    graph,
-                    directed=True,
-                    indices=miss_sources,
-                    return_predecessors=True,
-                )
-                dist = np.atleast_2d(dist)
-                pred = np.atleast_2d(pred)
-                for row, source in enumerate(miss_sources.tolist()):
-                    states[source] = SsspState(
-                        source=source,
-                        dist=dist[row].copy(),
-                        parent=np.ascontiguousarray(pred[row], dtype=np.int32),
-                        version=version,
-                    )
-                    out[misses[row]] = dist[row]
-                while len(states) > self._max_cached_sources:
-                    states.popitem(last=False)
-            else:
-                dist = np.atleast_2d(
-                    dijkstra(graph, directed=True, indices=miss_sources)
-                )
-                out[misses] = dist
-
-        recorder = get_recorder()
-        if hits:
-            self._stats["sssp_hits"] += hits
-            recorder.incr("engine.sssp_hit", hits)
-        if repaired:
-            self._stats["sssp_repaired"] += repaired
-            recorder.incr("engine.sssp_repaired", repaired)
-        if misses:
-            self._stats["sssp_rebuilt"] += len(misses)
-            recorder.incr("engine.sssp_rebuilt", len(misses))
-        return out
 
     # ------------------------------------------------------------------ #
     # Propagation
@@ -599,17 +344,10 @@ class PropagationEngine:
         recorder = get_recorder()
         recorder.incr("engine.propagate_blocks", int(sources.size))
         recorder.incr("engine.dijkstra_sources", int(unique_sources.size))
-        if self._incremental:
-            # Reuse (and repair) cached trees, but don't cache the fallback
-            # rows: per-round miners are hash-power draws that rarely repeat.
-            distances = self._raw_arrival_rows(
-                network, unique_sources, store_new=False
-            )
-        else:
-            graph = self._directed_weight_graph(network)
-            distances = np.atleast_2d(
-                dijkstra(graph, directed=True, indices=unique_sources)
-            )
+        graph = self.weight_graph(network)
+        distances = np.atleast_2d(
+            dijkstra(graph, directed=True, indices=unique_sources)
+        )
         # Remove the miner's own validation delay which the directed weights
         # charged on the first hop out of each source.
         distances = distances - self._validation[unique_sources][:, None]
@@ -757,26 +495,9 @@ class PropagationEngine:
         if np.any(sources < 0) or np.any(sources >= self._num_nodes):
             raise ValueError("source ids out of range")
         get_recorder().incr("engine.dijkstra_sources", int(sources.size))
-        use_cache = self._incremental and (
-            graph is None
-            or (
-                self._graph_cache is not None
-                and graph is self._graph_cache.graph
-            )
-        )
-        if use_cache:
-            # Chunked evaluator calls repeat sources across rounds; serve and
-            # store their trees so converged topologies cost near zero.
-            unique_sources, inverse = np.unique(sources, return_inverse=True)
-            distances = self._raw_arrival_rows(
-                network, unique_sources, store_new=True
-            )[inverse]
-        else:
-            if graph is None:
-                graph = self.weight_graph(network)
-            distances = np.atleast_2d(
-                dijkstra(graph, directed=True, indices=sources)
-            )
+        if graph is None:
+            graph = self.weight_graph(network)
+        distances = np.atleast_2d(dijkstra(graph, directed=True, indices=sources))
         distances = distances - self._validation[sources][:, None]
         distances[np.arange(sources.size), sources] = 0.0
         return distances

@@ -139,7 +139,7 @@ class Simulator:
         :meth:`evaluate`.  The default is exact (chunked) at paper scale and
         switches to hash-power-weighted source sampling at large N.
     incremental_engine:
-        Overrides the propagation engine's incremental graph/SSSP caches
+        Overrides the propagation engine's incremental weight-graph cache
         (default: on unless ``PERIGEE_INCREMENTAL_ENGINE=0``).  Results are
         bit-identical either way; the switch only trades memory for round
         cost.

@@ -314,7 +314,7 @@ class FlightRecorder:
                 simulator.config.hash_power_target,
             )
             row["delay"] = _percentile_stats(reach)
-        # Cumulative incremental-engine counters (repair vs rebuild rates).
+        # Cumulative incremental-engine counters (graph hit / patch / rebuild).
         try:
             stats = simulator.engine.cache_stats()
         except AttributeError:
@@ -599,17 +599,11 @@ def flight_report(run_dir: str | os.PathLike) -> dict[str, Any]:
             }
 
     # Engine cache counters are cumulative; the last recorded round carries
-    # the run totals.  Derived repair fraction: of the shortest-path trees
-    # that could not be served unchanged, how many were repaired in place
-    # rather than recomputed from scratch.
+    # the run totals.
     engine: dict[str, Any] = {}
     engine_rounds = [row["engine"] for row in rounds if row.get("engine")]
     if engine_rounds:
         engine = dict(engine_rounds[-1])
-        stale = engine.get("sssp_repaired", 0) + engine.get("sssp_rebuilt", 0)
-        engine["repair_fraction"] = (
-            engine.get("sssp_repaired", 0) / stale if stale else None
-        )
 
     summary = run["summary"] or {}
     return {
@@ -681,17 +675,11 @@ def render_flight_report(report: Mapping[str, Any]) -> str:
             lines.append(f"  {field}: {start} -> {end}")
     engine = report.get("engine") or {}
     if engine.get("incremental"):
-        fraction = engine.get("repair_fraction")
-        fraction_text = "n/a" if fraction is None else f"{fraction:.0%}"
         lines.append(
             "engine cache: "
             f"graph {engine.get('graph_hits', 0)} hit / "
             f"{engine.get('graph_patches', 0)} patched / "
-            f"{engine.get('graph_misses', 0)} rebuilt; "
-            f"sssp {engine.get('sssp_hits', 0)} hit / "
-            f"{engine.get('sssp_repaired', 0)} repaired / "
-            f"{engine.get('sssp_rebuilt', 0)} rebuilt "
-            f"(repair rate {fraction_text})"
+            f"{engine.get('graph_misses', 0)} rebuilt"
         )
     final = report.get("final") or {}
     reach90 = final.get("reach90")

@@ -297,15 +297,15 @@ GOLDEN_PROTOCOLS = {
 }
 
 #: sha256 of (edges after every round, flight rounds.jsonl, final
-#: state_dict) for 60 nodes, 5 rounds of 12 blocks, seed 4 — recorded before
-#: scoring moved into one batched pass per round.
+#: state_dict) for 60 nodes, 5 rounds of 12 blocks, seed 4.  Edges and state
+#: were recorded before scoring moved into one batched pass per round.
 GOLDEN_DIGESTS = {
-    "perigee-vanilla": "552384fa91cb2eb5da8229cd3393a2c79cc59adbb6c01153433eaecfdca7fd39",
-    "perigee-subset": "f1fd9a696f23b2e8ddb8662adf448a0f1dbb12a59ff4a3c6d253a3cc522f8393",
-    "perigee-ucb": "dc67dc9828b663163e076829a87a387ec9c83741e494e9b3e19d295f2d088f66",
-    "mixed-ucb": "d6370a27bee9f0a229e8f8c4394e1d9a020e7274bc2c9e23687fc4b0eede7d3f",
-    "freeride": "63b7e7d34280e9d62c9044dbaa1a979c3b33c14a6fd3b1bf093747b8e87035af",
-    "eclipse": "ef05447df6e05c64fdfc1b3cdf87e6080d592a4870767b20be6e951d6ef942e7",
+    "perigee-vanilla": "1d87aa974538752dbfedebcd99e63e0b01ba569bc2a0d14966a105982d897d36",
+    "perigee-subset": "de6762d36105ef50e3ed45fe585dd5e50bdc60d5e1a4f5b16b8345ec4c8ff169",
+    "perigee-ucb": "c83987f160953b66e977a18f674dc222ec9a834f11e795c1293925263330aa02",
+    "mixed-ucb": "9ee499472064e0a3ae17599fd2d6b8eeb4ea3db37f0b8cbf8248f0f8068a7126",
+    "freeride": "801a35be47aff914a3d87760850b4c61f6ddf68997349d90bf2633beebd1d042",
+    "eclipse": "7e0082e7e04edd8c29111c6a8add640c5c9f6abbe762c1636c5bec8687e0da58",
 }
 
 

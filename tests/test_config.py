@@ -53,6 +53,7 @@ class TestSimulationConfigValidation:
             {"metric_dimension": 0},
             {"rounds": 0},
             {"bandwidth_mbps": -5.0},
+            {"bandwidth_mbps": 8.0},
             {"block_size_kb": 0.0},
         ],
     )

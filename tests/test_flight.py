@@ -183,6 +183,18 @@ class TestRecorderArtifacts:
         report = flight_report(tmp_path / "run")
         json.loads(json.dumps(report, allow_nan=False))
 
+    def test_engine_entry_holds_graph_cache_counters(self, tmp_path):
+        flight = run_recorded(tmp_path / "run", rounds=2)
+        flight.close()
+        report = flight_report(tmp_path / "run")
+        assert sorted(report["engine"]) == [
+            "graph_hits",
+            "graph_misses",
+            "graph_patches",
+            "incremental",
+        ]
+        assert "sssp" not in render_flight_report(report)
+
 
 class TestBitIdentity:
     def test_flight_flag_does_not_change_content_hash(self):
