@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import print_banner
-from repro.analysis.experiments import run_figure3a
+from repro.analysis.experiments import run_experiment
 from repro.analysis.incremental import run_incremental_deployment
 from repro.metrics.forks import estimate_fork_rate, fork_rate_improvement
 from repro.security.eclipse import run_eclipse_attack
@@ -204,7 +204,8 @@ def test_churn_with_limited_peer_knowledge(benchmark, scale):
 
 def test_fork_rate_translation(benchmark, scale):
     result = benchmark.pedantic(
-        run_figure3a,
+        run_experiment,
+        args=("figure3a",),
         kwargs=dict(
             num_nodes=max(150, scale.num_nodes // 2),
             rounds=max(10, scale.rounds // 2),

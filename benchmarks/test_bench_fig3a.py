@@ -10,14 +10,15 @@ Perigee-UCB ≈ 11%, geographic in between, Kademlia ≈ random).
 from __future__ import annotations
 
 from benchmarks.conftest import print_banner
-from repro.analysis.experiments import FIGURE3_PROTOCOLS, run_figure3a
+from repro.analysis.experiments import FIGURE3_PROTOCOLS, run_experiment
 from repro.analysis.figures import delay_curve_series
 from repro.analysis.reporting import render_experiment_report
 
 
 def test_figure3a_uniform_hash_power(benchmark, scale):
     result = benchmark.pedantic(
-        run_figure3a,
+        run_experiment,
+        args=("figure3a",),
         kwargs=dict(
             num_nodes=scale.num_nodes,
             rounds=scale.rounds,

@@ -8,7 +8,7 @@ performance pattern, with Perigee-Subset again ≈ 33% better than random.
 from __future__ import annotations
 
 from benchmarks.conftest import print_banner
-from repro.analysis.experiments import run_figure3b
+from repro.analysis.experiments import run_experiment
 from repro.analysis.reporting import render_experiment_report
 
 PROTOCOLS = (
@@ -24,7 +24,8 @@ PROTOCOLS = (
 
 def test_figure3b_exponential_hash_power(benchmark, scale):
     result = benchmark.pedantic(
-        run_figure3b,
+        run_experiment,
+        args=("figure3b",),
         kwargs=dict(
             num_nodes=scale.num_nodes,
             rounds=scale.rounds,

@@ -10,13 +10,14 @@ the per-scale improvement, which should be monotonically decreasing.
 from __future__ import annotations
 
 from benchmarks.conftest import print_banner
-from repro.analysis.experiments import FIGURE4A_SCALES, run_figure4a
+from repro.analysis.experiments import FIGURE4A_SCALES, run_experiment
 from repro.analysis.reporting import render_sweep_report
 
 
 def test_figure4a_validation_delay_sweep(benchmark, scale):
     sweep = benchmark.pedantic(
-        run_figure4a,
+        run_experiment,
+        args=("figure4a",),
         kwargs=dict(
             num_nodes=scale.num_nodes,
             rounds=scale.rounds,

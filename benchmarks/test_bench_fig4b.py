@@ -10,7 +10,7 @@ peer mostly needs good connectivity to the mining pool, not to every node.
 from __future__ import annotations
 
 from benchmarks.conftest import print_banner
-from repro.analysis.experiments import run_figure4b
+from repro.analysis.experiments import run_experiment
 from repro.analysis.reporting import render_experiment_report
 
 PROTOCOLS = ("random", "geographic", "perigee-subset", "ideal")
@@ -18,7 +18,8 @@ PROTOCOLS = ("random", "geographic", "perigee-subset", "ideal")
 
 def test_figure4b_concentrated_mining(benchmark, scale):
     result = benchmark.pedantic(
-        run_figure4b,
+        run_experiment,
+        args=("figure4b",),
         kwargs=dict(
             num_nodes=scale.num_nodes,
             rounds=scale.rounds,

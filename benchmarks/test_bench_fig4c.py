@@ -10,7 +10,7 @@ fully-connected ideal.
 from __future__ import annotations
 
 from benchmarks.conftest import print_banner
-from repro.analysis.experiments import run_figure4c
+from repro.analysis.experiments import run_experiment
 from repro.analysis.reporting import render_experiment_report
 
 PROTOCOLS = ("random", "geographic", "perigee-subset", "ideal")
@@ -18,7 +18,8 @@ PROTOCOLS = ("random", "geographic", "perigee-subset", "ideal")
 
 def test_figure4c_relay_network(benchmark, scale):
     result = benchmark.pedantic(
-        run_figure4c,
+        run_experiment,
+        args=("figure4c",),
         kwargs=dict(
             num_nodes=scale.num_nodes,
             rounds=scale.rounds,

@@ -12,13 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from benchmarks.conftest import print_banner
-from repro.analysis.experiments import FIGURE5_PROTOCOLS, run_figure5
+from repro.analysis.experiments import FIGURE5_PROTOCOLS, run_experiment
 from repro.analysis.figures import figure5_rows
 
 
 def test_figure5_edge_latency_histograms(benchmark, scale):
     result = benchmark.pedantic(
-        run_figure5,
+        run_experiment,
+        args=("figure5",),
         kwargs=dict(
             num_nodes=scale.num_nodes,
             rounds=scale.rounds,

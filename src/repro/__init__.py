@@ -8,7 +8,8 @@ Top-level convenience imports expose the most commonly used entry points:
 
 * :class:`repro.config.SimulationConfig` — experiment configuration.
 * :class:`repro.core.simulator.Simulator` — the round-based simulation driver.
-* :func:`repro.analysis.experiments.run_experiment` — one-call experiment runner.
+* :func:`repro.analysis.experiments.run_experiment` — runs any of the paper's
+  experiments by name (``run_experiment("figure3a", num_nodes=300)``).
 * :mod:`repro.protocols` — all neighbor selection protocols (baselines and
   Perigee variants).
 """

@@ -1,8 +1,8 @@
-"""Experiment harness: one entry point per table/figure of the paper.
+"""Experiment harness: the paper's tables and figures, run by name.
 
-* :mod:`repro.analysis.experiments` — experiment runners (Figures 3a, 3b,
-  4a, 4b, 4c, 5 plus the Figure 1 / theorem validations re-exported from
-  :mod:`repro.theory`).
+* :mod:`repro.analysis.experiments` — the sweep grid of every figure
+  (3a, 3b, 4a, 4b, 4c, 5 and the scaling study) and ``run_experiment``,
+  which runs any of them by name.
 * :mod:`repro.analysis.figures` — turns experiment outputs into the series /
   rows the paper plots.
 * :mod:`repro.analysis.reporting` — plain-text table rendering used by the
@@ -11,15 +11,10 @@
 
 from repro.analysis.experiments import (
     ExperimentResult,
+    NetworkScalingResult,
     ProcessingDelaySweepResult,
     compare_protocols,
     run_experiment,
-    run_figure3a,
-    run_figure3b,
-    run_figure4a,
-    run_figure4b,
-    run_figure4c,
-    run_figure5,
 )
 from repro.analysis.figures import (
     delay_curve_series,
@@ -37,6 +32,7 @@ __all__ = [
     "ExperimentResult",
     "IncrementalDeploymentResult",
     "MixedDeploymentProtocol",
+    "NetworkScalingResult",
     "ProcessingDelaySweepResult",
     "compare_protocols",
     "run_incremental_deployment",
@@ -46,10 +42,4 @@ __all__ = [
     "improvement_table",
     "render_experiment_report",
     "run_experiment",
-    "run_figure3a",
-    "run_figure3b",
-    "run_figure4a",
-    "run_figure4b",
-    "run_figure4c",
-    "run_figure5",
 ]

@@ -1,6 +1,6 @@
-"""Experiment runners, one per figure of the paper's evaluation (Section 5).
+"""The paper's evaluation (Section 5) as named sweep grids and one runner.
 
-Every runner follows the paper's methodology:
+Every experiment follows the paper's methodology:
 
 * a node population and link latencies are sampled (the paper repeats each
   experiment three times with independently sampled latencies and plots the
@@ -13,15 +13,16 @@ Every runner follows the paper's methodology:
   node to reach 90% (and 50%) of the network hash power, sorted ascending —
   the y-values of Figures 3 and 4.
 
-Execution is delegated to :mod:`repro.runtime`: each runner builds a
-declarative :class:`~repro.runtime.tasks.SweepSpec`, expands it into
-per-(protocol, repeat) tasks with independently spawned seed streams, and
-routes them through a :class:`~repro.runtime.executor.SerialExecutor` or —
-with ``workers > 1`` — a process-pool
-:class:`~repro.runtime.executor.ParallelExecutor`.  Parallel execution is
-bit-for-bit identical to serial execution.  Passing ``store=`` persists raw
-task records to a JSONL store so interrupted sweeps resume for free
-(``perigee-sim resume --store DIR``).
+Each figure is one builder in :data:`EXPERIMENT_SPECS` returning declarative
+:class:`~repro.runtime.tasks.SweepSpec` objects, and
+``run_experiment("figure3a", num_nodes=300, ...)`` runs any of them: it
+expands each spec into per-(protocol, repeat) tasks with independently
+spawned seed streams and routes them through
+:mod:`repro.runtime` — serially, or with ``workers > 1`` through a
+process-pool :class:`~repro.runtime.executor.ParallelExecutor`.  Parallel
+execution is bit-for-bit identical to serial execution.  Passing ``store=``
+persists raw task records to a JSONL store so interrupted sweeps resume for
+free (``perigee-sim resume --store DIR``).
 
 The default experiment sizes are scaled down from the paper's 1000 nodes so
 the benchmark suite completes in minutes on a laptop; pass ``num_nodes=1000``
@@ -131,10 +132,6 @@ class NetworkScalingResult:
         }
 
 
-def _resolve_executor(workers: int, executor):
-    return executor if executor is not None else make_executor(workers)
-
-
 def _resolve_store(store):
     if store is None or isinstance(store, ResultStore):
         return store
@@ -148,8 +145,6 @@ def _execute_spec(
     executor=None,
     progress: ProgressCallback | None = None,
     cluster: bool = False,
-    flight: bool = False,
-    checkpoint_every: int = 0,
 ):
     """Shared execution path: resolve store/executor, run the sweep.
 
@@ -159,30 +154,23 @@ def _execute_spec(
     ``perigee-sim worker`` processes help drain them, with this process
     participating as one inline worker.
 
-    ``flight=True`` flags every task of the sweep for flight recording
-    (requires a store — that is where ``runs/`` artifacts live).
-
-    ``checkpoint_every > 0`` flags every task of the sweep for periodic
-    checkpointing at that round interval (requires a store — snapshots live
-    under ``<store>/checkpoints/``), making interrupted tasks resumable.
+    A spec flagged for flight recording (``spec.flight``) or periodic
+    checkpointing (``spec.checkpoint_every > 0``) needs a store: per-round
+    ``runs/`` artifacts and ``checkpoints/`` snapshots live inside it.
     """
     resolved_store = _resolve_store(store)
-    if flight:
-        if resolved_store is None:
-            raise ValueError(
-                "flight recording persists per-round artifacts into the "
-                "result store; pass store=/--store together with "
-                "flight/--flight-recorder"
-            )
-        spec = replace(spec, flight=True)
-    if checkpoint_every:
-        if resolved_store is None:
-            raise ValueError(
-                "checkpointing persists round snapshots into the result "
-                "store; pass store=/--store together with "
-                "checkpoint_every/--checkpoint-every"
-            )
-        spec = replace(spec, checkpoint_every=int(checkpoint_every))
+    if spec.flight and resolved_store is None:
+        raise ValueError(
+            "flight recording persists per-round artifacts into the "
+            "result store; pass store=/--store together with "
+            "flight/--flight-recorder"
+        )
+    if spec.checkpoint_every and resolved_store is None:
+        raise ValueError(
+            "checkpointing persists round snapshots into the result "
+            "store; pass store=/--store together with "
+            "checkpoint_every/--checkpoint-every"
+        )
     if cluster:
         if resolved_store is None:
             raise ValueError(
@@ -199,8 +187,8 @@ def _execute_spec(
             from repro.runtime.cluster import ClusterExecutor
 
             executor = ClusterExecutor(resolved_store)
-    else:
-        executor = _resolve_executor(workers, executor)
+    elif executor is None:
+        executor = make_executor(workers)
     return execute_sweep(
         spec, executor=executor, store=resolved_store, progress=progress
     )
@@ -268,6 +256,8 @@ def compare_protocols(
         scenario=scenario,
         scenario_params=dict(scenario_params or {}),
         collect_histograms=collect_histograms,
+        flight=bool(flight),
+        checkpoint_every=int(checkpoint_every),
     )
     records = _execute_spec(
         spec,
@@ -276,8 +266,6 @@ def compare_protocols(
         executor=executor,
         progress=progress,
         cluster=cluster,
-        flight=flight,
-        checkpoint_every=checkpoint_every,
     )
     return records_to_result(records, name=experiment_name)
 
@@ -425,11 +413,21 @@ def figure4c_spec(
 def figure5_spec(
     num_nodes: int = 300,
     rounds: int = 25,
+    repeats: int = 1,
     seed: int = 0,
     blocks_per_round: int = 60,
     protocols: tuple[str, ...] = FIGURE5_PROTOCOLS,
 ) -> SweepSpec:
-    """Figure 5: edge-latency histograms under uniform hash power."""
+    """Figure 5: edge-latency histograms under uniform hash power.
+
+    The histograms come from the first repeat's final topologies, so the
+    experiment is single-repeat: ``repeats`` other than 1 is rejected
+    rather than silently dropped.
+    """
+    if repeats != 1:
+        raise ValueError(
+            f"figure5 is a single-repeat experiment; got repeats={repeats}"
+        )
     config = default_config(
         num_nodes=num_nodes,
         rounds=rounds,
@@ -530,7 +528,9 @@ EXPERIMENT_SPECS = {
 }
 
 
-def build_experiment_specs(name: str, **kwargs) -> list[SweepSpec]:
+def build_experiment_specs(
+    name: str, *, flight: bool = False, checkpoint_every: int = 0, **grid
+) -> list[SweepSpec]:
     """Expand a named experiment into its sweep specs without running it.
 
     ``flight=True`` and ``checkpoint_every=N`` are handled generically (the
@@ -538,289 +538,63 @@ def build_experiment_specs(name: str, **kwargs) -> list[SweepSpec]:
     produced spec asks executing workers to flight-record and/or checkpoint
     its tasks.
     """
-    flight = bool(kwargs.pop("flight", False))
-    checkpoint_every = int(kwargs.pop("checkpoint_every", 0))
     try:
         builder = EXPERIMENT_SPECS[name]
     except KeyError as error:
         raise KeyError(
             f"unknown experiment {name!r}; available: {', '.join(EXPERIMENT_SPECS)}"
         ) from error
-    specs = builder(**kwargs)
-    if flight:
-        specs = [replace(spec, flight=True) for spec in specs]
-    if checkpoint_every:
-        specs = [
-            replace(spec, checkpoint_every=checkpoint_every) for spec in specs
-        ]
-    return specs
+    return [
+        replace(spec, flight=bool(flight), checkpoint_every=int(checkpoint_every))
+        for spec in builder(**grid)
+    ]
 
 
-# --------------------------------------------------------------------------- #
-# Figure runners: build the spec, execute, aggregate
-# --------------------------------------------------------------------------- #
-def run_figure3a(
-    num_nodes: int = 300,
-    rounds: int = 25,
-    repeats: int = 1,
-    seed: int = 0,
-    blocks_per_round: int = 60,
-    protocols: tuple[str, ...] = FIGURE3_PROTOCOLS,
+def run_experiment(
+    name: str,
+    *,
     workers: int = 1,
     store=None,
     progress: ProgressCallback | None = None,
     cluster: bool = False,
     flight: bool = False,
     checkpoint_every: int = 0,
-) -> ExperimentResult:
-    """Figure 3(a): uniform hash power, default delays."""
-    spec = figure3a_spec(
-        num_nodes, rounds, repeats, seed, blocks_per_round, protocols
-    )
-    records = _execute_spec(
-        spec,
-        workers=workers,
-        store=store,
-        progress=progress,
-        cluster=cluster,
-        flight=flight,
-        checkpoint_every=checkpoint_every,
-    )
-    return records_to_result(records, name=spec.name)
+    **grid,
+):
+    """Run a named experiment of :data:`EXPERIMENT_SPECS` and aggregate it.
 
-
-def run_figure3b(
-    num_nodes: int = 300,
-    rounds: int = 25,
-    repeats: int = 1,
-    seed: int = 0,
-    blocks_per_round: int = 60,
-    protocols: tuple[str, ...] = FIGURE3_PROTOCOLS,
-    workers: int = 1,
-    store=None,
-    progress: ProgressCallback | None = None,
-    cluster: bool = False,
-    flight: bool = False,
-    checkpoint_every: int = 0,
-) -> ExperimentResult:
-    """Figure 3(b): hash power drawn from an exponential distribution."""
-    spec = figure3b_spec(
-        num_nodes, rounds, repeats, seed, blocks_per_round, protocols
+    ``grid`` goes to the experiment's spec builder (``num_nodes``,
+    ``rounds``, ``repeats``, ``seed``, ``protocols``, ...); the keyword-only
+    arguments choose how the sweeps execute (see :func:`_execute_spec`).
+    Single-sweep experiments return an :class:`ExperimentResult`;
+    ``figure4a`` returns a :class:`ProcessingDelaySweepResult` keyed by the
+    ``scales`` it was given and ``scaling`` a :class:`NetworkScalingResult`
+    keyed by network size.
+    """
+    specs = build_experiment_specs(
+        name, flight=flight, checkpoint_every=checkpoint_every, **grid
     )
-    records = _execute_spec(
-        spec,
-        workers=workers,
-        store=store,
-        progress=progress,
-        cluster=cluster,
-        flight=flight,
-        checkpoint_every=checkpoint_every,
-    )
-    return records_to_result(records, name=spec.name)
-
-
-def run_figure4a(
-    num_nodes: int = 300,
-    rounds: int = 25,
-    repeats: int = 1,
-    seed: int = 0,
-    blocks_per_round: int = 60,
-    scales: tuple[float, ...] = FIGURE4A_SCALES,
-    protocols: tuple[str, ...] = ("random", "perigee-subset"),
-    workers: int = 1,
-    store=None,
-    progress: ProgressCallback | None = None,
-    cluster: bool = False,
-    flight: bool = False,
-    checkpoint_every: int = 0,
-) -> ProcessingDelaySweepResult:
-    """Figure 4(a): sweep the block validation delay from 0.1x to 10x."""
-    specs = figure4a_specs(
-        num_nodes, rounds, repeats, seed, blocks_per_round, scales, protocols
-    )
-    results: dict[float, ExperimentResult] = {}
-    resolved_store = _resolve_store(store)
-    for scale, spec in zip(scales, specs):
-        records = _execute_spec(
-            spec,
-            workers=workers,
-            store=resolved_store,
-            progress=progress,
-            cluster=cluster,
-            flight=flight,
-            checkpoint_every=checkpoint_every,
+    store = _resolve_store(store)
+    results = [
+        records_to_result(
+            _execute_spec(
+                spec,
+                workers=workers,
+                store=store,
+                progress=progress,
+                cluster=cluster,
+            ),
+            name=spec.name,
         )
-        results[scale] = records_to_result(records, name=spec.name)
-    return ProcessingDelaySweepResult(scales=tuple(scales), results=results)
-
-
-def run_figure4b(
-    num_nodes: int = 300,
-    rounds: int = 25,
-    repeats: int = 1,
-    seed: int = 0,
-    blocks_per_round: int = 60,
-    miner_speedup: float = 0.1,
-    protocols: tuple[str, ...] = ("random", "geographic", "perigee-subset", "ideal"),
-    workers: int = 1,
-    store=None,
-    progress: ProgressCallback | None = None,
-    cluster: bool = False,
-    flight: bool = False,
-    checkpoint_every: int = 0,
-) -> ExperimentResult:
-    """Figure 4(b): 10% of nodes hold 90% of hash power, with fast links among them."""
-    spec = figure4b_spec(
-        num_nodes, rounds, repeats, seed, blocks_per_round, miner_speedup, protocols
-    )
-    records = _execute_spec(
-        spec,
-        workers=workers,
-        store=store,
-        progress=progress,
-        cluster=cluster,
-        flight=flight,
-        checkpoint_every=checkpoint_every,
-    )
-    return records_to_result(records, name=spec.name)
-
-
-def run_figure4c(
-    num_nodes: int = 300,
-    rounds: int = 25,
-    repeats: int = 1,
-    seed: int = 0,
-    blocks_per_round: int = 60,
-    relay_size: int = 100,
-    relay_link_ms: float = 5.0,
-    relay_validation_scale: float = 0.1,
-    protocols: tuple[str, ...] = ("random", "geographic", "perigee-subset", "ideal"),
-    workers: int = 1,
-    store=None,
-    progress: ProgressCallback | None = None,
-    cluster: bool = False,
-    flight: bool = False,
-    checkpoint_every: int = 0,
-) -> ExperimentResult:
-    """Figure 4(c): a bloXroute-like low-latency relay tree of 100 nodes."""
-    spec = figure4c_spec(
-        num_nodes,
-        rounds,
-        repeats,
-        seed,
-        blocks_per_round,
-        relay_size,
-        relay_link_ms,
-        relay_validation_scale,
-        protocols,
-    )
-    records = _execute_spec(
-        spec,
-        workers=workers,
-        store=store,
-        progress=progress,
-        cluster=cluster,
-        flight=flight,
-        checkpoint_every=checkpoint_every,
-    )
-    return records_to_result(records, name=spec.name)
-
-
-def run_figure5(
-    num_nodes: int = 300,
-    rounds: int = 25,
-    seed: int = 0,
-    blocks_per_round: int = 60,
-    protocols: tuple[str, ...] = FIGURE5_PROTOCOLS,
-    workers: int = 1,
-    store=None,
-    progress: ProgressCallback | None = None,
-    cluster: bool = False,
-    flight: bool = False,
-    checkpoint_every: int = 0,
-) -> ExperimentResult:
-    """Figure 5: histograms of overlay edge latencies under uniform hash power."""
-    spec = figure5_spec(num_nodes, rounds, seed, blocks_per_round, protocols)
-    records = _execute_spec(
-        spec,
-        workers=workers,
-        store=store,
-        progress=progress,
-        cluster=cluster,
-        flight=flight,
-        checkpoint_every=checkpoint_every,
-    )
-    return records_to_result(records, name=spec.name)
-
-
-def run_scaling(
-    num_nodes: int = 2000,
-    rounds: int = 12,
-    repeats: int = 1,
-    seed: int = 0,
-    blocks_per_round: int = 50,
-    sizes: tuple[int, ...] | None = None,
-    protocols: tuple[str, ...] = ("random", "perigee-subset"),
-    latency_memory: str = "dense",
-    evaluation: dict | None = None,
-    workers: int = 1,
-    store=None,
-    progress: ProgressCallback | None = None,
-    cluster: bool = False,
-    flight: bool = False,
-    checkpoint_every: int = 0,
-) -> NetworkScalingResult:
-    """Scaling study: Perigee vs random across network sizes (large-N grid)."""
-    specs = scaling_specs(
-        num_nodes,
-        rounds,
-        repeats,
-        seed,
-        blocks_per_round,
-        sizes,
-        protocols,
-        latency_memory,
-        evaluation,
-    )
-    results: dict[int, ExperimentResult] = {}
-    resolved_store = _resolve_store(store)
-    ladder = []
-    for spec in specs:
-        records = _execute_spec(
-            spec,
-            workers=workers,
-            store=resolved_store,
-            progress=progress,
-            cluster=cluster,
-            flight=flight,
-            checkpoint_every=checkpoint_every,
+        for spec in specs
+    ]
+    if name == "figure4a":
+        scales = tuple(grid.get("scales", FIGURE4A_SCALES))
+        return ProcessingDelaySweepResult(
+            scales=scales, results=dict(zip(scales, results))
         )
-        size = spec.config.num_nodes
-        ladder.append(size)
-        results[size] = records_to_result(records, name=spec.name)
-    return NetworkScalingResult(sizes=tuple(ladder), results=results)
-
-
-# --------------------------------------------------------------------------- #
-# Generic dispatcher used by the CLI
-# --------------------------------------------------------------------------- #
-EXPERIMENTS = {
-    "figure3a": run_figure3a,
-    "figure3b": run_figure3b,
-    "figure4a": run_figure4a,
-    "figure4b": run_figure4b,
-    "figure4c": run_figure4c,
-    "figure5": run_figure5,
-    "scaling": run_scaling,
-}
-
-
-def run_experiment(name: str, **kwargs):
-    """Run a named experiment (``figure3a`` ... ``figure5``)."""
-    try:
-        runner = EXPERIMENTS[name]
-    except KeyError as error:
-        raise KeyError(
-            f"unknown experiment {name!r}; available: {', '.join(EXPERIMENTS)}"
-        ) from error
-    return runner(**kwargs)
+    if name == "scaling":
+        sizes = tuple(spec.config.num_nodes for spec in specs)
+        return NetworkScalingResult(sizes=sizes, results=dict(zip(sizes, results)))
+    (result,) = results
+    return result

@@ -80,7 +80,7 @@ import sys
 from typing import Sequence
 
 from repro.analysis.experiments import (
-    EXPERIMENTS,
+    EXPERIMENT_SPECS,
     NetworkScalingResult,
     ProcessingDelaySweepResult,
     build_experiment_specs,
@@ -98,6 +98,7 @@ from repro.runtime.chaos import DEFAULT_CHAOS_ACTIONS
 from repro.runtime.executor import execute_sweep, make_executor
 from repro.runtime.faults import install_fault_plane_from_env
 from repro.runtime.store import ResultStore
+from repro.runtime.tasks import SweepSpec
 from repro.version import __version__
 
 
@@ -154,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="enqueue an experiment's task grid for distributed workers",
     )
     submit_parser.add_argument(
-        "experiment", choices=list(EXPERIMENTS), help="experiment to enqueue"
+        "experiment", choices=list(EXPERIMENT_SPECS), help="experiment to enqueue"
     )
     submit_parser.add_argument(
         "--store", required=True, help="store directory shared with the workers"
@@ -170,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=1,
-        help="independent latency draws (ignored by figure5)",
+        help="independent latency draws (figure5 takes only 1)",
     )
     submit_parser.add_argument(
         "--flight-recorder",
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         nargs="?",
         default="figure5",
-        choices=list(EXPERIMENTS),
+        choices=list(EXPERIMENT_SPECS),
         help="experiment to drain (default figure5)",
     )
     chaos_parser.add_argument(
@@ -416,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=1,
-        help="independent latency draws (ignored by figure5)",
+        help="independent latency draws (figure5 takes only 1)",
     )
     chaos_parser.add_argument(
         "--fleet",
@@ -485,10 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the chaos report as JSON instead of a summary",
     )
 
-    for name in EXPERIMENTS:
+    for name in EXPERIMENT_SPECS:
         experiment_parser = subparsers.add_parser(
             name, help=f"run the {name} experiment"
         )
+        experiment_parser.set_defaults(experiment=name)
         experiment_parser.add_argument(
             "--num-nodes", type=int, default=300, help="number of nodes"
         )
@@ -539,13 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
                 "snapshot, bit-identical to an uninterrupted run"
             ),
         )
-        if name != "figure5":
-            experiment_parser.add_argument(
-                "--repeats",
-                type=int,
-                default=1,
-                help="independent latency draws to average over",
-            )
+        experiment_parser.add_argument(
+            "--repeats",
+            type=int,
+            default=1,
+            help="independent latency draws to average over (figure5 takes only 1)",
+        )
         if name == "scaling":
             _add_large_n_arguments(experiment_parser)
     return parser
@@ -680,13 +681,13 @@ def _run_resume(args: argparse.Namespace) -> int:
 
 
 def _spec_kwargs(args: argparse.Namespace) -> dict:
+    """Grid and execution-policy kwargs of ``build_experiment_specs``."""
     kwargs = {
         "num_nodes": args.num_nodes,
         "rounds": args.rounds,
         "seed": args.seed,
+        "repeats": args.repeats,
     }
-    if args.experiment != "figure5":  # figure5 is a single-repeat experiment
-        kwargs["repeats"] = args.repeats
     if args.experiment == "scaling":
         kwargs["latency_memory"] = getattr(args, "latency_memory", "dense")
         evaluation = _evaluation_params(args)
@@ -699,10 +700,19 @@ def _spec_kwargs(args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def _run_submit(args: argparse.Namespace) -> int:
+def _experiment_specs(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> list[SweepSpec]:
+    """The sweep specs of ``args``; a grid its builder rejects is a usage error."""
+    try:
+        return build_experiment_specs(args.experiment, **_spec_kwargs(args))
+    except ValueError as error:
+        parser.error(str(error))
+
+
+def _run_submit(args: argparse.Namespace, specs: list[SweepSpec]) -> int:
     from repro.runtime.cluster import WorkQueue
 
-    specs = build_experiment_specs(args.experiment, **_spec_kwargs(args))
     queue = WorkQueue(ResultStore(args.store))
     total_new = 0
     total_tasks = 0
@@ -977,7 +987,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "checkpoint_every", 0) < 0:
         parser.error("--checkpoint-every must be non-negative")
     if args.command == "list":
-        for name in EXPERIMENTS:
+        for name in EXPERIMENT_SPECS:
             print(name)
         return 0
     if args.command == "resume":
@@ -993,7 +1003,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # they are supported; submit defines them for all experiments, so
         # guard against silently dropping them here.
         _reject_unsupported_large_n_flags(parser, args, args.experiment)
-        return _run_submit(args)
+        return _run_submit(args, _experiment_specs(parser, args))
     if args.command == "compact":
         return _run_compact(args)
     if args.command == "checkpoints":
@@ -1025,28 +1035,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             "--cluster and --workers are mutually exclusive; scale a cluster "
             "run by starting extra 'perigee-sim worker' processes"
         )
-    kwargs = {
-        "num_nodes": args.num_nodes,
-        "rounds": args.rounds,
-        "seed": args.seed,
-        "workers": args.workers,
-        "store": args.store,
-        "cluster": args.cluster,
-    }
-    if getattr(args, "repeats", None) is not None:
-        kwargs["repeats"] = args.repeats
-    if args.command == "scaling":
-        kwargs["latency_memory"] = getattr(args, "latency_memory", "dense")
-        evaluation = _evaluation_params(args)
-        if evaluation:
-            kwargs["evaluation"] = evaluation
-    if args.flight_recorder:
-        kwargs["flight"] = True
-    if args.checkpoint_every:
-        kwargs["checkpoint_every"] = args.checkpoint_every
-    if args.workers > 1 or args.store is not None:
-        kwargs["progress"] = _progress_printer
-    result = run_experiment(args.command, **kwargs)
+    _experiment_specs(parser, args)  # reject a bad grid before any work runs
+    result = run_experiment(
+        args.experiment,
+        workers=args.workers,
+        store=args.store,
+        progress=(
+            _progress_printer
+            if args.workers > 1 or args.store is not None
+            else None
+        ),
+        cluster=args.cluster,
+        **_spec_kwargs(args),
+    )
     if isinstance(result, ProcessingDelaySweepResult):
         print("Figure 4(a) validation-delay sweep")
         print(render_sweep_report(result))

@@ -35,9 +35,9 @@ self-contained units of work:
 
 Typical use, mirroring ``perigee-sim figure3a --workers 4 --store runs/``::
 
-    from repro.analysis.experiments import run_figure3a
+    from repro.analysis.experiments import run_experiment
 
-    result = run_figure3a(num_nodes=300, workers=4, store="runs/")
+    result = run_experiment("figure3a", num_nodes=300, workers=4, store="runs/")
 
 or, one level down::
 

@@ -224,23 +224,22 @@ def run_chaos(
     ``timeout_s`` is the hard stop (raises ``RuntimeError``).
 
     Raises ``KeyError`` for an unknown experiment name and ``ValueError``
-    for a bad fault-plan parameterisation — both before any work runs.
+    for a grid the experiment rejects or a bad fault-plan parameterisation
+    — all before any work runs.
     """
     from repro.analysis.experiments import build_experiment_specs
 
     emit: LogFn = log if log is not None else (lambda message: None)
     started = time.monotonic()
     root = Path(root)
-    kwargs: dict[str, Any] = {
-        "num_nodes": num_nodes,
-        "rounds": rounds,
-        "seed": seed,
-    }
-    if experiment != "figure5":  # figure5 is a single-repeat experiment
-        kwargs["repeats"] = repeats
-    if checkpoint_every > 0:
-        kwargs["checkpoint_every"] = checkpoint_every
-    specs = build_experiment_specs(experiment, **kwargs)
+    specs = build_experiment_specs(
+        experiment,
+        num_nodes=num_nodes,
+        rounds=rounds,
+        seed=seed,
+        repeats=repeats,
+        checkpoint_every=checkpoint_every,
+    )
     # Validate the schedule parameterisation before spending any compute.
     for incarnation in range(max_fault_incarnations):
         incarnation_plan(

@@ -58,6 +58,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from repro.instruments import InstrumentSlot
 from repro.telemetry.recorder import get_recorder
 
 #: Environment variable carrying a serialised plan (JSON text or a path).
@@ -345,47 +346,17 @@ class FaultPlane:
 #: Process-wide default plane instance.
 NULL_FAULT_PLANE = NullFaultPlane()
 
-_current: NullFaultPlane | FaultPlane = NULL_FAULT_PLANE
-_current_lock = threading.Lock()
-
 #: Union type accepted everywhere a plane is passed around.
 FaultInjector = NullFaultPlane | FaultPlane
 
+_SLOT: InstrumentSlot[FaultInjector] = InstrumentSlot(NULL_FAULT_PLANE)
 
-def get_fault_plane() -> "FaultInjector":
-    """The active plane (the no-op :data:`NULL_FAULT_PLANE` by default)."""
-    return _current
-
-
-def set_fault_plane(plane: "FaultInjector") -> "FaultInjector":
-    """Install ``plane`` process-wide; returns the previous one."""
-    global _current
-    with _current_lock:
-        previous = _current
-        _current = plane
-    return previous
-
-
-class _PlaneScope:
-    """Context manager installing a plane and restoring the previous one."""
-
-    __slots__ = ("_plane", "_previous")
-
-    def __init__(self, plane: "FaultInjector") -> None:
-        self._plane = plane
-
-    def __enter__(self) -> "FaultInjector":
-        self._previous = set_fault_plane(self._plane)
-        return self._plane
-
-    def __exit__(self, *exc_info: object) -> None:
-        set_fault_plane(self._previous)
-        return None
-
-
-def use_fault_plane(plane: "FaultInjector") -> _PlaneScope:
-    """``with use_fault_plane(plane): ...`` — scoped installation."""
-    return _PlaneScope(plane)
+#: The active plane (the no-op :data:`NULL_FAULT_PLANE` by default).
+get_fault_plane = _SLOT.get
+#: Install a plane process-wide; returns the previous one.
+set_fault_plane = _SLOT.set
+#: ``with use_fault_plane(plane): ...`` — scoped installation.
+use_fault_plane = _SLOT.use
 
 
 def install_fault_plane_from_env(

@@ -36,12 +36,12 @@ import io
 import json
 import math
 import os
-import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
+from repro.instruments import InstrumentSlot
 from repro.metrics.convergence import convergence_report
 from repro.metrics.evaluator import DelayEvaluator
 from repro.metrics.topology import topology_summary
@@ -423,48 +423,16 @@ class FlightRecorder:
 #: Process-wide default flight recorder instance (records nothing).
 NULL_FLIGHT_RECORDER = NullFlightRecorder()
 
-_current: NullFlightRecorder | FlightRecorder = NULL_FLIGHT_RECORDER
-_current_lock = threading.Lock()
+_SLOT: InstrumentSlot[NullFlightRecorder | FlightRecorder] = InstrumentSlot(
+    NULL_FLIGHT_RECORDER
+)
 
-
-def get_flight_recorder() -> "NullFlightRecorder | FlightRecorder":
-    """The active flight recorder (:data:`NULL_FLIGHT_RECORDER` by default)."""
-    return _current
-
-
-def set_flight_recorder(
-    recorder: "NullFlightRecorder | FlightRecorder",
-) -> "NullFlightRecorder | FlightRecorder":
-    """Install ``recorder`` process-wide; returns the previous one."""
-    global _current
-    with _current_lock:
-        previous = _current
-        _current = recorder
-    return previous
-
-
-class _FlightScope:
-    """Context manager installing a flight recorder, restoring on exit."""
-
-    __slots__ = ("_recorder", "_previous")
-
-    def __init__(self, recorder: "NullFlightRecorder | FlightRecorder") -> None:
-        self._recorder = recorder
-
-    def __enter__(self) -> "NullFlightRecorder | FlightRecorder":
-        self._previous = set_flight_recorder(self._recorder)
-        return self._recorder
-
-    def __exit__(self, *exc_info: object) -> None:
-        set_flight_recorder(self._previous)
-        return None
-
-
-def use_flight_recorder(
-    recorder: "NullFlightRecorder | FlightRecorder",
-) -> _FlightScope:
-    """``with use_flight_recorder(rec): ...`` — scoped installation."""
-    return _FlightScope(recorder)
+#: The active flight recorder (:data:`NULL_FLIGHT_RECORDER` by default).
+get_flight_recorder = _SLOT.get
+#: Install a flight recorder process-wide; returns the previous one.
+set_flight_recorder = _SLOT.set
+#: ``with use_flight_recorder(rec): ...`` — scoped installation.
+use_flight_recorder = _SLOT.use
 
 
 # --------------------------------------------------------------------------- #

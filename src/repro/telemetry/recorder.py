@@ -31,6 +31,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
+from repro.instruments import InstrumentSlot
+
 
 def metric_key(name: str, tags: Mapping[str, Any] | None = None) -> str:
     """Flat, deterministic key for a (name, tags) metric identity."""
@@ -250,47 +252,17 @@ class MetricsRecorder:
 #: Process-wide default recorder instance.
 NULL_RECORDER = NullRecorder()
 
-_current: NullRecorder | MetricsRecorder = NULL_RECORDER
-_current_lock = threading.Lock()
-
 #: Union type accepted everywhere a recorder is passed around.
 TelemetryRecorder = NullRecorder | MetricsRecorder
 
+_SLOT: InstrumentSlot[TelemetryRecorder] = InstrumentSlot(NULL_RECORDER)
 
-def get_recorder() -> "TelemetryRecorder":
-    """The active recorder (the no-op :data:`NULL_RECORDER` by default)."""
-    return _current
-
-
-def set_recorder(recorder: "TelemetryRecorder") -> "TelemetryRecorder":
-    """Install ``recorder`` process-wide; returns the previous one."""
-    global _current
-    with _current_lock:
-        previous = _current
-        _current = recorder
-    return previous
-
-
-class _RecorderScope:
-    """Context manager installing a recorder and restoring the previous one."""
-
-    __slots__ = ("_recorder", "_previous")
-
-    def __init__(self, recorder: "TelemetryRecorder") -> None:
-        self._recorder = recorder
-
-    def __enter__(self) -> "TelemetryRecorder":
-        self._previous = set_recorder(self._recorder)
-        return self._recorder
-
-    def __exit__(self, *exc_info: object) -> None:
-        set_recorder(self._previous)
-        return None
-
-
-def use_recorder(recorder: "TelemetryRecorder") -> _RecorderScope:
-    """``with use_recorder(rec): ...`` — scoped recorder installation."""
-    return _RecorderScope(recorder)
+#: The active recorder (the no-op :data:`NULL_RECORDER` by default).
+get_recorder = _SLOT.get
+#: Install a recorder process-wide; returns the previous one.
+set_recorder = _SLOT.set
+#: ``with use_recorder(rec): ...`` — scoped recorder installation.
+use_recorder = _SLOT.use
 
 
 def iter_metrics(snapshot: Mapping[str, Any]) -> Iterator[tuple[str, str, Any]]:

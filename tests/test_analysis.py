@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import (
-    compare_protocols,
-    run_experiment,
-    run_figure3a,
-    run_figure3b,
-    run_figure4a,
-    run_figure4b,
-    run_figure4c,
-    run_figure5,
-)
+from repro.analysis.experiments import compare_protocols, run_experiment
 from repro.analysis.figures import (
     delay_curve_series,
     error_bar_points,
@@ -33,7 +24,8 @@ SMALL = dict(num_nodes=60, rounds=3, repeats=1, seed=1)
 
 @pytest.fixture(scope="module")
 def figure3a_result():
-    return run_figure3a(
+    return run_experiment(
+        "figure3a",
         protocols=("random", "geographic", "perigee-subset", "ideal"),
         blocks_per_round=20,
         **SMALL,
@@ -85,15 +77,18 @@ class TestCompareProtocols:
 
 class TestFigureRunners:
     def test_figure3b_uses_exponential_hash_power(self):
-        result = run_figure3b(
-            protocols=("random", "perigee-subset"), blocks_per_round=15, **SMALL
+        result = run_experiment(
+            "figure3b",
+            protocols=("random", "perigee-subset"),
+            blocks_per_round=15,
+            **SMALL,
         )
         assert result.config.hash_power_distribution == "exponential"
         assert set(result.protocol_names()) == {"random", "perigee-subset"}
 
     def test_figure4a_sweep_structure(self):
-        sweep = run_figure4a(
-            scales=(0.5, 5.0), blocks_per_round=15, **SMALL
+        sweep = run_experiment(
+            "figure4a", scales=(0.5, 5.0), blocks_per_round=15, **SMALL
         )
         assert sweep.scales == (0.5, 5.0)
         improvements = sweep.improvements()
@@ -102,7 +97,8 @@ class TestFigureRunners:
             assert result.config.validation_delay_ms == pytest.approx(50.0 * scale)
 
     def test_figure4b_concentrated_hash_power(self):
-        result = run_figure4b(
+        result = run_experiment(
+            "figure4b",
             protocols=("random", "perigee-subset", "ideal"),
             blocks_per_round=15,
             **SMALL,
@@ -111,7 +107,8 @@ class TestFigureRunners:
         assert result.curves["ideal"].median_ms <= result.curves["random"].median_ms
 
     def test_figure4c_relay_network(self):
-        result = run_figure4c(
+        result = run_experiment(
+            "figure4c",
             protocols=("random", "perigee-subset", "ideal"),
             blocks_per_round=15,
             relay_size=10,
@@ -120,7 +117,8 @@ class TestFigureRunners:
         assert set(result.protocol_names()) == {"random", "perigee-subset", "ideal"}
 
     def test_figure5_histograms_present(self):
-        result = run_figure5(
+        result = run_experiment(
+            "figure5",
             num_nodes=60,
             rounds=3,
             seed=1,
@@ -193,7 +191,9 @@ class TestReporting:
         assert "experiment: figure3a" in report
 
     def test_render_sweep_report(self):
-        sweep = run_figure4a(scales=(1.0,), blocks_per_round=10, **SMALL)
+        sweep = run_experiment(
+            "figure4a", scales=(1.0,), blocks_per_round=10, **SMALL
+        )
         report = render_sweep_report(sweep)
         assert "1x" in report
         assert "perigee-subset" in report

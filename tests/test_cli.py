@@ -95,6 +95,16 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "scaling" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["submit", "figure5"], ["figure5"]])
+    def test_figure5_rejects_repeats(self, command, tmp_path, capsys):
+        # figure5 is single-repeat: queueing one repeat for --repeats 3
+        # would silently drop the request, so the CLI must refuse instead.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--store", str(tmp_path), "--repeats", "3"])
+        assert excinfo.value.code == 2
+        assert "single-repeat" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_large_n_flags_reach_scaling_specs(self):
         from repro.analysis.experiments import build_experiment_specs
 

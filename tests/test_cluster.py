@@ -495,10 +495,11 @@ class TestClusterExecutor:
         assert total_lines == spec.num_tasks
 
     def test_cluster_rejects_workers_count(self, tmp_path):
-        from repro.analysis.experiments import run_figure3a
+        from repro.analysis.experiments import run_experiment
 
         with pytest.raises(ValueError, match="worker"):
-            run_figure3a(
+            run_experiment(
+                "figure3a",
                 num_nodes=30,
                 rounds=2,
                 store=str(tmp_path / "runs"),

@@ -218,13 +218,6 @@ class TestFaultPlane:
         plane.fire("p")
         assert slept == [2.5]
 
-    def test_use_fault_plane_scopes_installation(self):
-        plane = FaultPlane(FaultPlan())
-        with use_fault_plane(plane) as active:
-            assert active is plane
-            assert get_fault_plane() is plane
-        assert get_fault_plane() is NULL_FAULT_PLANE
-
 
 class TestEnvInstall:
     def test_unset_returns_current_plane(self):

@@ -88,13 +88,6 @@ class TestNullDefault:
             flight.on_round(None, 0)
             flight.record_final(reach90=[1.0])
 
-    def test_scope_installs_and_restores(self, tmp_path):
-        flight = FlightRecorder(tmp_path / "run")
-        with use_flight_recorder(flight):
-            assert get_flight_recorder() is flight
-            assert flight.enabled
-        assert get_flight_recorder() is NULL_FLIGHT_RECORDER
-
 
 class TestRecorderArtifacts:
     def test_round_rows_and_cadence(self, tmp_path):

@@ -11,14 +11,15 @@ actual numbers recorded in EXPERIMENTS.md.
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import run_figure3a, run_figure4a, run_figure5
+from repro.analysis.experiments import run_experiment
 from repro.metrics.convergence import convergence_report
 from repro.protocols.registry import make_protocol
 
 
 @pytest.fixture(scope="module")
 def figure3a():
-    return run_figure3a(
+    return run_experiment(
+        "figure3a",
         num_nodes=150,
         rounds=10,
         repeats=1,
@@ -77,7 +78,8 @@ class TestConvergence:
 
 class TestFigure4aCrossover:
     def test_perigee_advantage_shrinks_with_validation_delay(self):
-        sweep = run_figure4a(
+        sweep = run_experiment(
+            "figure4a",
             num_nodes=120,
             rounds=8,
             repeats=1,
@@ -95,7 +97,8 @@ class TestFigure4aCrossover:
 
 class TestFigure5Shift:
     def test_perigee_concentrates_edges_in_low_latency_mode(self):
-        result = run_figure5(
+        result = run_experiment(
+            "figure5",
             num_nodes=150,
             rounds=10,
             seed=0,
@@ -113,9 +116,8 @@ class TestFigure5Shift:
 
 class TestRelayAndMinerScenarios:
     def test_figure4b_perigee_closes_gap_to_ideal(self):
-        from repro.analysis.experiments import run_figure4b
-
-        result = run_figure4b(
+        result = run_experiment(
+            "figure4b",
             num_nodes=120,
             rounds=8,
             repeats=1,
@@ -133,9 +135,8 @@ class TestRelayAndMinerScenarios:
         assert perigee_gap < random_gap
 
     def test_figure4c_perigee_exploits_relay_network(self):
-        from repro.analysis.experiments import run_figure4c
-
-        result = run_figure4c(
+        result = run_experiment(
+            "figure4c",
             num_nodes=120,
             rounds=8,
             repeats=1,

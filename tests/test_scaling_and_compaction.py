@@ -10,7 +10,7 @@ from repro.analysis.experiments import (
     EXPERIMENT_SPECS,
     NetworkScalingResult,
     build_experiment_specs,
-    run_scaling,
+    run_experiment,
     scaling_specs,
 )
 from repro.cli import build_parser, main
@@ -97,7 +97,8 @@ class TestScalingSpecs:
         assert [spec.config.num_nodes for spec in specs] == [40]
 
     def test_run_scaling_smoke_with_store(self, tmp_path):
-        result = run_scaling(
+        result = run_experiment(
+            "scaling",
             sizes=(20, 30),
             rounds=2,
             blocks_per_round=6,
@@ -114,7 +115,8 @@ class TestScalingSpecs:
         improvements = result.improvements()
         assert set(improvements) == {20, 30}
         # A second run is served entirely from the store, byte-identically.
-        cached = run_scaling(
+        cached = run_experiment(
+            "scaling",
             sizes=(20, 30),
             rounds=2,
             blocks_per_round=6,

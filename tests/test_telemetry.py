@@ -120,14 +120,6 @@ class TestRecorder:
         assert inner.start_s >= outer.start_s
         assert outer.duration_s >= inner.duration_s
 
-    def test_use_recorder_scopes_installation(self):
-        recorder = MetricsRecorder()
-        assert get_recorder() is NULL_RECORDER
-        with use_recorder(recorder) as active:
-            assert active is recorder
-            assert get_recorder() is recorder
-        assert get_recorder() is NULL_RECORDER
-
     def test_snapshot_is_json_serialisable(self):
         recorder = MetricsRecorder()
         with recorder.span("s", mode="exact"):
