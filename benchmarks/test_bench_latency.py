@@ -57,6 +57,8 @@ DENSE_20K = os.environ.get("PERIGEE_BENCH_DENSE_20K", "") == "1"
 WALL_N = 20_000
 #: The dense backend cannot take less memory than its stored matrix.
 DENSE_FLOOR_BYTES_20K = 8 * WALL_N * WALL_N
+#: Traced peak the sparse N=20000 round + sampled evaluation must stay under.
+SPARSE_PEAK_BOUND_MB_20K = 160
 
 
 def _mb(num_bytes: float) -> float:
@@ -158,7 +160,8 @@ def test_bench_memory_wall_20k():
     Asserts the >=10x peak-memory reduction over the dense backend — against
     the dense backend's analytic floor (its stored ``8 N^2``-byte matrix) by
     default, or against a measured dense build with
-    ``PERIGEE_BENCH_DENSE_20K=1``.
+    ``PERIGEE_BENCH_DENSE_20K=1`` — and an absolute traced peak of at most
+    ``SPARSE_PEAK_BOUND_MB_20K``.
     """
     print_banner("Memory wall: N=20000 sparse backend end-to-end")
     config = default_config(
@@ -220,4 +223,11 @@ def test_bench_memory_wall_20k():
     assert reduction >= 10.0, (
         f"sparse peak {_mb(sparse_peak):.0f} MB is less than 10x below the "
         f"dense backend's {_mb(dense_peak):.0f} MB at N={WALL_N}"
+    )
+    # Perf smoke: the round's observation build allocates its (2E, B)
+    # timestamp matrix once and the sampled evaluation sorts one copy of
+    # its arrival rows, so the traced peak stays well under this bound.
+    assert _mb(sparse_peak) <= SPARSE_PEAK_BOUND_MB_20K, (
+        f"sparse peak {_mb(sparse_peak):.1f} MB exceeds "
+        f"{SPARSE_PEAK_BOUND_MB_20K} MB at N={WALL_N}"
     )

@@ -107,10 +107,11 @@ class _LegacyObservationSet:
 
 def _legacy_forwarding(engine, network, result):
     """The seed's per-edge view: ``(sender, receiver) -> per-block times``."""
-    senders, receivers, times = engine._directed_forwarding_times(network, result)
+    observations = engine.round_observations(network, result)
+    senders, receivers = observations.senders, observations.receivers
     if senders.size == 0:
         return {}
-    return dict(zip(zip(senders.tolist(), receivers.tolist()), times))
+    return dict(zip(zip(senders.tolist(), receivers.tolist()), observations.times))
 
 
 def _legacy_collect(engine, network, result, blocks):

@@ -12,6 +12,7 @@ for propagation.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -327,15 +328,11 @@ class P2PNetwork:
 
     def edge_list(self) -> list[tuple[int, int]]:
         """Unique undirected edges as a sorted list of ``(u, v)`` with ``u < v``."""
-        seen: set[tuple[int, int]] = set()
-        for u in range(self._num_nodes):
-            for v in self._outgoing[u]:
-                seen.add((u, v) if u < v else (v, u))
-        return sorted(seen)
+        return [(u, v) for u, v in self.to_numpy_edges().tolist()]
 
     def num_edges(self) -> int:
         """Number of distinct undirected communication edges."""
-        return len(self.edge_list())
+        return int(self.to_numpy_edges().shape[0])
 
     def adjacency_lists(self) -> list[list[int]]:
         """Undirected adjacency lists, indexed by node id."""
@@ -346,11 +343,26 @@ class P2PNetwork:
         return [sorted(neighbors) for neighbors in adjacency]
 
     def to_numpy_edges(self) -> np.ndarray:
-        """Undirected edges as an ``(E, 2)`` integer array."""
-        edge_list = self.edge_list()
-        if not edge_list:
-            return np.zeros((0, 2), dtype=int)
-        return np.array(edge_list, dtype=int)
+        """Unique undirected edges as a sorted ``(E, 2)`` int64 array.
+
+        Row ``(u, v)`` has ``u < v``; rows ascend by the canonical key
+        ``u * N + v``, which also deduplicates a pair both endpoints
+        initiated (the fully connected baseline).
+        """
+        n = self._num_nodes
+        counts = np.fromiter(
+            (len(peers) for peers in self._outgoing), dtype=np.int64, count=n
+        )
+        initiators = np.repeat(np.arange(n, dtype=np.int64), counts)
+        targets = np.fromiter(
+            chain.from_iterable(self._outgoing),
+            dtype=np.int64,
+            count=initiators.size,
+        )
+        keys = np.unique(
+            np.minimum(initiators, targets) * n + np.maximum(initiators, targets)
+        )
+        return np.stack([keys // n, keys % n], axis=1)
 
     def purge_node(self, node_id: int) -> int:
         """Drop every connection touching ``node_id`` (it left the network).

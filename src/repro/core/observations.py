@@ -14,7 +14,10 @@ block from any neighbor.
 observations: columnar, array-native storage for all nodes at once —
 directed-edge arrays ``senders``/``receivers`` plus a ``(2E, B)`` timestamp
 matrix, receiver-sorted with CSR-style ``indptr`` offsets for per-node
-slicing.  The propagation engine emits it, the simulator hands it to
+slicing.  The propagation engine builds it already receiver-sorted, so the
+timestamp matrix is the round's one large allocation
+(:meth:`RoundObservations.from_directed_edges` sorts unsorted edges for
+rounds built by hand).  The simulator hands it to
 :meth:`~repro.protocols.base.NeighborSelectionProtocol.update`, and the
 Perigee hot path reads Equation-2-normalised array views of it, so the
 per-round cost is a handful of NumPy passes.

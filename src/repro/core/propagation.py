@@ -22,6 +22,10 @@ Besides arrival times, the engine produces the *per-neighbor forwarding
 times* each node observes — the raw material for Perigee's observation sets:
 ``t^b_{u,v} = arrival(u) + Δ_u + δ(u, v)`` for every communication edge
 ``(u, v)`` (with ``Δ`` omitted when ``u`` is the miner).
+:meth:`PropagationEngine.round_observations` emits them for a whole round
+as a receiver-sorted :class:`~repro.core.observations.RoundObservations`
+with one ``(2E, B)`` allocation, reading the edge list and link latencies
+from the same cached arrays the weight graph is built from.
 """
 
 from __future__ import annotations
@@ -181,37 +185,34 @@ class PropagationEngine:
     # ------------------------------------------------------------------ #
     # Graph construction
     # ------------------------------------------------------------------ #
-    def _directed_weight_graph(self, network: P2PNetwork) -> csr_matrix:
+    def _edge_arrays(self, network: P2PNetwork) -> tuple[np.ndarray, np.ndarray]:
+        """Canonical sorted edge array ``(E, 2)`` and per-edge latencies.
+
+        Read from the weight-graph cache when it holds ``network`` at its
+        current topology version (no counter moves), else gathered afresh.
+        Callers must not mutate the returned arrays.
+        """
+        cache = self._graph_cache
+        if (
+            cache is not None
+            and cache.network_ref() is network
+            and cache.version == network.topology_version
+        ):
+            return cache.pairs, cache.delta
+        pairs = network.to_numpy_edges()
+        if not pairs.shape[0]:
+            return pairs, np.zeros(0, dtype=float)
+        u, v = pairs.T
+        return pairs, np.asarray(self._latency.pairwise(u, v), dtype=float)
+
+    def _csr_from_pairs(self, pairs: np.ndarray, delta: np.ndarray) -> csr_matrix:
         """Directed sparse graph with weight ``Δ_u + δ(u, v)`` on edge u->v.
 
         Every undirected communication edge yields two directed entries.  The
         miner's validation delay is *included* by these weights and later
         subtracted from all distances, which is equivalent to not charging the
-        miner for validating its own block.
-        """
-        edges = network.to_numpy_edges()
-        n = self._num_nodes
-        if edges.shape[0] == 0:
-            return csr_matrix((n, n), dtype=float)
-        u = edges[:, 0]
-        v = edges[:, 1]
-        delta = self._latency.pairwise(u, v)
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        weights = np.concatenate(
-            [self._validation[u] + delta, self._validation[v] + delta]
-        )
-        return csr_matrix((weights, (rows, cols)), shape=(n, n))
-
-    # ------------------------------------------------------------------ #
-    # Incremental graph cache
-    # ------------------------------------------------------------------ #
-    def _csr_from_pairs(self, pairs: np.ndarray, delta: np.ndarray) -> csr_matrix:
-        """Directed CSR from canonical undirected pairs + per-edge latencies.
-
-        Same arithmetic and the same COO layout as
-        :meth:`_directed_weight_graph` (the CSR constructor canonicalises
-        entry order), so patched and from-scratch graphs are bit-identical.
+        miner for validating its own block.  The CSR constructor canonicalises
+        entry order, so patched and from-scratch graphs are bit-identical.
         """
         n = self._num_nodes
         if pairs.shape[0] == 0:
@@ -225,19 +226,14 @@ class PropagationEngine:
         )
         return csr_matrix((weights, (rows, cols)), shape=(n, n))
 
+    # ------------------------------------------------------------------ #
+    # Incremental graph cache
+    # ------------------------------------------------------------------ #
     def _rebuild_graph_cache(self, network: P2PNetwork) -> _GraphCache:
         """Full cache (re)build from the network's current edge set."""
-        n = self._num_nodes
         version = network.topology_version
-        edges = network.to_numpy_edges()
-        pairs = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
-        if pairs.shape[0]:
-            delta = np.asarray(
-                self._latency.pairwise(pairs[:, 0], pairs[:, 1]), dtype=float
-            )
-        else:
-            delta = np.zeros(0, dtype=float)
-        keys = pairs[:, 0] * n + pairs[:, 1]  # ascending: edges are sorted
+        pairs, delta = self._edge_arrays(network)
+        keys = pairs[:, 0] * self._num_nodes + pairs[:, 1]  # ascending
         cache = _GraphCache(
             network_ref=weakref.ref(network),
             version=version,
@@ -350,7 +346,7 @@ class PropagationEngine:
         )
         # Remove the miner's own validation delay which the directed weights
         # charged on the first hop out of each source.
-        distances = distances - self._validation[unique_sources][:, None]
+        distances -= self._validation[unique_sources][:, None]
         distances[np.arange(unique_sources.size), unique_sources] = 0.0
         arrival = distances[inverse]
         return PropagationResult(sources=sources.copy(), arrival_times=arrival)
@@ -384,42 +380,6 @@ class PropagationEngine:
             observations[u][v] = self._forward_time(arrival, source, int(v), int(u))
         return observations
 
-    def _directed_forwarding_times(
-        self, network: P2PNetwork, result: PropagationResult
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-directed-edge forwarding times for all blocks at once.
-
-        Returns ``(senders, receivers, times)`` where row ``i`` of the
-        ``(2E, B)`` matrix ``times`` holds ``t^b_{senders[i], receivers[i]}``
-        for every block ``b``: the (E, B)-native intermediate behind the
-        columnar :class:`RoundObservations` emission.
-        """
-        edges = network.to_numpy_edges()
-        if edges.shape[0] == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, np.zeros((0, result.num_blocks), dtype=float)
-        sources = result.sources  # (B,)
-        u = edges[:, 0]
-        v = edges[:, 1]
-        delta = self._latency.pairwise(u, v)  # (E,)
-        # Work in (E, B) layout throughout: fancy-indexing the transposed
-        # arrival matrix yields one contiguous per-edge row per directed
-        # edge.
-        arrival_by_node = np.ascontiguousarray(result.arrival_times.T)  # (N, B)
-        # Validation delay applies unless the forwarding node is the miner.
-        val_u = np.where(
-            u[:, None] == sources[None, :], 0.0, self._validation[u][:, None]
-        )  # (E, B)
-        val_v = np.where(
-            v[:, None] == sources[None, :], 0.0, self._validation[v][:, None]
-        )
-        t_u_to_v = arrival_by_node[u] + val_u + delta[:, None]  # (E, B)
-        t_v_to_u = arrival_by_node[v] + val_v + delta[:, None]
-        senders = np.concatenate([u, v])
-        receivers = np.concatenate([v, u])
-        times = np.concatenate([t_u_to_v, t_v_to_u], axis=0)  # (2E, B)
-        return senders, receivers, times
-
     def round_observations(
         self,
         network: P2PNetwork,
@@ -428,23 +388,40 @@ class PropagationEngine:
     ) -> RoundObservations:
         """Columnar observation structure for a whole round.
 
-        This is what the simulator hands protocols: the ``(2E, B)``
-        forwarding-time matrix goes straight into a receiver-sorted
-        :class:`RoundObservations`.  ``block_ids`` defaults to
+        This is what the simulator hands protocols.  The directed edges are
+        put in ``(receiver, sender)`` order first, so the ``(2E, B)``
+        forwarding-time matrix is allocated once, already receiver-sorted:
+        one gather of each sender's arrival row, then the sender's
+        validation delay (skipped where it mined the block) and the link
+        latency added in place.  ``block_ids`` defaults to
         ``0..num_blocks-1`` (callers with globally numbered blocks pass
         their own ids).
         """
         if block_ids is None:
-            block_ids = np.arange(result.num_blocks, dtype=np.int64)
-        senders, receivers, times = self._directed_forwarding_times(
-            network, result
+            block_ids = np.arange(result.num_blocks)
+        block_ids = np.asarray(block_ids, dtype=np.int64)
+        if block_ids.size != result.num_blocks:
+            raise ValueError("block_ids must hold one id per propagated block")
+        pairs, delta = self._edge_arrays(network)
+        u, v = pairs.T
+        senders = np.concatenate([u, v])
+        receivers = np.concatenate([v, u])
+        order = np.lexsort((senders, receivers))
+        senders = senders[order]
+        receivers = receivers[order]
+        edge_delta = np.concatenate([delta, delta])[order]
+        arrival_by_node = np.ascontiguousarray(result.arrival_times.T)  # (N, B)
+        times = arrival_by_node[senders]  # (2E, B), the round's one big array
+        np.add(
+            times,
+            self._validation[senders][:, None],
+            out=times,
+            where=senders[:, None] != result.sources[None, :],
         )
-        return RoundObservations.from_directed_edges(
-            num_nodes=self._num_nodes,
-            block_ids=block_ids,
-            senders=senders,
-            receivers=receivers,
-            times=times,
+        times += edge_delta[:, None]
+        indptr = np.searchsorted(receivers, np.arange(self._num_nodes + 1))
+        return RoundObservations(
+            self._num_nodes, block_ids, senders, receivers, times, indptr
         )
 
     def _forward_time(
@@ -472,7 +449,7 @@ class PropagationEngine:
             raise ValueError("network size must match the latency model")
         if self._incremental:
             return self._graph_for(network)
-        return self._directed_weight_graph(network)
+        return self._csr_from_pairs(*self._edge_arrays(network))
 
     def arrival_times_from(
         self,
@@ -498,7 +475,7 @@ class PropagationEngine:
         if graph is None:
             graph = self.weight_graph(network)
         distances = np.atleast_2d(dijkstra(graph, directed=True, indices=sources))
-        distances = distances - self._validation[sources][:, None]
+        distances -= self._validation[sources][:, None]
         distances[np.arange(sources.size), sources] = 0.0
         return distances
 

@@ -101,16 +101,17 @@ def reach_times_for_sources(
     if arrival.shape[0] == 0:
         return np.zeros(0, dtype=float)
     order = np.argsort(arrival, axis=1, kind="stable")
-    sorted_times = np.take_along_axis(arrival, order, axis=1)
-    sorted_power = hash_power[order]
-    cumulative = np.cumsum(sorted_power, axis=1)
+    # Cumulative hash power in arrival order, accumulated in place over the
+    # one gathered copy: the evaluator's largest transient is this matrix.
+    cumulative = hash_power[order]
+    np.cumsum(cumulative, axis=1, out=cumulative)
     totals = np.minimum(1.0, cumulative[:, -1] + 1e-12)
     targets = target_fraction * totals
     # For each row, the first column index where cumulative power >= target.
     reached = np.sum(cumulative < targets[:, None] - 1e-12, axis=1)
     reached = np.minimum(reached, arrival.shape[1] - 1)
-    result = sorted_times[np.arange(arrival.shape[0]), reached]
-    return result.astype(float)
+    rows = np.arange(arrival.shape[0])
+    return arrival[rows, order[rows, reached]]
 
 
 @dataclass(frozen=True)

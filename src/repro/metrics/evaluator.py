@@ -102,7 +102,7 @@ def _eval_chunk(chunk: np.ndarray) -> np.ndarray:
     targets = _WORKER_STATE["targets"]
     columns = _WORKER_STATE["columns"]
     arrival = np.atleast_2d(dijkstra(graph, directed=True, indices=chunk))
-    arrival = arrival - validation[chunk][:, None]
+    arrival -= validation[chunk][:, None]
     arrival[np.arange(chunk.size), chunk] = 0.0
     if columns is not None:
         arrival = arrival[:, columns]

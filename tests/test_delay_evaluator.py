@@ -1,5 +1,7 @@
 """Tests for the chunked / sampled delay evaluator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +271,41 @@ class TestReachTimesForSources:
             reach_times_for_sources(np.zeros((2, 3)), np.full(4, 0.25), 0.9)
         with pytest.raises(ValueError):
             reach_times_for_sources(np.zeros(3), np.full(3, 1 / 3), 0.9)
+
+    def test_one_sorted_copy_and_identical_to_take_along_axis(self):
+        rng = np.random.default_rng(0)
+        arrival = rng.exponential(100.0, size=(256, 2000))
+        arrival[rng.random(arrival.shape) < 0.01] = np.inf
+        arrival[:, 0] = 0.0
+        hash_power = rng.random(2000)
+        hash_power /= hash_power.sum()
+        before = arrival.tobytes()
+        for target in (0.5, 0.9, 1.0):
+            tracemalloc.start()
+            try:
+                reach = reach_times_for_sources(arrival, hash_power, target)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * arrival.nbytes, (
+                f"peak {peak / arrival.nbytes:.2f}x the arrival matrix"
+            )
+            expected = _take_along_axis_reach(arrival, hash_power, target)
+            assert reach.dtype == expected.dtype
+            assert reach.tobytes() == expected.tobytes()
+        assert arrival.tobytes() == before
+
+
+def _take_along_axis_reach(arrival, hash_power, target_fraction):
+    """Reference: sort the times themselves, then index the sorted copy."""
+    order = np.argsort(arrival, axis=1, kind="stable")
+    sorted_times = np.take_along_axis(arrival, order, axis=1)
+    cumulative = np.cumsum(hash_power[order], axis=1)
+    totals = np.minimum(1.0, cumulative[:, -1] + 1e-12)
+    targets = target_fraction * totals
+    reached = np.sum(cumulative < targets[:, None] - 1e-12, axis=1)
+    reached = np.minimum(reached, arrival.shape[1] - 1)
+    return sorted_times[np.arange(arrival.shape[0]), reached].astype(float)
 
 
 def test_evaluation_dataclass_reach_alignment():

@@ -1,11 +1,17 @@
 """Tests for the analytic (Dijkstra-based) propagation engine."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.config import default_config
 from repro.core.network import P2PNetwork
+from repro.core.observations import RoundObservations
 from repro.core.propagation import PropagationEngine
+from repro.core.simulator import Simulator
 from repro.latency.base import MatrixLatencyModel
+from repro.protocols.registry import make_protocol
 
 
 def build_line_network(n):
@@ -148,6 +154,157 @@ class TestForwardingTimes:
         result = engine.propagate(random_network, [0])
         with pytest.raises(IndexError):
             engine.forwarding_times(random_network, result, 5)
+
+
+def _scalar_round(engine, network, result, block_ids):
+    """Reference round: :meth:`_forward_time` for every directed edge."""
+    senders, receivers, rows = [], [], []
+    for u, v in network.edge_list():
+        for sender, receiver in ((u, v), (v, u)):
+            senders.append(sender)
+            receivers.append(receiver)
+            rows.append(
+                [
+                    engine._forward_time(
+                        result.arrival_times[b], int(source), sender, receiver
+                    )
+                    for b, source in enumerate(result.sources)
+                ]
+            )
+    times = np.array(rows, dtype=float).reshape(len(senders), result.num_blocks)
+    return RoundObservations.from_directed_edges(
+        num_nodes=network.num_nodes,
+        block_ids=block_ids,
+        senders=senders,
+        receivers=receivers,
+        times=times,
+    )
+
+
+def _parity_engine(num_nodes, incremental, seed=3):
+    rng = np.random.default_rng(seed)
+    matrix = rng.uniform(5.0, 200.0, size=(num_nodes, num_nodes))
+    matrix = (matrix + matrix.T) / 3.0
+    np.fill_diagonal(matrix, 0.0)
+    validation = rng.uniform(0.0, 40.0, size=num_nodes)
+    engine = PropagationEngine(
+        MatrixLatencyModel(matrix), validation, incremental=incremental
+    )
+    return engine, rng
+
+
+def _random_overlay(num_nodes, rng, isolated=()):
+    network = P2PNetwork(num_nodes=num_nodes, out_degree=4, max_incoming=8)
+    for node in range(num_nodes):
+        if node in isolated:
+            continue
+        for _ in range(4):
+            peer = int(rng.integers(num_nodes))
+            if peer != node and peer not in isolated:
+                network.connect(node, peer)
+    return network
+
+
+def _assert_same_round(observed, expected):
+    assert observed.num_nodes == expected.num_nodes
+    assert observed.block_ids.tobytes() == expected.block_ids.tobytes()
+    for name in ("senders", "receivers", "indptr"):
+        got, want = getattr(observed, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert observed.times.shape == expected.times.shape
+    assert observed.times.flags.c_contiguous
+    assert observed.times.tobytes() == expected.times.tobytes()
+
+
+class TestOnePassRoundObservations:
+    """``round_observations`` equals the scalar formula bit for bit."""
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_matches_scalar_forward_times(self, incremental):
+        engine, rng = _parity_engine(30, incremental)
+        network = _random_overlay(30, rng, isolated=(7,))
+        sources = np.array([0, 5, 5, 12, 29, 7])
+        result = engine.propagate(network, sources)
+        stats = engine.cache_stats()
+        block_ids = np.arange(100, 100 + sources.size)
+        observed = engine.round_observations(network, result, block_ids=block_ids)
+        # Reading the cached edge arrays moves no cache counter.
+        assert engine.cache_stats() == stats
+        _assert_same_round(
+            observed, _scalar_round(engine, network, result, block_ids)
+        )
+        # Rows forwarded by a block's own miner carry no validation delay.
+        miner_rows = observed.senders == 5
+        assert miner_rows.any()
+        assert observed.neighbors_of(7).size == 0
+        assert np.all(observed.first_arrivals()[7] == np.inf)
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_network_mutated_after_propagate(self, incremental):
+        engine, rng = _parity_engine(25, incremental)
+        network = _random_overlay(25, rng)
+        result = engine.propagate(network, [1, 4, 9])
+        u, v = network.edge_list()[0]
+        assert network.disconnect(u, v) or network.disconnect(v, u)
+        network.connect(3, 20)
+        observed = engine.round_observations(network, result)
+        _assert_same_round(
+            observed, _scalar_round(engine, network, result, np.arange(3))
+        )
+        assert observed.num_directed_edges == 2 * network.num_edges()
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_second_network_object(self, incremental):
+        engine, rng = _parity_engine(25, incremental)
+        network = _random_overlay(25, rng)
+        other = _random_overlay(25, rng)
+        result = engine.propagate(network, [2, 2, 17])
+        observed = engine.round_observations(other, result)
+        _assert_same_round(
+            observed, _scalar_round(engine, other, result, np.arange(3))
+        )
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_empty_overlay(self, incremental):
+        engine, _ = _parity_engine(6, incremental)
+        network = P2PNetwork(num_nodes=6, out_degree=2, max_incoming=4)
+        result = engine.propagate(network, [0, 3])
+        observed = engine.round_observations(network, result)
+        _assert_same_round(observed, RoundObservations.empty(6, np.arange(2)))
+        _assert_same_round(
+            observed, _scalar_round(engine, network, result, np.arange(2))
+        )
+
+    def test_block_ids_must_match_block_count(self):
+        engine, rng = _parity_engine(10, True)
+        network = _random_overlay(10, rng)
+        result = engine.propagate(network, [0, 1])
+        with pytest.raises(ValueError):
+            engine.round_observations(network, result, block_ids=[0, 1, 2])
+
+
+def test_collect_observations_allocates_one_times_matrix():
+    """The round's only large allocation is its ``(2E, B)`` timestamp matrix."""
+    config = default_config(
+        num_nodes=2000,
+        rounds=1,
+        blocks_per_round=50,
+        seed=0,
+        latency_model="geographic-sparse",
+    )
+    simulator = Simulator(config, make_protocol("perigee-subset"))
+    blocks = simulator.mine_blocks()
+    result = simulator.propagate_blocks(blocks)
+    tracemalloc.start()
+    try:
+        observations = simulator.collect_observations(blocks, result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert observations.num_blocks == 50
+    assert peak <= 1.5 * observations.times.nbytes, (
+        f"peak {peak / observations.times.nbytes:.2f}x the times matrix"
+    )
 
 
 class TestAllSources:

@@ -64,6 +64,60 @@ def test_network_invariants_hold_under_arbitrary_operations(
         assert u in network.neighbors(v)
 
 
+def _reference_edges(network):
+    """Set-and-sort edge export: every outgoing link, canonicalised."""
+    seen = set()
+    for u in range(network.num_nodes):
+        for v in network.outgoing_neighbors(u):
+            seen.add((min(u, v), max(u, v)))
+    return sorted(seen)
+
+
+@common_settings
+@given(
+    num_nodes=st.integers(min_value=2, max_value=30),
+    seed=st.integers(min_value=0, max_value=1000),
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(["connect", "disconnect", "replace", "purge"]),
+            st.integers(0, 1_000_000),
+            st.integers(0, 1_000_000),
+        ),
+        max_size=120,
+    ),
+)
+def test_to_numpy_edges_matches_set_and_sort_reference(num_nodes, seed, operations):
+    network = P2PNetwork(num_nodes, out_degree=4, max_incoming=6)
+    rng = np.random.default_rng(seed)
+    for op, raw_a, raw_b in operations:
+        a, b = raw_a % num_nodes, raw_b % num_nodes
+        if op == "purge":
+            network.purge_node(a)
+        elif a == b:
+            continue
+        elif op == "connect":
+            network.connect(a, b)
+        elif op == "disconnect":
+            network.disconnect(a, b)
+        else:
+            keep = sorted(network.outgoing_neighbors(a))[: raw_b % 3]
+            network.replace_outgoing(a, keep, rng, num_random=1)
+    reference = _reference_edges(network)
+    edges = network.to_numpy_edges()
+    assert edges.dtype == np.int64 and edges.shape == (len(reference), 2)
+    assert edges.tolist() == [list(edge) for edge in reference]
+    assert network.edge_list() == reference
+    assert all(type(u) is int and type(v) is int for u, v in network.edge_list())
+    assert network.num_edges() == len(reference)
+
+
+def test_to_numpy_edges_deduplicates_fully_connected_overlay():
+    network = P2PNetwork(5, out_degree=2, max_incoming=2)
+    network.make_fully_connected()
+    assert network.edge_list() == _reference_edges(network)
+    assert network.num_edges() == 10
+
+
 @common_settings
 @given(
     num_nodes=st.integers(min_value=4, max_value=30),
