@@ -1,6 +1,6 @@
 """Micro-benchmarks of the simulation substrates.
 
-Not a paper figure: these time the two propagation engines and one full
+Not a paper figure: these time the propagation engine and one full
 Perigee round, so regressions in the simulator itself (as opposed to the
 algorithms under study) are visible.  pytest-benchmark's statistics are the
 output here.
@@ -32,7 +32,6 @@ import numpy as np
 import pytest
 
 from repro.config import default_config
-from repro.core.eventsim import EventDrivenEngine
 from repro.core.network import P2PNetwork
 from repro.core.propagation import PropagationEngine
 from repro.core.simulator import Simulator
@@ -91,19 +90,6 @@ def test_bench_forwarding_time_matrix(benchmark, prepared_simulator):
 
     observations = benchmark(build_matrix)
     assert observations.times.shape == (2 * simulator.network.num_edges(), 50)
-
-
-def test_bench_event_driven_engine(benchmark, prepared_simulator):
-    simulator = prepared_simulator
-    engine = EventDrivenEngine(
-        simulator.latency_model, simulator.population.validation_delays
-    )
-
-    def propagate_one():
-        return engine.propagate_block(simulator.network, 0)
-
-    result = benchmark(propagate_one)
-    assert np.isfinite(result.arrival_times).all()
 
 
 def test_bench_full_perigee_round(benchmark):

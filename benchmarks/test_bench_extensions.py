@@ -132,40 +132,41 @@ def test_bandwidth_heterogeneity(benchmark, scale):
 
 
 def test_scaling_of_the_headline_improvement(benchmark, scale):
-    from repro.analysis.scaling import rounds_scaling, size_scaling
+    from repro.analysis.experiments import compare_protocols
+    from repro.config import default_config
+
+    def improvement(num_nodes: int, rounds: int) -> float:
+        config = default_config(
+            num_nodes=num_nodes,
+            rounds=rounds,
+            blocks_per_round=scale.blocks_per_round,
+            seed=scale.seed,
+        )
+        result = compare_protocols(config, ("random", "perigee-subset"))
+        return result.improvement("perigee-subset")
+
+    rounds_grid = (5, 10, 20, max(30, scale.rounds))
+    rounds_size = max(150, scale.num_nodes // 2)
+    sizes = (scale.num_nodes // 3, scale.num_nodes // 2, scale.num_nodes)
 
     def run_scaling():
-        by_rounds = rounds_scaling(
-            rounds_grid=(5, 10, 20, max(30, scale.rounds)),
-            num_nodes=max(150, scale.num_nodes // 2),
-            blocks_per_round=scale.blocks_per_round,
-            seed=scale.seed,
-        )
-        by_size = size_scaling(
-            sizes=(scale.num_nodes // 3, scale.num_nodes // 2, scale.num_nodes),
-            rounds=scale.rounds,
-            blocks_per_round=scale.blocks_per_round,
-            seed=scale.seed,
-        )
+        by_rounds = [improvement(rounds_size, rounds) for rounds in rounds_grid]
+        by_size = [improvement(size, scale.rounds) for size in sizes]
         return by_rounds, by_size
 
     by_rounds, by_size = benchmark.pedantic(run_scaling, rounds=1, iterations=1)
     print_banner("Extension — scaling of the Perigee-Subset improvement over random")
-    print("by number of rounds (fixed size):")
-    for point in by_rounds:
-        print(
-            f"  rounds {point.rounds:>3}: improvement {point.improvement * 100:+.1f}%"
-        )
-    print("by network size (fixed rounds):")
-    for point in by_size:
-        print(
-            f"  n = {point.num_nodes:>5}: improvement {point.improvement * 100:+.1f}%"
-        )
+    print(f"by number of rounds (fixed size n = {rounds_size}):")
+    for rounds, gain in zip(rounds_grid, by_rounds):
+        print(f"  rounds {rounds:>3}: improvement {gain * 100:+.1f}%")
+    print(f"by network size (fixed rounds = {scale.rounds}):")
+    for size, gain in zip(sizes, by_size):
+        print(f"  n = {size:>5}: improvement {gain * 100:+.1f}%")
     # Shape: more rounds never hurt much, and the largest-round / largest-size
     # points show a solid improvement.
-    assert by_rounds[-1].improvement >= by_rounds[0].improvement - 0.02
-    assert by_rounds[-1].improvement > 0.10
-    assert by_size[-1].improvement > 0.10
+    assert by_rounds[-1] >= by_rounds[0] - 0.02
+    assert by_rounds[-1] > 0.10
+    assert by_size[-1] > 0.10
 
 
 def test_churn_with_limited_peer_knowledge(benchmark, scale):

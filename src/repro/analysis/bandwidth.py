@@ -18,10 +18,9 @@ asks two questions:
 * do Perigee nodes learn to *avoid choosing slow-uplink peers as outgoing
   neighbors* (the structural signature of bandwidth awareness)?
 
-The full queueing behaviour (uploads serialised across neighbors) is
-available in :class:`repro.core.eventsim.EventDrivenEngine`; the analytic
-sender-side model used here is its uncongested limit and keeps the experiment
-fast enough to run many rounds.
+The model is the uncongested limit: uploads are not serialised across
+neighbors, which keeps the experiment on the analytic engine and fast enough
+to run many rounds.
 """
 
 from __future__ import annotations

@@ -329,6 +329,9 @@ def figure4a_specs(
     protocols: tuple[str, ...] = ("random", "perigee-subset"),
 ) -> list[SweepSpec]:
     """Figure 4(a): one sweep per validation-delay scale, 0.1x to 10x."""
+    scales = tuple(scales)
+    if len(set(scales)) != len(scales):
+        raise ValueError("scales must be distinct")
     specs = []
     for scale in scales:
         config = default_config(
@@ -571,6 +574,10 @@ def run_experiment(
     ``scales`` it was given and ``scaling`` a :class:`NetworkScalingResult`
     keyed by network size.
     """
+    if name == "figure4a":
+        # Materialised once: the spec builder and the result keys both
+        # iterate it.
+        grid["scales"] = tuple(grid.get("scales", FIGURE4A_SCALES))
     specs = build_experiment_specs(
         name, flight=flight, checkpoint_every=checkpoint_every, **grid
     )
@@ -589,7 +596,7 @@ def run_experiment(
         for spec in specs
     ]
     if name == "figure4a":
-        scales = tuple(grid.get("scales", FIGURE4A_SCALES))
+        scales = grid["scales"]
         return ProcessingDelaySweepResult(
             scales=scales, results=dict(zip(scales, results))
         )

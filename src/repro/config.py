@@ -77,8 +77,7 @@ class SimulationConfig:
         paper's "small blocks" default, where link propagation dominates,
         and never reads a bandwidth.  Any other value is rejected so that
         two tasks differing only here cannot hash apart while producing the
-        same records.  Bandwidth-limited propagation lives in
-        :class:`repro.core.eventsim.EventSimConfig`.
+        same records.
     block_size_kb:
         Block size in kilobytes stamped on every simulated block.
     extra:

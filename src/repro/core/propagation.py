@@ -11,12 +11,9 @@ length of a shortest path from the miner, where:
   (the miner does not validate its own block).
 
 This engine computes those arrival times exactly with a sparse Dijkstra pass
-(SciPy's C implementation), which is both faster and easier to reason about
-than an event queue for the paper's default setting (small blocks, no
-bandwidth constraint).  The event-driven engine in
-:mod:`repro.core.eventsim` models INV/GETDATA exchange and bandwidth queueing
-and reduces to the same arrival times when bandwidth is unlimited (this
-equivalence is covered by the integration tests).
+(SciPy's C implementation) for the paper's default setting (small blocks, no
+bandwidth constraint).  The integration tests check it against an
+independent label-setting reference.
 
 Besides arrival times, the engine produces the *per-neighbor forwarding
 times* each node observes — the raw material for Perigee's observation sets:
@@ -30,7 +27,6 @@ from the same cached arrays the weight graph is built from.
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
 
@@ -42,14 +38,6 @@ from repro.core.network import P2PNetwork
 from repro.core.observations import RoundObservations
 from repro.latency.base import LatencyModel
 from repro.telemetry.recorder import get_recorder
-
-#: Environment switch for the incremental engine ("0" disables; default on).
-INCREMENTAL_ENGINE_ENV = "PERIGEE_INCREMENTAL_ENGINE"
-
-
-def _incremental_default() -> bool:
-    return os.environ.get(INCREMENTAL_ENGINE_ENV, "1") != "0"
-
 
 class _GraphCache:
     """The engine's patched-in-place view of one network's weight graph.
@@ -125,7 +113,7 @@ class PropagationEngine:
         self,
         latency: LatencyModel,
         validation_delays_ms: np.ndarray,
-        incremental: bool | None = None,
+        incremental: bool = True,
     ) -> None:
         validation = np.asarray(validation_delays_ms, dtype=float)
         if validation.ndim != 1:
@@ -143,14 +131,12 @@ class PropagationEngine:
         self._latency = latency
         self._validation = validation
         self._num_nodes = latency.num_nodes
-        # Incremental mode (default on; PERIGEE_INCREMENTAL_ENGINE=0 or the
-        # constructor argument disable it): cache the directed CSR weight
-        # graph and patch it from the network's change log.  Results are
-        # bit-identical either way — the cache only changes how the same
-        # graph is built (pinned by the parity suite).
-        self._incremental = (
-            _incremental_default() if incremental is None else bool(incremental)
-        )
+        # Incremental mode (default on; ``incremental=False`` disables it):
+        # cache the directed CSR weight graph and patch it from the
+        # network's change log.  Results are bit-identical either way — the
+        # cache only changes how the same graph is built (pinned by the
+        # parity suite).
+        self._incremental = bool(incremental)
         self._graph_cache: _GraphCache | None = None
         self._stats = {"graph_hits": 0, "graph_patches": 0, "graph_misses": 0}
 

@@ -139,10 +139,9 @@ class Simulator:
         :meth:`evaluate`.  The default is exact (chunked) at paper scale and
         switches to hash-power-weighted source sampling at large N.
     incremental_engine:
-        Overrides the propagation engine's incremental weight-graph cache
-        (default: on unless ``PERIGEE_INCREMENTAL_ENGINE=0``).  Results are
-        bit-identical either way; the switch only trades memory for round
-        cost.
+        Whether the propagation engine keeps its incremental weight-graph
+        cache (default on).  Results are bit-identical either way; the
+        switch only trades memory for round cost.
     """
 
     def __init__(
@@ -153,7 +152,7 @@ class Simulator:
         latency: LatencyModel | None = None,
         rng: np.random.Generator | None = None,
         delay_evaluator: DelayEvaluator | None = None,
-        incremental_engine: bool | None = None,
+        incremental_engine: bool = True,
     ) -> None:
         self._config = config
         self._protocol = protocol

@@ -96,6 +96,19 @@ class TestFigureRunners:
         for scale, result in sweep.results.items():
             assert result.config.validation_delay_ms == pytest.approx(50.0 * scale)
 
+    def test_figure4a_accepts_an_iterator_of_scales(self):
+        sweep = run_experiment(
+            "figure4a", scales=iter([0.5, 1.0]), blocks_per_round=10, **SMALL
+        )
+        assert sweep.scales == (0.5, 1.0)
+        assert set(sweep.results) == {0.5, 1.0}
+
+    def test_figure4a_rejects_duplicate_scales(self):
+        with pytest.raises(ValueError, match="distinct"):
+            run_experiment(
+                "figure4a", scales=(1.0, 1.0), blocks_per_round=10, **SMALL
+            )
+
     def test_figure4b_concentrated_hash_power(self):
         result = run_experiment(
             "figure4b",

@@ -7,7 +7,8 @@ from repro.analysis.bandwidth import (
     BandwidthExperimentResult,
     run_bandwidth_experiment,
 )
-from repro.analysis.scaling import measure_point, rounds_scaling, size_scaling
+from repro.analysis.experiments import compare_protocols, run_experiment
+from repro.config import default_config
 
 
 class TestBandwidthExperiment:
@@ -67,32 +68,39 @@ class TestBandwidthExperiment:
 
 
 class TestScalingStudies:
-    def test_measure_point_reports_both_protocols(self):
-        point = measure_point(num_nodes=80, rounds=4, blocks_per_round=20, seed=1)
-        assert point.num_nodes == 80
-        assert np.isfinite(point.random_median_ms)
-        assert np.isfinite(point.perigee_median_ms)
-        assert -1.0 < point.improvement < 1.0
-
     def test_rounds_scaling_improvement_grows(self):
-        points = rounds_scaling(
-            rounds_grid=(2, 10), num_nodes=120, blocks_per_round=30, seed=0
+        results = [
+            compare_protocols(
+                default_config(
+                    num_nodes=120, rounds=rounds, blocks_per_round=30, seed=0
+                ),
+                ("random", "perigee-subset"),
+            )
+            for rounds in (2, 10)
+        ]
+        assert [result.config.rounds for result in results] == [2, 10]
+        # Random is not adaptive: both points share the same baseline.
+        assert (
+            results[0].curves["random"].median_ms
+            == results[1].curves["random"].median_ms
         )
-        assert [p.rounds for p in points] == [2, 10]
-        # All points share the same random baseline.
-        assert points[0].random_median_ms == pytest.approx(points[1].random_median_ms)
-        assert points[1].improvement >= points[0].improvement - 0.02
+        first, last = (result.improvement("perigee-subset") for result in results)
+        assert last >= first - 0.02
 
     def test_size_scaling_returns_sorted_sizes(self):
-        points = size_scaling(sizes=(60, 120), rounds=4, blocks_per_round=20, seed=2)
-        assert [p.num_nodes for p in points] == [60, 120]
-        for point in points:
-            assert np.isfinite(point.improvement)
+        result = run_experiment(
+            "scaling", sizes=(120, 60), rounds=4, blocks_per_round=20, seed=2
+        )
+        assert result.sizes == (60, 120)
+        for improvement in result.improvements().values():
+            assert np.isfinite(improvement)
 
     def test_invalid_grids_rejected(self):
+        # The round-count axis is one config per count; the size axis is the
+        # registered ``scaling`` grid.
         with pytest.raises(ValueError):
-            rounds_scaling(rounds_grid=())
+            default_config(num_nodes=60, rounds=0)
         with pytest.raises(ValueError):
-            rounds_scaling(rounds_grid=(0,))
+            run_experiment("scaling", sizes=())
         with pytest.raises(ValueError):
-            size_scaling(sizes=())
+            run_experiment("scaling", sizes=(0,), rounds=2, blocks_per_round=5)

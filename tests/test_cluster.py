@@ -32,6 +32,7 @@ from repro.runtime import (
     records_to_result,
     run_task,
 )
+from repro.runtime.faults import FAULT_PLAN_ENV, FaultPlan, FaultRule
 from repro.runtime.tasks import SweepSpec, TaskRecord
 
 CONFIG = default_config(num_nodes=30, rounds=2, blocks_per_round=8, seed=11)
@@ -587,8 +588,8 @@ class TestParallelExecutorInterrupt:
             )
 
 
-def _cli(args, store, **kwargs):
-    env = dict(os.environ)
+def _cli(args, store, extra_env=None, **kwargs):
+    env = dict(os.environ, **(extra_env or {}))
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = (
         SRC_DIR if not existing else SRC_DIR + os.pathsep + existing
@@ -706,8 +707,18 @@ class TestEndToEndCLI:
         store = tmp_path / "runs"
         _wait(_cli(["submit", "figure3a", *SMOKE_ARGS], store))
 
+        # Hold the victim inside its first task (lease held, heartbeat
+        # running): smoke tasks finish in milliseconds, so without the hold
+        # the victim can drain the queue between two polls below.
+        hold = FaultPlan(
+            rules=(
+                FaultRule(point="worker.execute", action="delay", delay_s=60.0),
+            )
+        )
         victim = _cli(
-            ["worker", "--lease-ttl", "2", "--poll-interval", "0.1"], store
+            ["worker", "--lease-ttl", "2", "--poll-interval", "0.1"],
+            store,
+            extra_env={FAULT_PLAN_ENV: hold.to_json()},
         )
         # Wait until the victim holds a lease (it is mid-task), then SIGKILL
         # it so it can neither complete nor release.

@@ -1,149 +1,53 @@
-"""Tests for the event-driven INV/GETDATA propagation engine."""
+"""The analytic engine's per-neighbor forwarding times against an event replay.
+
+``replay_block`` simulates one block delivery by delivery, straight from the
+system model: events ``(time, sender, receiver)`` leave a heap in time order,
+a node relays ``Δ_u`` after its first receipt (the miner relays at once) and
+the hop ``(u, v)`` takes ``δ(u, v)``.  It shares no code with
+:class:`~repro.core.propagation.PropagationEngine`.
+"""
+
+import heapq
 
 import numpy as np
 import pytest
 
-from repro.core.eventsim import EventDrivenEngine, EventSimConfig
-from repro.core.network import P2PNetwork
-from repro.core.propagation import PropagationEngine
-from repro.latency.base import MatrixLatencyModel
 
-
-def line_network(n):
-    network = P2PNetwork(num_nodes=n, out_degree=4, max_incoming=10)
-    for u in range(n - 1):
-        network.connect(u, u + 1)
-    return network
-
-
-class TestEventSimConfig:
-    def test_defaults(self):
-        config = EventSimConfig()
-        assert config.transmission_delay_ms == pytest.approx(0.0)
-
-    def test_transmission_delay_from_bandwidth(self):
-        config = EventSimConfig(bandwidth_mbps=8.0, block_size_kb=1000.0)
-        assert config.transmission_delay_ms == pytest.approx(1000.0)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"inv_overhead_ms": -1.0},
-            {"bandwidth_mbps": 0.0},
-            {"block_size_kb": 0.0},
-        ],
-    )
-    def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            EventSimConfig(**kwargs)
+def replay_block(network, latency, validation_delays, source):
+    """Return ``(arrival, deliveries)`` with ``deliveries[v][u]`` the time
+    neighbor ``u`` hands the block to ``v``."""
+    arrival = np.full(network.num_nodes, np.inf)
+    deliveries = {v: {} for v in range(network.num_nodes)}
+    adjacency = network.adjacency_lists()
+    events = [(0.0, -1, source)]
+    while events:
+        time, sender, node = heapq.heappop(events)
+        if sender >= 0:
+            deliveries[node][sender] = time
+        if np.isfinite(arrival[node]):
+            continue
+        arrival[node] = time
+        leaves = time if node == source else time + validation_delays[node]
+        for neighbor in adjacency[node]:
+            heapq.heappush(
+                events, (leaves + latency.latency(node, neighbor), node, neighbor)
+            )
+    return arrival, deliveries
 
 
 class TestEquivalenceWithAnalyticEngine:
-    def test_line_topology(self):
-        latency = MatrixLatencyModel.constant(4, 10.0)
-        validation = np.full(4, 5.0)
-        network = line_network(4)
-        analytic = PropagationEngine(latency, validation).propagate(network, [0])
-        event = EventDrivenEngine(latency, validation).propagate_block(network, 0)
-        assert np.allclose(event.arrival_times, analytic.arrival_times[0])
-
-    def test_random_topology_matches(self, latency_model, population, random_network):
-        analytic_engine = PropagationEngine(
-            latency_model, population.validation_delays
-        )
-        event_engine = EventDrivenEngine(latency_model, population.validation_delays)
-        for source in (0, 11, 29):
-            analytic = analytic_engine.propagate(random_network, [source])
-            event = event_engine.propagate_block(random_network, source)
-            assert np.allclose(
-                event.arrival_times, analytic.arrival_times[0], rtol=1e-9, atol=1e-6
-            )
-
     def test_delivery_times_match_forwarding_times(
-        self, latency_model, population, random_network
+        self, engine, latency_model, population, random_network
     ):
-        analytic_engine = PropagationEngine(
-            latency_model, population.validation_delays
-        )
-        event_engine = EventDrivenEngine(latency_model, population.validation_delays)
         source = 4
-        analytic = analytic_engine.propagate(random_network, [source])
-        forwarding = analytic_engine.forwarding_times(random_network, analytic, 0)
-        event = event_engine.propagate_block(random_network, source)
-        for node, deliveries in event.delivery_times.items():
-            for sender, timestamp in deliveries.items():
+        analytic = engine.propagate(random_network, [source])
+        forwarding = engine.forwarding_times(random_network, analytic, 0)
+        arrival, deliveries = replay_block(
+            random_network, latency_model, population.validation_delays, source
+        )
+        assert np.isfinite(arrival).all()
+        assert np.allclose(arrival, analytic.arrival_times[0], rtol=1e-9, atol=1e-6)
+        for node, delivered in deliveries.items():
+            assert set(delivered) == set(forwarding[node])
+            for sender, timestamp in delivered.items():
                 assert timestamp == pytest.approx(forwarding[node][sender], rel=1e-9)
-
-
-class TestBandwidthAndOverhead:
-    def test_inv_overhead_slows_every_hop(self):
-        latency = MatrixLatencyModel.constant(3, 10.0)
-        validation = np.zeros(3)
-        network = line_network(3)
-        baseline = EventDrivenEngine(latency, validation).propagate_block(network, 0)
-        slowed = EventDrivenEngine(
-            latency, validation, EventSimConfig(inv_overhead_ms=5.0)
-        ).propagate_block(network, 0)
-        assert slowed.arrival_times[1] == pytest.approx(
-            baseline.arrival_times[1] + 5.0
-        )
-        assert slowed.arrival_times[2] == pytest.approx(
-            baseline.arrival_times[2] + 10.0
-        )
-
-    def test_bandwidth_serialises_uploads(self):
-        # A hub node 0 connected to three leaves; with serialised uploads the
-        # later leaves wait for earlier transfers to finish.
-        latency = MatrixLatencyModel.constant(4, 10.0)
-        validation = np.zeros(4)
-        network = P2PNetwork(num_nodes=4, out_degree=3, max_incoming=5)
-        for leaf in (1, 2, 3):
-            network.connect(0, leaf)
-        config = EventSimConfig(bandwidth_mbps=8.0, block_size_kb=100.0)
-        # 100 KB over 8 Mbps = 100 ms per transfer.
-        engine = EventDrivenEngine(latency, validation, config)
-        result = engine.propagate_block(network, 0)
-        leaf_times = sorted(result.arrival_times[1:])
-        assert leaf_times[0] == pytest.approx(110.0)
-        assert leaf_times[1] == pytest.approx(210.0)
-        assert leaf_times[2] == pytest.approx(310.0)
-
-    def test_unlimited_bandwidth_is_faster_or_equal(
-        self, latency_model, population, random_network
-    ):
-        unconstrained = EventDrivenEngine(
-            latency_model, population.validation_delays
-        ).propagate_block(random_network, 0)
-        constrained = EventDrivenEngine(
-            latency_model,
-            population.validation_delays,
-            EventSimConfig(bandwidth_mbps=5.0, block_size_kb=500.0),
-        ).propagate_block(random_network, 0)
-        finite = np.isfinite(unconstrained.arrival_times)
-        assert np.all(
-            constrained.arrival_times[finite] >= unconstrained.arrival_times[finite] - 1e-9
-        )
-
-
-class TestValidationOfInputs:
-    def test_bad_source_rejected(self):
-        latency = MatrixLatencyModel.constant(3, 1.0)
-        engine = EventDrivenEngine(latency, np.zeros(3))
-        with pytest.raises(ValueError):
-            engine.propagate_block(line_network(3), 7)
-
-    def test_mismatched_sizes_rejected(self):
-        latency = MatrixLatencyModel.constant(3, 1.0)
-        with pytest.raises(ValueError):
-            EventDrivenEngine(latency, np.zeros(5))
-        engine = EventDrivenEngine(latency, np.zeros(3))
-        with pytest.raises(ValueError):
-            engine.propagate_block(line_network(4), 0)
-
-    def test_propagate_many(self):
-        latency = MatrixLatencyModel.constant(3, 1.0)
-        engine = EventDrivenEngine(latency, np.zeros(3))
-        results = engine.propagate_many(line_network(3), [0, 2])
-        assert len(results) == 2
-        assert results[0].source == 0
-        assert results[1].source == 2

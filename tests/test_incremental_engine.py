@@ -235,18 +235,6 @@ class TestEngineCounters:
         assert stats["graph_patches"] >= 1
         assert recorder.counter("engine.dijkstra_sources") == 12
 
-    def test_incremental_env_switch(self, monkeypatch):
-        n = 6
-        latency = make_latency(n, 1)
-        monkeypatch.setenv("PERIGEE_INCREMENTAL_ENGINE", "0")
-        assert not PropagationEngine(latency, np.zeros(n)).incremental
-        monkeypatch.setenv("PERIGEE_INCREMENTAL_ENGINE", "1")
-        assert PropagationEngine(latency, np.zeros(n)).incremental
-        # The explicit constructor argument wins over the environment.
-        assert not PropagationEngine(
-            latency, np.zeros(n), incremental=False
-        ).incremental
-
 
 class TestEndToEndParity:
     def test_simulator_runs_identical_engine_on_vs_off(self):
@@ -279,15 +267,27 @@ class TestEndToEndParity:
             protocols=("random", "perigee-subset"),
             repeats=1,
         )
-        payloads = {}
-        for env_value in ("1", "0"):
-            monkeypatch.setenv("PERIGEE_INCREMENTAL_ENGINE", env_value)
+        built = []
+
+        def stateless_engine(*args, **kwargs):
+            engine = PropagationEngine(*args, **{**kwargs, "incremental": False})
+            built.append(engine)
+            return engine
+
+        def sweep_payload():
             records = execute_sweep(spec, executor=SerialExecutor())
             dicts = [record.to_dict() for record in records]
             for entry in dicts:
                 entry.pop("duration_s")  # wall-clock noise
-            payloads[env_value] = dicts
-        assert payloads["1"] == payloads["0"]
+            return dicts
+
+        incremental = sweep_payload()
+        monkeypatch.setattr(
+            "repro.core.simulator.PropagationEngine", stateless_engine
+        )
+        stateless = sweep_payload()
+        assert built and not any(engine.incremental for engine in built)
+        assert incremental == stateless
 
 
 class TestEvaluatorBackends:

@@ -88,6 +88,8 @@ class TestScalingSpecs:
     def test_explicit_sizes_override_ladder(self):
         specs = scaling_specs(sizes=(40, 20, 40))
         assert [spec.config.num_nodes for spec in specs] == [20, 40]
+        with pytest.raises(ValueError, match="non-empty"):
+            scaling_specs(sizes=())
 
     def test_registered_as_experiment(self):
         assert "scaling" in EXPERIMENT_SPECS
