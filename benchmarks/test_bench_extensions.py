@@ -93,44 +93,6 @@ def test_incentives_and_eclipse(benchmark, scale):
     assert eclipse.fully_eclipsed_fraction < 0.5
 
 
-def test_bandwidth_heterogeneity(benchmark, scale):
-    from repro.analysis.bandwidth import run_bandwidth_experiment
-
-    results = benchmark.pedantic(
-        run_bandwidth_experiment,
-        kwargs=dict(
-            num_nodes=max(150, scale.num_nodes // 2),
-            slow_fraction=0.2,
-            rounds=max(10, scale.rounds // 2),
-            blocks_per_round=scale.blocks_per_round,
-            seed=scale.seed,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    print_banner(
-        "Extension — bandwidth heterogeneity (20% of nodes on a 4 Mbit/s uplink)"
-    )
-    print(f"{'protocol':>16}  {'median delay ms':>15}  {'slow-peer share of outgoing':>27}")
-    for name, outcome in results.items():
-        print(
-            f"{name:>16}  {outcome.median_delay_ms:>15.1f}  "
-            f"{outcome.slow_node_outgoing_share * 100:>26.1f}%"
-        )
-    print(
-        "  (slow nodes are 20% of the population; Perigee choosing them less "
-        "often is the bandwidth-awareness claim of the introduction)"
-    )
-    assert (
-        results["perigee-subset"].median_delay_ms
-        < results["random"].median_delay_ms
-    )
-    assert (
-        results["perigee-subset"].slow_node_outgoing_share
-        < results["random"].slow_node_outgoing_share
-    )
-
-
 def test_scaling_of_the_headline_improvement(benchmark, scale):
     from repro.analysis.experiments import compare_protocols
     from repro.config import default_config
@@ -167,40 +129,6 @@ def test_scaling_of_the_headline_improvement(benchmark, scale):
     assert by_rounds[-1] >= by_rounds[0] - 0.02
     assert by_rounds[-1] > 0.10
     assert by_size[-1] > 0.10
-
-
-def test_churn_with_limited_peer_knowledge(benchmark, scale):
-    from repro.analysis.churn import run_churn_experiment
-
-    results = benchmark.pedantic(
-        run_churn_experiment,
-        kwargs=dict(
-            num_nodes=max(120, scale.num_nodes // 2),
-            rounds=max(10, scale.rounds // 2),
-            blocks_per_round=scale.blocks_per_round,
-            churn_rate=0.05,
-            address_capacity=48,
-            seed=scale.seed,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    print_banner(
-        "Extension — 5% per-round churn with bounded address books (Section 6)"
-    )
-    print(f"{'protocol':>16}  {'delay w/ churn':>14}  {'delay w/o churn':>15}  "
-          f"{'churn penalty':>13}  {'addr coverage':>13}")
-    for name, outcome in results.items():
-        print(
-            f"{name:>16}  {outcome.median_delay_ms:>14.1f}  "
-            f"{outcome.median_delay_no_churn_ms:>15.1f}  "
-            f"{outcome.churn_penalty * 100:>+12.1f}%  "
-            f"{outcome.address_coverage * 100:>12.1f}%"
-        )
-    assert (
-        results["perigee-subset"].median_delay_ms
-        < results["random"].median_delay_ms
-    )
 
 
 def test_fork_rate_translation(benchmark, scale):

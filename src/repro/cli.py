@@ -591,9 +591,9 @@ def _add_large_n_arguments(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=(
-            "process-parallel Dijkstra workers for exact (chunked) "
-            "evaluation; results are bit-identical to the serial path "
-            "(default 1)"
+            "process-parallel Dijkstra workers for the evaluation's "
+            "source chunks; results and task hashes are identical to the "
+            "serial path (default 1)"
         ),
     )
     parser.add_argument(

@@ -23,11 +23,11 @@ class Block:
     mined_at_ms:
         Simulated wall-clock time at which the block was mined, in
         milliseconds.  The paper's analysis treats each block broadcast
-        independently, so this is mostly used for bookkeeping and for the
-        event-driven engine.
+        independently, so the propagation engine never reads it.
     size_kb:
-        Block size in kilobytes.  Only used when bandwidth constraints are
-        enabled.
+        Block size in kilobytes, stamped from the configuration.  The
+        engine models the paper's small-block setting, where link latency
+        dominates, and never reads it.
     """
 
     block_id: int
@@ -43,13 +43,3 @@ class Block:
         if self.size_kb <= 0:
             raise ValueError("size_kb must be positive")
 
-    def transmission_delay_ms(self, bandwidth_mbps: float) -> float:
-        """Time to push this block through a link of ``bandwidth_mbps``.
-
-        The result is in milliseconds.  ``bandwidth_mbps`` is interpreted as
-        megabits per second, the unit used in Bitcoin measurement studies.
-        """
-        if bandwidth_mbps <= 0:
-            raise ValueError("bandwidth_mbps must be positive")
-        size_megabits = self.size_kb * 8.0 / 1000.0
-        return size_megabits / bandwidth_mbps * 1000.0

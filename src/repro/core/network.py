@@ -370,7 +370,7 @@ class P2PNetwork:
         Unlike :meth:`disconnect_all_outgoing`, this also tears down
         connections *initiated by other nodes* towards ``node_id`` — the
         behaviour of a TCP peer disappearing.  Returns the number of
-        connections removed.  Used by the churn experiments.
+        connections removed.
         """
         self._check_node(node_id)
         removed = 0

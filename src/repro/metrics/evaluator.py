@@ -85,12 +85,11 @@ MAX_ADAPTIVE_BATCHES = 8
 _WORKER_STATE: dict[str, Any] = {}
 
 
-def _init_eval_worker(graph, validation, weights, targets, columns) -> None:
+def _init_eval_worker(graph, validation, weights, targets) -> None:
     _WORKER_STATE["graph"] = graph
     _WORKER_STATE["validation"] = validation
     _WORKER_STATE["weights"] = weights
     _WORKER_STATE["targets"] = targets
-    _WORKER_STATE["columns"] = columns
 
 
 def _eval_chunk(chunk: np.ndarray) -> np.ndarray:
@@ -100,12 +99,9 @@ def _eval_chunk(chunk: np.ndarray) -> np.ndarray:
     validation = _WORKER_STATE["validation"]
     weights = _WORKER_STATE["weights"]
     targets = _WORKER_STATE["targets"]
-    columns = _WORKER_STATE["columns"]
     arrival = np.atleast_2d(dijkstra(graph, directed=True, indices=chunk))
     arrival -= validation[chunk][:, None]
     arrival[np.arange(chunk.size), chunk] = 0.0
-    if columns is not None:
-        arrival = arrival[:, columns]
     reach = np.empty((len(targets), chunk.size), dtype=float)
     for index, target in enumerate(targets):
         reach[index] = reach_times_for_sources(arrival, weights, target)
@@ -120,7 +116,7 @@ class DelayEvaluation:
     ----------
     source_ids:
         Node ids evaluated as block sources, ascending.  In exact mode this
-        is the whole (included) population; in sampled mode the drawn
+        is the whole population; in sampled mode the drawn
         sample — with-replacement draws, so ids can repeat (each repeat is
         one i.i.d. draw; Dijkstra still ran once per distinct id).
     target_fractions:
@@ -129,7 +125,7 @@ class DelayEvaluation:
         ``(num_targets, num_sources)`` reach times; row ``t`` aligns with
         ``target_fractions[t]``, columns with ``source_ids``.
     num_nodes:
-        Size of the evaluated population (after any ``include`` restriction).
+        Size of the evaluated population.
     sampled:
         Whether sources were subsampled.
     standard_error_ms:
@@ -312,7 +308,6 @@ class DelayEvaluator:
         distinct: np.ndarray,
         weights: np.ndarray,
         targets: tuple[float, ...],
-        columns: np.ndarray | None,
     ) -> np.ndarray:
         """Per-target reach times for distinct sources, chunked.
 
@@ -329,7 +324,7 @@ class DelayEvaluator:
             with ProcessPoolExecutor(
                 max_workers=min(self.workers, len(chunks)),
                 initializer=_init_eval_worker,
-                initargs=(graph, validation, weights, targets, columns),
+                initargs=(graph, validation, weights, targets),
             ) as pool:
                 start = 0
                 for block in pool.map(_eval_chunk, chunks):
@@ -339,8 +334,6 @@ class DelayEvaluator:
         start = 0
         for chunk in chunks:
             arrival = engine.arrival_times_from(network, chunk, graph=graph)
-            if columns is not None:
-                arrival = arrival[:, columns]
             for index, target in enumerate(targets):
                 reach[index, start : start + chunk.size] = (
                     reach_times_for_sources(arrival, weights, target)
@@ -354,7 +347,6 @@ class DelayEvaluator:
         network: "P2PNetwork",
         hash_power: np.ndarray,
         target_fractions: Sequence[float] = (0.9,),
-        include: np.ndarray | None = None,
     ) -> DelayEvaluation:
         """Evaluate the delay metric over the current overlay.
 
@@ -363,35 +355,18 @@ class DelayEvaluator:
         engine / network:
             The propagation engine and the overlay to evaluate.
         hash_power:
-            Per-node hash power shares over the *full* population.
+            Per-node hash power shares.
         target_fractions:
             Hash-power targets, each evaluated on the same Dijkstra passes.
-        include:
-            Optional node ids restricting both sources and receivers (e.g.
-            the online nodes under churn).  Hash power is renormalised over
-            the included nodes.
         """
         if not target_fractions:
             raise ValueError("target_fractions must be non-empty")
         hash_power = np.asarray(hash_power, dtype=float)
         if hash_power.shape[0] != engine.num_nodes:
             raise ValueError("hash_power length must match the engine size")
-        if include is None:
-            candidates = np.arange(engine.num_nodes, dtype=np.int64)
-            weights = hash_power
-            columns = None
-        else:
-            candidates = np.unique(np.asarray(include, dtype=np.int64))
-            if candidates.size == 0:
-                raise ValueError("include must name at least one node")
-            weights = hash_power[candidates]
-            total = weights.sum()
-            if total <= 0:
-                raise ValueError("included nodes must hold hash power")
-            weights = weights / total
-            columns = candidates
-
-        draw_weights = weights / weights.sum() if include is None else weights
+        candidates = np.arange(engine.num_nodes, dtype=np.int64)
+        weights = hash_power
+        draw_weights = weights / weights.sum()
         sources, sampled, draw_rng = self._select_sources(
             candidates, draw_weights
         )
@@ -413,7 +388,7 @@ class DelayEvaluator:
                 )
                 total_distinct += int(distinct.size)
                 block = self._distinct_reach(
-                    engine, network, graph, distinct, weights, targets, columns
+                    engine, network, graph, distinct, weights, targets
                 )
                 return block[:, inverse]
 
@@ -478,15 +453,10 @@ class DelayEvaluator:
         network: "P2PNetwork",
         hash_power: np.ndarray,
         target_fraction: float = 0.9,
-        include: np.ndarray | None = None,
     ) -> np.ndarray:
         """Convenience: per-source reach times for a single target."""
         evaluation = self.evaluate(
-            engine,
-            network,
-            hash_power,
-            target_fractions=(target_fraction,),
-            include=include,
+            engine, network, hash_power, target_fractions=(target_fraction,)
         )
         return evaluation.reach(target_fraction)
 

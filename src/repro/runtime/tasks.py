@@ -37,6 +37,7 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from repro.config import SimulationConfig
+from repro.metrics.evaluator import DelayEvaluator
 
 #: Schema version stamped into every persisted task record.
 SCHEMA_VERSION = 1
@@ -91,7 +92,9 @@ class Task:
         :class:`repro.metrics.evaluator.DelayEvaluator.from_params`).  The
         default (``"{}"``) means the default evaluation policy; only
         non-default parameters enter the content hash, so pre-existing task
-        hashes — and therefore stored results — remain valid.
+        hashes — and therefore stored results — remain valid.  ``workers``
+        is execution policy (the pool's rows are bit-identical to the
+        serial loop), so like ``flight`` it is **excluded** from the hash.
     flight:
         Whether the executing worker should attach a flight recorder
         (:mod:`repro.telemetry.flight`) and persist a per-round trace under
@@ -145,6 +148,7 @@ class Task:
             "collect_histogram": self.collect_histogram,
         }
         evaluation = json.loads(self.evaluation_json)
+        evaluation.pop("workers", None)
         if evaluation:
             payload_dict["evaluation"] = evaluation
         payload = canonical_json(payload_dict)
@@ -286,7 +290,9 @@ class SweepSpec:
     evaluation:
         Delay-evaluation parameters forwarded to every task (see
         :class:`repro.metrics.evaluator.DelayEvaluator.from_params`); empty
-        means the default policy and leaves task hashes untouched.
+        means the default policy and leaves task hashes untouched.  Stored
+        normalised (explicit defaults dropped); unknown or invalid
+        parameters raise ``ValueError`` here.
     flight:
         Ask executing workers to flight-record every task of the sweep
         (hash-neutral; see :attr:`Task.flight`).
@@ -317,6 +323,11 @@ class SweepSpec:
             raise ValueError("rounds must be positive when given")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
+        object.__setattr__(
+            self,
+            "evaluation",
+            DelayEvaluator.from_params(self.evaluation).to_params(),
+        )
 
     @property
     def effective_rounds(self) -> int:

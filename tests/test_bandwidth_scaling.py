@@ -1,70 +1,10 @@
-"""Tests for the bandwidth-heterogeneity and scaling studies."""
+"""Tests for the scaling studies: by round count and by network size."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.bandwidth import (
-    BandwidthExperimentResult,
-    run_bandwidth_experiment,
-)
 from repro.analysis.experiments import compare_protocols, run_experiment
 from repro.config import default_config
-
-
-class TestBandwidthExperiment:
-    @pytest.fixture(scope="class")
-    def results(self):
-        return run_bandwidth_experiment(
-            num_nodes=100,
-            slow_fraction=0.2,
-            rounds=8,
-            blocks_per_round=30,
-            seed=0,
-        )
-
-    def test_both_protocols_reported(self, results):
-        assert set(results) == {"random", "perigee-subset"}
-        for outcome in results.values():
-            assert np.isfinite(outcome.median_delay_ms)
-            assert outcome.slow_node_fraction == pytest.approx(0.2)
-
-    def test_perigee_beats_random_under_bandwidth_heterogeneity(self, results):
-        assert (
-            results["perigee-subset"].median_delay_ms
-            < results["random"].median_delay_ms
-        )
-
-    def test_perigee_avoids_slow_uplink_peers(self, results):
-        # Random connects to slow nodes at roughly their population rate;
-        # Perigee under-selects them.
-        assert results["random"].avoidance == pytest.approx(1.0, abs=0.35)
-        assert (
-            results["perigee-subset"].slow_node_outgoing_share
-            < results["random"].slow_node_outgoing_share
-        )
-        assert results["perigee-subset"].avoidance < 0.85
-
-    def test_result_avoidance_handles_zero_fraction(self):
-        outcome = BandwidthExperimentResult(
-            protocol="x",
-            median_delay_ms=1.0,
-            slow_node_outgoing_share=0.0,
-            slow_node_fraction=0.0,
-        )
-        assert np.isnan(outcome.avoidance)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"slow_fraction": 0.0},
-            {"slow_fraction": 1.0},
-            {"slow_mbps": 0.0},
-            {"slow_mbps": 50.0, "fast_mbps": 10.0},
-        ],
-    )
-    def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            run_bandwidth_experiment(num_nodes=40, rounds=1, **kwargs)
 
 
 class TestScalingStudies:

@@ -1,9 +1,5 @@
-"""Tests for the churn experiment and the network purge primitive."""
+"""Tests for ``P2PNetwork.purge_node``, the node-departure primitive."""
 
-import numpy as np
-import pytest
-
-from repro.analysis.churn import run_churn_experiment
 from repro.core.network import P2PNetwork
 
 
@@ -30,52 +26,3 @@ class TestPurgeNode:
         network.purge_node(1)
         assert network.connect(0, 2)
 
-
-class TestChurnExperiment:
-    @pytest.fixture(scope="class")
-    def results(self):
-        return run_churn_experiment(
-            num_nodes=100,
-            rounds=8,
-            blocks_per_round=25,
-            churn_rate=0.05,
-            address_capacity=40,
-            seed=0,
-        )
-
-    def test_both_arms_present(self, results):
-        assert set(results) == {"random", "perigee-subset"}
-        for outcome in results.values():
-            assert np.isfinite(outcome.median_delay_ms)
-            assert np.isfinite(outcome.median_delay_no_churn_ms)
-            assert 0.0 < outcome.address_coverage <= 1.0
-
-    def test_perigee_retains_advantage_under_churn(self, results):
-        assert (
-            results["perigee-subset"].median_delay_ms
-            < results["random"].median_delay_ms
-        )
-
-    def test_churn_penalty_is_bounded(self, results):
-        # Churn should not blow the delay up catastrophically for Perigee:
-        # departed neighbors stop delivering blocks and are replaced.
-        assert results["perigee-subset"].churn_penalty < 0.6
-
-    def test_invalid_churn_rate_rejected(self):
-        with pytest.raises(ValueError):
-            run_churn_experiment(churn_rate=0.75)
-        with pytest.raises(ValueError):
-            run_churn_experiment(churn_rate=-0.1)
-
-    def test_zero_churn_matches_reference(self):
-        results = run_churn_experiment(
-            num_nodes=80,
-            rounds=5,
-            blocks_per_round=20,
-            churn_rate=0.0,
-            seed=3,
-        )
-        for outcome in results.values():
-            assert outcome.median_delay_ms == pytest.approx(
-                outcome.median_delay_no_churn_ms
-            )

@@ -63,25 +63,6 @@ class TestExactMode:
         with pytest.raises(KeyError):
             evaluation.reach(0.75)
 
-    def test_include_restricts_sources_and_receivers(self):
-        engine, network, population = build_environment()
-        include = np.arange(0, 50, 2)
-        arrival = engine.all_sources_arrival_times(network)
-        weights = population.hash_power[include]
-        weights = weights / weights.sum()
-        expected = hash_power_reach_times(
-            arrival[np.ix_(include, include)], weights, 0.9
-        )
-        evaluation = DelayEvaluator(mode="exact", chunk_size=9).evaluate(
-            engine,
-            network,
-            population.hash_power,
-            target_fractions=(0.9,),
-            include=include,
-        )
-        assert np.array_equal(evaluation.source_ids, include)
-        assert np.array_equal(evaluation.reach(0.9), expected)
-
     def test_auto_below_threshold_is_exact(self):
         engine, network, population = build_environment()
         evaluation = DelayEvaluator(mode="auto", exact_threshold=50).evaluate(
@@ -221,6 +202,46 @@ class TestRuntimeIntegration:
         assert (
             sampled_spec.expand()[0].content_hash() != task.content_hash()
         )
+
+    def test_explicit_defaults_and_workers_are_hash_neutral(self):
+        def task(evaluation):
+            return SweepSpec(
+                name="t",
+                config=default_config(num_nodes=40, rounds=2),
+                protocols=("random",),
+                evaluation=evaluation,
+            ).expand()[0]
+
+        baseline = task({}).content_hash()
+        for evaluation in (
+            {"workers": 1},
+            {"mode": "auto"},
+            {"workers": 2},
+            {"mode": "auto", "seed": 0, "target_se_ms": None},
+        ):
+            assert task(evaluation).content_hash() == baseline, evaluation
+        # The pool size still reaches the executing worker.
+        assert task({"workers": 2}).evaluation_params == {"workers": 2}
+        assert task({"workers": 1}).evaluation_json == "{}"
+        sampled = {"mode": "sampled", "sample_size": 8}
+        assert (
+            task({**sampled, "workers": 2}).content_hash()
+            == task(sampled).content_hash()
+            != baseline
+        )
+
+    @pytest.mark.parametrize(
+        "evaluation",
+        [{"bogus": 1}, {"mode": "fastest"}, {"workers": 0}, {"sample_size": 0}],
+    )
+    def test_invalid_evaluation_rejected_at_construction(self, evaluation):
+        with pytest.raises(ValueError):
+            SweepSpec(
+                name="t",
+                config=default_config(num_nodes=40, rounds=2),
+                protocols=("random",),
+                evaluation=evaluation,
+            )
 
     def test_run_task_with_sampled_evaluation(self):
         spec = SweepSpec(

@@ -313,17 +313,32 @@ class TestEvaluatorBackends:
         assert np.array_equal(a.reach_times_ms, b.reach_times_ms)
         assert np.array_equal(a.source_ids, b.source_ids)
 
-    def test_parallel_workers_respect_include(self):
-        include = np.arange(0, self.n, 2)
-        serial = DelayEvaluator(mode="exact", chunk_size=40)
-        parallel = DelayEvaluator(mode="exact", chunk_size=40, workers=2)
-        a = serial.evaluate(
-            self.engine, self.net, self.hash_power, include=include
+    @pytest.mark.parametrize(
+        ("sample_size", "target_se_ms", "draws"),
+        [(96, None, 96), (48, 1e-6, 384)],
+    )
+    def test_parallel_sampled_matches_serial(
+        self, sample_size, target_se_ms, draws
+    ):
+        # Skewed hash power makes the with-replacement draw repeat sources,
+        # so the pool path must expand its distinct rows over the multiset.
+        hash_power = np.random.default_rng(3).dirichlet(np.ones(self.n))
+        params = dict(
+            mode="sampled",
+            sample_size=sample_size,
+            chunk_size=16,
+            seed=4,
+            target_se_ms=target_se_ms,
         )
-        b = parallel.evaluate(
-            self.engine, self.net, self.hash_power, include=include
+        a = DelayEvaluator(**params).evaluate(self.engine, self.net, hash_power)
+        b = DelayEvaluator(**params, workers=2).evaluate(
+            self.engine, self.net, hash_power
         )
+        assert a.sampled and a.num_sources == draws
+        assert 16 < np.unique(a.source_ids).size < draws
+        assert np.array_equal(a.source_ids, b.source_ids)
         assert np.array_equal(a.reach_times_ms, b.reach_times_ms)
+        assert a.standard_error_ms == b.standard_error_ms
 
     def test_adaptive_first_batch_matches_fixed_draw(self):
         fixed = DelayEvaluator(mode="sampled", sample_size=32, seed=13)

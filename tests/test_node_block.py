@@ -90,13 +90,3 @@ class TestBlock:
     def test_invalid_construction_rejected(self, kwargs):
         with pytest.raises(ValueError):
             Block(**kwargs)
-
-    def test_transmission_delay(self):
-        # 1000 KB = 8 megabits; at 8 Mbps that is one second.
-        block = Block(block_id=0, miner=0, size_kb=1000.0)
-        assert block.transmission_delay_ms(8.0) == pytest.approx(1000.0)
-
-    def test_transmission_delay_rejects_bad_bandwidth(self):
-        block = Block(block_id=0, miner=0)
-        with pytest.raises(ValueError):
-            block.transmission_delay_ms(0.0)

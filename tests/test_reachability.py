@@ -22,9 +22,6 @@ ROOTS = ("cli", "")
 #: deleted, and then removed from this list.
 UNREACHED_ALLOWLIST = frozenset(
     {
-        "analysis.bandwidth",
-        "analysis.churn",
-        "core.addrman",
         "security",
         "security.eclipse",
         "security.freeride",
