@@ -1,23 +1,18 @@
-"""Extension benchmarks: incremental deployment, incentives, eclipse, fork rate.
+"""Extension benchmarks: incremental deployment, incentives, eclipse.
 
 These go beyond the paper's figures and quantify its qualitative claims
-(Sections 1.2 and 6) plus the delay-to-throughput link of Section 1.1.2:
+(Sections 1.2 and 6):
 
 * adopters benefit at every partial-deployment level,
 * free-riders are penalised under Perigee but not under random,
 * early-delivery adversaries get amplified but exploration prevents full
-  eclipses,
-* the measured delay reductions translate into fork-rate reductions.
+  eclipses.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from benchmarks.conftest import print_banner
-from repro.analysis.experiments import run_experiment
 from repro.analysis.incremental import run_incremental_deployment
-from repro.metrics.forks import estimate_fork_rate, fork_rate_improvement
 from repro.security.eclipse import run_eclipse_attack
 from repro.security.freeride import run_free_riding_experiment
 
@@ -130,39 +125,3 @@ def test_scaling_of_the_headline_improvement(benchmark, scale):
     assert by_rounds[-1] > 0.10
     assert by_size[-1] > 0.10
 
-
-def test_fork_rate_translation(benchmark, scale):
-    result = benchmark.pedantic(
-        run_experiment,
-        args=("figure3a",),
-        kwargs=dict(
-            num_nodes=max(150, scale.num_nodes // 2),
-            rounds=max(10, scale.rounds // 2),
-            repeats=1,
-            seed=scale.seed,
-            blocks_per_round=scale.blocks_per_round,
-            protocols=("random", "perigee-subset"),
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    print_banner("Extension — fork-rate translation of the delay improvement (§1.1.2)")
-    # Express the measured propagation delays as fork probabilities for chains
-    # with different block intervals: a slow 10-second chain and a fast
-    # 2-second chain (where propagation delay starts to matter a lot).
-    for interval_ms, label in ((10_000.0, "10 s blocks"), (2_000.0, "2 s blocks")):
-        random_reach = result.curves["random"].sorted_delays_ms
-        perigee_reach = result.curves["perigee-subset"].sorted_delays_ms
-        random_forks = estimate_fork_rate(random_reach, block_interval_ms=interval_ms)
-        perigee_forks = estimate_fork_rate(perigee_reach, block_interval_ms=interval_ms)
-        reduction = fork_rate_improvement(
-            perigee_reach, random_reach, block_interval_ms=interval_ms
-        )
-        print(
-            f"  {label:>12}: fork probability random "
-            f"{random_forks.mean_fork_probability:.4f} -> perigee "
-            f"{perigee_forks.mean_fork_probability:.4f} "
-            f"(reduction {reduction * 100:.1f}%)"
-        )
-        assert reduction > 0.05
-    assert np.isfinite(result.improvement("perigee-subset"))

@@ -74,6 +74,13 @@ class MixedDeploymentProtocol(PerigeeBase):
     def reset(self) -> None:
         self._inner.reset()
 
+    def state_dict(self) -> dict[str, object]:
+        """The wrapped variant's state (UCB histories), so resume is exact."""
+        return self._inner.state_dict()
+
+    def load_state_dict(self, state: dict[str, object]) -> None:
+        self._inner.load_state_dict(state)
+
     def exploration_budget(self, context: ProtocolContext) -> int:
         """The wrapped variant decides the exploration budget (UCB uses 0)."""
         return self._inner.exploration_budget(context)

@@ -14,12 +14,6 @@
 """
 
 from repro.metrics.convergence import ConvergenceReport, convergence_report
-from repro.metrics.forks import (
-    ForkRateEstimate,
-    estimate_fork_rate,
-    fork_probability,
-    fork_rate_improvement,
-)
 from repro.metrics.delay import (
     DelayCurve,
     delay_curve,
@@ -48,11 +42,7 @@ __all__ = [
     "DelayEvaluation",
     "DelayEvaluator",
     "EdgeLatencyHistogram",
-    "ForkRateEstimate",
     "convergence_report",
-    "estimate_fork_rate",
-    "fork_probability",
-    "fork_rate_improvement",
     "delay_curve",
     "edge_latency_histogram",
     "edge_latency_values",

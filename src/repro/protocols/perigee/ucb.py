@@ -10,6 +10,10 @@ other neighbors, i.e. only when the node is confident the neighbor really is
 the worst.  The evicted slot is refilled with a random peer.  Rounds are
 short (a single block per round in the paper's experiments), so decisions are
 frequent but conservative.
+
+The bounds are :func:`repro.protocols.scoring.confidence_bounds`; the
+eviction rule is applied to them in
+:meth:`PerigeeUCBProtocol.select_retained_batch`, its only implementation.
 """
 
 from __future__ import annotations
@@ -19,17 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.observations import NEVER
 from repro.protocols.perigee.base import PerigeeBase
-from repro.protocols.scoring import (
-    DEFAULT_UCB_CONSTANT,
-    _half_width,
-    _linear_percentile_rows,
-)
-
-#: Most samples stacked into one percentile pass by the batch scorer
-#: (8 MB of float64), so long histories never stack a whole chunk at once.
-STACK_SAMPLES = 1 << 20
+from repro.protocols.scoring import DEFAULT_UCB_CONSTANT, confidence_bounds
 
 
 class PerigeeUCBProtocol(PerigeeBase):
@@ -155,10 +150,14 @@ class PerigeeUCBProtocol(PerigeeBase):
                 if samples.size or bucket is None:
                     history[neighbor] = bucket = samples
                 histories.append(bucket)
-        estimate, lower, upper = self._intervals(histories)
-        # ucb_eviction_candidate for every node at once, over its contiguous
-        # rows: evict the first neighbor with the largest lower bound when
-        # that bound exceeds the node's smallest upper bound.
+        estimate, lower, upper = confidence_bounds(
+            histories, self.percentile, self._exploration_constant
+        )
+        # The eviction rule, for every node at once over its contiguous
+        # rows: a node with at least two neighbors evicts the neighbor with
+        # the largest lower bound (lowest id on a tie) when that bound
+        # exceeds the smallest upper bound among its neighbors, i.e. when
+        # it is confident that neighbor is the worst.
         counts = np.array([len(peers) for peers in peer_lists], dtype=np.int64)
         starts = np.cumsum(counts) - counts
         nonempty = counts > 0
@@ -188,34 +187,6 @@ class PerigeeUCBProtocol(PerigeeBase):
                 )[:retain_budget]
             retained.append({peers[index] for index in keep})
         return retained
-
-    def _intervals(
-        self, histories: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Equation-3/4 ``(estimate, lower, upper)`` arrays, one per history.
-
-        Bit-identical to :func:`confidence_intervals_stacked` on the same
-        (all-finite) histories: equally long histories share one stacked
-        percentile pass, in slabs of at most :data:`STACK_SAMPLES` samples.
-        """
-        lengths = np.array([len(samples) for samples in histories], dtype=np.int64)
-        estimate = np.full(lengths.size, NEVER, dtype=float)
-        lower = estimate.copy()
-        upper = estimate.copy()
-        for length in np.unique(lengths[lengths > 0]).tolist():
-            indices = np.flatnonzero(lengths == length)
-            half_width = _half_width(length, self._exploration_constant)
-            slab = max(1, STACK_SAMPLES // length)
-            for offset in range(0, indices.size, slab):
-                part = indices[offset : offset + slab]
-                values = _linear_percentile_rows(
-                    np.stack([histories[index] for index in part]),
-                    self.percentile,
-                )
-                estimate[part] = values
-                lower[part] = values - half_width
-                upper[part] = values + half_width
-        return estimate, lower, upper
 
     def select_retained_block(
         self,

@@ -1,16 +1,18 @@
-"""Batched scoring phase: parity with the per-node scorers, and pinned records.
+"""Batched scoring phase: parity with per-node references, and pinned records.
 
 ``PerigeeBase.update`` scores every updating node in one chunked pass before
 the rewire loop (phase a), then rewires in ``rng.permutation`` order
 (phase b).  This suite pins that split from four sides:
 
-* each variant's ``select_retained_batch`` equals the per-node references
-  (``percentile_scores`` + lexsort, ``greedy_subset_selection_block``, and
-  a list-history UCB fold + ``confidence_intervals_stacked`` +
-  ``ucb_eviction_candidate``) on random blocks with ``inf`` rows, ties,
-  partially observed nodes, tiny budgets and zero-block rounds;
+* each variant's ``select_retained_batch`` equals a per-node reference
+  written in the tests (``percentile_scores`` + lexsort; the plain-dict
+  ``legacy_greedy_subset``; a list-history UCB fold with the direct
+  ``np.percentile`` ``legacy_confidence_interval`` and a scalar eviction
+  loop) on random blocks with ``inf`` rows, ties, partially observed nodes,
+  tiny budgets and zero-block rounds;
 * ``RoundObservations.normalized_blocks`` equals ``normalized_rows`` per
-  node, and the chunk size never changes a result;
+  node, and neither the chunk size nor UCB's percentile slab size
+  (``STACK_SAMPLES``) changes a result;
 * whole runs of every variant and wrapper reproduce digests recorded with
   the one-node-at-a-time update (edges after every round, flight-recorder
   rows and the final checkpoint), and a UCB checkpoint written when the
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -42,16 +45,15 @@ from repro.protocols.perigee import base as perigee_base
 from repro.protocols.perigee.subset import PerigeeSubsetProtocol
 from repro.protocols.perigee.ucb import PerigeeUCBProtocol
 from repro.protocols.perigee.vanilla import PerigeeVanillaProtocol
-from repro.protocols.scoring import (
-    confidence_intervals_stacked,
-    greedy_subset_selection_batch,
-    greedy_subset_selection_block,
-    ucb_eviction_candidate,
-)
+from repro.protocols.scoring import greedy_subset_selection_batch
 from repro.security.eclipse import _HeadStartPerigee
 from repro.security.freeride import _FreeRidingAwarePerigee
 from repro.telemetry.flight import FlightRecorder, use_flight_recorder
 from repro.telemetry.recorder import MetricsRecorder, use_recorder
+from tests.test_observation_parity import (
+    legacy_confidence_interval,
+    legacy_greedy_subset,
+)
 
 common_settings = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -93,6 +95,37 @@ def reference_vanilla(neighbors, times, budget, percentile):
     return {int(peer) for peer in neighbors[ranked[:budget]]}
 
 
+def by_block(ids, block):
+    """One node's ``(neighbors, times)`` block as ``{block: {neighbor: t}}``."""
+    return {
+        column: dict(zip(ids.tolist(), block[:, column].tolist()))
+        for column in range(block.shape[1])
+    }
+
+
+def scalar_eviction(intervals):
+    """UCB's eviction rule over ``{neighbor: (estimate, lower, upper, m)}``.
+
+    Evict ``argmax lcb`` (lowest id on a tie) when ``max lcb > min ucb``:
+    some neighbor's optimistic bound is worse than another's pessimistic
+    bound.  Returns ``None`` to keep everyone.
+    """
+    if len(intervals) < 2:
+        return None
+    worst_neighbor = None
+    worst_lower = -math.inf
+    best_upper = math.inf
+    for neighbor in sorted(intervals):
+        _, lower, upper, _ = intervals[neighbor]
+        if lower > worst_lower:
+            worst_lower = lower
+            worst_neighbor = neighbor
+        best_upper = min(best_upper, upper)
+    if worst_neighbor is not None and worst_lower > best_upper:
+        return worst_neighbor
+    return None
+
+
 class ListHistoryUCB:
     """The one-node UCB scorer with list histories, as it was written first."""
 
@@ -116,20 +149,18 @@ class ListHistoryUCB:
                     del bucket[: len(bucket) - self.limit]
             else:
                 history.setdefault(neighbor_id, [])
-        interval_list = confidence_intervals_stacked(
-            [history.get(int(neighbor), []) for neighbor in neighbors],
-            percentile=self.percentile,
-            exploration_constant=self.constant,
-        )
-        intervals = dict(zip((int(n) for n in neighbors), interval_list))
-        evict = ucb_eviction_candidate(intervals)
+        intervals = {
+            int(neighbor): legacy_confidence_interval(
+                history.get(int(neighbor), []), self.percentile, self.constant
+            )
+            for neighbor in neighbors
+        }
+        evict = scalar_eviction(intervals)
         retained = {int(neighbor) for neighbor in neighbors}
         if evict is not None:
             retained.discard(evict)
         if len(retained) > budget:
-            ranked = sorted(
-                retained, key=lambda peer: (intervals[peer].estimate, peer)
-            )
+            ranked = sorted(retained, key=lambda peer: (intervals[peer][0], peer))
             retained = set(ranked[:budget])
         return retained
 
@@ -167,7 +198,7 @@ class TestBatchParity:
         budget = max(budget, 0)
         picks = greedy_subset_selection_batch(neighbors, times, budget, percentile)
         assert picks == [
-            greedy_subset_selection_block(ids, block, budget, percentile)
+            legacy_greedy_subset(by_block(ids, block), ids, budget, percentile)
             for ids, block in zip(neighbors, times)
         ]
         protocol = PerigeeSubsetProtocol(percentile=percentile)
@@ -187,7 +218,7 @@ class TestBatchParity:
         picks = greedy_subset_selection_batch(neighbors, times, 3, 90.0)
         assert picks[0] == [12, 8, 3]
         assert picks == [
-            greedy_subset_selection_block(ids, t, 3, 90.0)
+            legacy_greedy_subset(by_block(ids, t), ids, 3, 90.0)
             for ids, t in zip(neighbors, times)
         ]
 
@@ -299,11 +330,13 @@ GOLDEN_PROTOCOLS = {
 #: sha256 of (edges after every round, flight rounds.jsonl, final
 #: state_dict) for 60 nodes, 5 rounds of 12 blocks, seed 4.  Edges and state
 #: were recorded before scoring moved into one batched pass per round.
+#: ``mixed-ucb``'s state was re-recorded once its snapshot started carrying
+#: the inner UCB histories; its edges and flight rows did not move.
 GOLDEN_DIGESTS = {
     "perigee-vanilla": "1d87aa974538752dbfedebcd99e63e0b01ba569bc2a0d14966a105982d897d36",
     "perigee-subset": "de6762d36105ef50e3ed45fe585dd5e50bdc60d5e1a4f5b16b8345ec4c8ff169",
     "perigee-ucb": "c83987f160953b66e977a18f674dc222ec9a834f11e795c1293925263330aa02",
-    "mixed-ucb": "9ee499472064e0a3ae17599fd2d6b8eeb4ea3db37f0b8cbf8248f0f8068a7126",
+    "mixed-ucb": "9562aec8708301f436921eca15da2f5b8bd7b55606cdd830dce1af83bb4129c2",
     "freeride": "801a35be47aff914a3d87760850b4c61f6ddf68997349d90bf2633beebd1d042",
     "eclipse": "7e0082e7e04edd8c29111c6a8add640c5c9f6abbe762c1636c5bec8687e0da58",
 }
@@ -337,6 +370,15 @@ def test_update_records_match_per_node_update(name):
 def test_chunk_size_never_changes_records(monkeypatch, name, chunk):
     monkeypatch.setattr(perigee_base, "SCORE_CHUNK_NODES", chunk)
     assert update_digest(name) == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("slab", [1, 100])
+def test_ucb_slab_size_never_changes_records(monkeypatch, slab):
+    # Histories grow by up to 12 samples a round to the 40-sample limit, so
+    # a 100-sample slab holds 8 down to 2 histories and length groups split
+    # with remainders; a 1-sample slab scores every history alone.
+    monkeypatch.setattr("repro.protocols.scoring.STACK_SAMPLES", slab)
+    assert update_digest("perigee-ucb") == GOLDEN_DIGESTS["perigee-ucb"]
 
 
 def test_rng_scorers_keep_the_per_node_path():

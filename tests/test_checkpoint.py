@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.incremental import MixedDeploymentProtocol
 from repro.config import default_config
 from repro.core.network import P2PNetwork
 from repro.core.simulator import (
@@ -30,6 +31,7 @@ from repro.core.simulator import (
     rng_state_to_json,
 )
 from repro.metrics.evaluator import DelayEvaluator
+from repro.protocols.perigee.ucb import PerigeeUCBProtocol
 from repro.protocols.registry import make_protocol
 from repro.runtime import (
     ResultStore,
@@ -243,6 +245,32 @@ class TestProtocolStateDict:
             for node, buckets in target._history.items()
             if buckets
         }
+
+    def test_mixed_deployment_resumes_inner_ucb_history(self):
+        config = default_config(num_nodes=40, rounds=6, blocks_per_round=10)
+
+        def mixed() -> Simulator:
+            protocol = MixedDeploymentProtocol(
+                set(range(0, 40, 2)), inner=PerigeeUCBProtocol()
+            )
+            return Simulator(
+                config, protocol, rng=np.random.default_rng(config.seed)
+            )
+
+        baseline = mixed()
+        for round_index in range(6):
+            baseline.run_round(round_index)
+        interrupted = mixed()
+        for round_index in range(3):
+            interrupted.run_round(round_index)
+        state = json_round_trip(interrupted.state_dict())
+        assert state["protocol_state"]["history"]
+        resumed = mixed()
+        resumed.load_state_dict(state)
+        for round_index in range(3, 6):
+            resumed.run_round(round_index)
+        assert resumed.network.edge_list() == baseline.network.edge_list()
+        assert resumed.state_dict() == baseline.state_dict()
 
 
 class TestRunTaskResume:

@@ -36,9 +36,8 @@ from repro.protocols.perigee.vanilla import PerigeeVanillaProtocol
 from repro.protocols.registry import make_protocol
 from repro.protocols.scoring import (
     _linear_percentile_rows,
-    confidence_interval,
-    confidence_intervals_stacked,
-    greedy_subset_selection_block,
+    confidence_bounds,
+    greedy_subset_selection_batch,
 )
 from repro.security.eclipse import _HeadStartPerigee
 from repro.security.freeride import _FreeRidingAwarePerigee
@@ -284,15 +283,15 @@ def test_greedy_subset_matches_legacy_selection(
     block_ids = list(range(num_blocks))
     reference = legacy_collect(engine, network, result, block_ids)
     observations = engine.round_observations(network, result, block_ids=block_ids)
+    expected, neighbors, times = [], [], []
     for node_id in range(num_nodes):
         normalized = legacy_normalized(reference[node_id])
         outgoing = sorted(network.outgoing_neighbors(node_id))
-        expected = legacy_greedy_subset(normalized, outgoing, budget)
-        neighbors = np.array(outgoing, dtype=np.int64)
-        actual = greedy_subset_selection_block(
-            neighbors, observations.normalized_rows(node_id, neighbors), budget
-        )
-        assert actual == expected
+        expected.append(legacy_greedy_subset(normalized, outgoing, budget))
+        ids = np.array(outgoing, dtype=np.int64)
+        neighbors.append(ids)
+        times.append(observations.normalized_rows(node_id, ids))
+    assert greedy_subset_selection_batch(neighbors, times, budget) == expected
 
 
 @common_settings
@@ -316,21 +315,15 @@ def test_greedy_subset_matches_legacy_selection(
     percentile=st.floats(min_value=1.0, max_value=100.0),
 )
 def test_stacked_intervals_match_per_neighbor_reference(histories, percentile):
-    stacked = confidence_intervals_stacked(histories, percentile=percentile)
-    for samples, interval in zip(histories, stacked):
-        single = confidence_interval(samples, percentile=percentile)
-        assert (interval.estimate, interval.lower, interval.upper) == (
-            single.estimate,
-            single.lower,
-            single.upper,
-        )
+    # UCB stores finite samples only, so the bounds see filtered histories.
+    finite = [
+        np.array([t for t in samples if math.isfinite(t)], dtype=float)
+        for samples in histories
+    ]
+    estimate, lower, upper = confidence_bounds(finite, percentile=percentile)
+    for index, samples in enumerate(histories):
         expected = legacy_confidence_interval(samples, percentile=percentile)
-        assert (
-            interval.estimate,
-            interval.lower,
-            interval.upper,
-            interval.samples,
-        ) == expected
+        assert (estimate[index], lower[index], upper[index]) == expected[:3]
 
 
 @common_settings

@@ -17,10 +17,7 @@ from repro.core.observations import (
 from repro.core.propagation import PropagationEngine
 from repro.latency.base import MatrixLatencyModel
 from repro.metrics.delay import hash_power_reach_times, reach_time_for_source
-from repro.protocols.scoring import (
-    confidence_interval,
-    greedy_subset_selection_block,
-)
+from repro.protocols.scoring import confidence_bounds, greedy_subset_selection_batch
 
 common_settings = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -242,7 +239,7 @@ def test_greedy_subset_selection_properties(num_neighbors, num_blocks, budget, s
     rng = np.random.default_rng(seed)
     neighbors = np.arange(1, num_neighbors + 1)
     times = rng.uniform(0, 100, size=(num_neighbors, num_blocks))
-    selected = greedy_subset_selection_block(neighbors, times, budget)
+    selected = greedy_subset_selection_batch([neighbors], [times], budget)[0]
     assert len(selected) == min(budget, num_neighbors)
     assert len(set(selected)) == len(selected)
     assert set(selected) <= set(neighbors.tolist())
@@ -267,13 +264,13 @@ def test_greedy_subset_selection_properties(num_neighbors, num_blocks, budget, s
     )
 )
 def test_confidence_interval_brackets_estimate(samples):
-    interval = confidence_interval(samples)
+    estimate, lower, upper = confidence_bounds([np.asarray(samples, dtype=float)])
     if samples:
-        assert interval.lower <= interval.estimate + 1e-9
-        assert interval.estimate <= interval.upper + 1e-9
-        assert interval.samples == len(samples)
+        assert lower[0] <= estimate[0] + 1e-9
+        assert estimate[0] <= upper[0] + 1e-9
+        assert min(samples) <= estimate[0] <= max(samples)
     else:
-        assert math.isinf(interval.estimate)
+        assert math.isinf(estimate[0])
 
 
 # --------------------------------------------------------------------------- #

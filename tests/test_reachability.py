@@ -5,6 +5,14 @@ and inside functions alike; the package uses no relative imports) with
 :mod:`ast`, starting at ``repro.cli`` and ``repro/__init__.py``.  A module
 no entry point imports is code only its tests run; it either gets
 registered (a spec builder, a CLI subcommand) or leaves ``src/``.
+
+A package ``__init__`` importing its own submodules does not reach them:
+``from repro.pkg import Name`` reaches only the submodule the ``__init__``
+re-exports ``Name`` from, so a module that only a re-export list names
+counts as unreached.
+
+Module-private names stay private: no module imports an ``_name`` from
+another ``repro`` module, so the module defining a rule owns it.
 """
 
 from __future__ import annotations
@@ -16,6 +24,11 @@ import repro
 
 PACKAGE_ROOT = Path(repro.__file__).parent
 ROOTS = ("cli", "")
+#: Relative dotted names of the packages (directories with an ``__init__``).
+PACKAGES = frozenset(
+    ".".join(path.parent.relative_to(PACKAGE_ROOT).parts)
+    for path in PACKAGE_ROOT.rglob("__init__.py")
+)
 
 #: Modules still waiting on ROADMAP.md's open item "Extensions go through
 #: the runtime, or leave `src/`": each is to be registered as a spec or
@@ -25,6 +38,7 @@ UNREACHED_ALLOWLIST = frozenset(
         "security",
         "security.eclipse",
         "security.freeride",
+        "analysis.incremental",
         "theory",
         "theory.geometric_graph",
         "theory.random_graph",
@@ -44,27 +58,70 @@ def _module_files() -> dict[str, Path]:
     return modules
 
 
+def _tree(name: str, modules: dict[str, Path]) -> ast.Module:
+    return ast.parse(modules[name].read_text(encoding="utf-8"))
+
+
+def _relative(target: str) -> str | None:
+    """``repro.a.b`` -> ``a.b`` (``repro`` -> ``""``); ``None`` outside repro."""
+    if target == "repro":
+        return ""
+    if target.startswith("repro."):
+        return target[len("repro.") :]
+    return None
+
+
+def _reexport_source(
+    package: str, name: str, modules: dict[str, Path]
+) -> str | None:
+    """The submodule whose ``name`` the ``package`` ``__init__`` re-exports."""
+    for node in ast.walk(_tree(package, modules)):
+        if not isinstance(node, ast.ImportFrom) or not node.module:
+            continue
+        if any((alias.asname or alias.name) == name for alias in node.names):
+            source = _relative(node.module)
+            if source not in modules or not source.startswith(f"{package}."):
+                continue
+            if source in PACKAGES:
+                return _reexport_source(source, name, modules) or source
+            return source
+    return None
+
+
 def _imported(name: str, modules: dict[str, Path]) -> set[str]:
     """Relative dotted names of the ``repro`` modules ``name`` imports."""
-    tree = ast.parse(modules[name].read_text(encoding="utf-8"))
     targets: set[str] = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(name, modules)):
         if isinstance(node, ast.Import):
             targets.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
             targets.add(node.module)
-            # ``from package import module`` reaches the submodule too.
-            targets.update(f"{node.module}.{alias.name}" for alias in node.names)
+            package = _relative(node.module)
+            for alias in node.names:
+                # ``from package import module`` reaches the submodule too,
+                # and ``from package import Name`` the submodule the
+                # package's ``__init__`` re-exports ``Name`` from.
+                targets.add(f"{node.module}.{alias.name}")
+                if package in PACKAGES:
+                    source = _reexport_source(package, alias.name, modules)
+                    if source is not None:
+                        targets.add(f"repro.{source}")
     reached = set()
     for target in targets:
-        if target != "repro" and not target.startswith("repro."):
+        relative = _relative(target)
+        if relative is None:
             continue
-        parts = target.split(".")[1:]
+        parts = relative.split(".") if relative else []
         # Importing ``a.b.c`` runs ``a`` and ``a.b`` as well.
         for end in range(len(parts) + 1):
             candidate = ".".join(parts[:end])
             if candidate in modules:
                 reached.add(candidate)
+    if name in PACKAGES and name not in ROOTS:
+        # An ``__init__`` importing its own submodules reaches none of them.
+        reached = {
+            module for module in reached if not module.startswith(f"{name}.")
+        }
     return reached
 
 
@@ -92,3 +149,20 @@ def test_allowlist_is_not_stale():
         UNREACHED_ALLOWLIST - set(modules)
     )
     assert sorted(reached_or_gone) == []
+
+
+def test_no_module_imports_another_modules_private_names():
+    modules = _module_files()
+    offenders = []
+    for name in sorted(modules):
+        for node in ast.walk(_tree(name, modules)):
+            if not isinstance(node, ast.ImportFrom) or node.module is None:
+                continue
+            if _relative(node.module) is None:
+                continue
+            offenders.extend(
+                f"{name}: from {node.module} import {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")
+            )
+    assert offenders == []

@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.observations import NEVER, RoundObservations, percentile_scores
-from repro.protocols.scoring import (
-    ConfidenceInterval,
-    confidence_interval,
-    greedy_subset_selection_block,
-    ucb_eviction_candidate,
-    ucb_scores,
-)
+from repro.protocols.perigee.ucb import PerigeeUCBProtocol
+from repro.protocols.scoring import confidence_bounds, greedy_subset_selection_batch
 
 
 def node_block(data, neighbors):
@@ -36,6 +31,29 @@ def node_block(data, neighbors):
     )
     neighbors = np.array(sorted(neighbors), dtype=np.int64)
     return neighbors, observations.normalized_rows(0, neighbors)
+
+
+def greedy(neighbors, times, subset_size):
+    """Subset's greedy picks for one node, in pick order."""
+    return greedy_subset_selection_batch([neighbors], [times], subset_size)[0]
+
+
+def bounds(*histories):
+    """``(estimate, lower, upper)`` arrays for the given sample histories."""
+    return confidence_bounds([np.asarray(h, dtype=float) for h in histories])
+
+
+def ucb_retained(rows, exploration_constant, retain_budget=8):
+    """Node 0's retained set after one UCB round over crafted timestamp rows.
+
+    ``rows`` maps each neighbor to its per-block timestamps.
+    """
+    protocol = PerigeeUCBProtocol(exploration_constant=exploration_constant)
+    neighbors = np.array(sorted(rows), dtype=np.int64)
+    times = np.array([rows[peer] for peer in sorted(rows)], dtype=float)
+    return protocol.select_retained_block(
+        0, neighbors, times, retain_budget, np.random.default_rng(0)
+    )
 
 
 def group_score(times, percentile=90.0):
@@ -75,64 +93,48 @@ class TestVanillaScores:
 
 class TestConfidenceIntervals:
     def test_interval_brackets_estimate(self):
-        interval = confidence_interval([10.0] * 50)
-        assert interval.lower <= interval.estimate <= interval.upper
-        assert interval.samples == 50
+        estimate, lower, upper = bounds([10.0] * 50)
+        assert lower[0] <= estimate[0] <= upper[0]
+        assert estimate[0] == 10.0
 
     def test_more_samples_tighten_the_interval(self):
-        few = confidence_interval(list(range(5)))
-        many = confidence_interval(list(range(500)))
-        assert (many.upper - many.lower) < (few.upper - few.lower)
+        _, lower, upper = bounds(list(range(5)), list(range(500)))
+        assert (upper[1] - lower[1]) < (upper[0] - lower[0])
 
     def test_empty_history_gives_infinite_interval(self):
-        interval = confidence_interval([])
-        assert math.isinf(interval.estimate)
-        assert interval.samples == 0
+        estimate, lower, upper = bounds([])
+        assert math.isinf(estimate[0])
+        assert math.isinf(lower[0]) and math.isinf(upper[0])
 
     def test_single_sample_has_wide_interval(self):
-        single = confidence_interval([10.0])
-        double = confidence_interval([10.0, 10.0])
-        assert (single.upper - single.lower) > (double.upper - double.lower)
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            ConfidenceInterval(estimate=1.0, lower=5.0, upper=2.0, samples=3)
-        with pytest.raises(ValueError):
-            ConfidenceInterval(estimate=1.0, lower=0.0, upper=2.0, samples=-1)
+        _, lower, upper = bounds([10.0], [10.0, 10.0])
+        assert (upper[0] - lower[0]) > (upper[1] - lower[1])
 
     def test_ucb_scores_maps_every_neighbor(self):
-        intervals = ucb_scores({1: [1.0, 2.0], 2: []})
-        assert set(intervals) == {1, 2}
-        assert math.isinf(intervals[2].estimate)
+        estimate, lower, upper = bounds([1.0, 2.0], [])
+        assert estimate.shape == lower.shape == upper.shape == (2,)
+        assert math.isfinite(estimate[0])
+        assert math.isinf(estimate[1])
 
 
 class TestUCBEviction:
+    # Ten blocks with exploration constant 10 give a half width of ~3.4.
     def test_no_eviction_when_intervals_overlap(self):
-        intervals = {
-            1: ConfidenceInterval(estimate=10.0, lower=5.0, upper=15.0, samples=10),
-            2: ConfidenceInterval(estimate=12.0, lower=7.0, upper=17.0, samples=10),
-        }
-        assert ucb_eviction_candidate(intervals) is None
+        rows = {1: [10.0] * 10, 2: [12.0] * 10}
+        assert ucb_retained(rows, exploration_constant=10.0) == {1, 2}
 
     def test_eviction_of_clearly_worst_neighbor(self):
-        intervals = {
-            1: ConfidenceInterval(estimate=10.0, lower=8.0, upper=12.0, samples=50),
-            2: ConfidenceInterval(estimate=100.0, lower=95.0, upper=105.0, samples=50),
-            3: ConfidenceInterval(estimate=11.0, lower=9.0, upper=13.0, samples=50),
-        }
-        assert ucb_eviction_candidate(intervals) == 2
+        rows = {1: [10.0] * 10, 2: [100.0] * 10, 3: [11.0] * 10}
+        assert ucb_retained(rows, exploration_constant=10.0) == {1, 3}
 
     def test_single_neighbor_never_evicted(self):
-        intervals = {
-            1: ConfidenceInterval(estimate=10.0, lower=8.0, upper=12.0, samples=50)
-        }
-        assert ucb_eviction_candidate(intervals) is None
+        assert ucb_retained({1: [100.0] * 10}, exploration_constant=0.0) == {1}
 
 
 class TestGreedySubsetSelection:
     def test_first_pick_is_best_individual_neighbor(self):
         data = {block: {1: 5.0, 2: 0.0, 3: 20.0} for block in range(10)}
-        selected = greedy_subset_selection_block(*node_block(data, [1, 2, 3]), 1)
+        selected = greedy(*node_block(data, [1, 2, 3]), 1)
         assert selected == [2]
 
     def test_complementary_neighbor_preferred_over_redundant(self):
@@ -145,28 +147,28 @@ class TestGreedySubsetSelection:
             data[block] = {1: 0.0, 2: 1.0, 3: 80.0}
         for block in range(5, 10):
             data[block] = {1: 90.0, 2: 95.0, 3: 0.0}
-        selected = greedy_subset_selection_block(*node_block(data, [1, 2, 3]), 2)
+        selected = greedy(*node_block(data, [1, 2, 3]), 2)
         assert selected[0] in (1, 3)
         assert set(selected) == {1, 3}
 
     def test_selection_size_respected(self):
         data = {block: {n: float(n) for n in range(1, 7)} for block in range(5)}
-        selected = greedy_subset_selection_block(*node_block(data, range(1, 7)), 4)
+        selected = greedy(*node_block(data, range(1, 7)), 4)
         assert len(selected) == 4
         assert len(set(selected)) == 4
 
     def test_zero_budget_returns_empty(self):
-        assert greedy_subset_selection_block(*node_block({1: {1: 0.0}}, [1]), 0) == []
+        assert greedy(*node_block({1: {1: 0.0}}, [1]), 0) == []
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
-            greedy_subset_selection_block(*node_block({1: {1: 0.0}}, [1]), -1)
+            greedy(*node_block({1: {1: 0.0}}, [1]), -1)
 
     def test_all_infinite_neighbors_still_fill_budget(self):
         # Neighbor 3 delivers every block, so no block is dropped, but the
         # two candidates never deliver: the finite-mean fallback fills up.
         data = {block: {1: NEVER, 2: NEVER, 3: 0.0} for block in range(3)}
-        selected = greedy_subset_selection_block(*node_block(data, [1, 2]), 2)
+        selected = greedy(*node_block(data, [1, 2]), 2)
         assert set(selected) == {1, 2}
 
 
@@ -191,7 +193,7 @@ class TestGroupScore:
             data[block] = {1: 0.0, 2: 40.0, 3: 50.0}
         for block in range(6, 12):
             data[block] = {1: 60.0, 2: 0.0, 3: 55.0}
-        best_pair = greedy_subset_selection_block(*node_block(data, [1, 2, 3]), 2)
+        best_pair = greedy(*node_block(data, [1, 2, 3]), 2)
         _, chosen = node_block(data, best_pair)
         _, alternative = node_block(data, [1, 3])
         assert group_score(chosen) <= group_score(alternative)
