@@ -66,7 +66,9 @@ def _linear_percentile_rows(stacked: np.ndarray, percentile: float) -> np.ndarra
     (same operations, same rounding) while skipping its generic dispatch
     overhead — UCB scoring calls this once per history-length group per node,
     so the per-call constant matters.  Bitwise equality with
-    ``np.percentile`` is pinned by the parity test suite.
+    ``np.percentile`` is pinned by the parity test suite.  ``stacked`` is
+    partitioned in place (each row's samples are reordered), which saves a
+    copy of the slab; pass an array the caller no longer needs.
     """
     count = stacked.shape[1]
     virtual = (count - 1) * (percentile / 100.0)
@@ -74,9 +76,9 @@ def _linear_percentile_rows(stacked: np.ndarray, percentile: float) -> np.ndarra
     following = min(previous + 1, count - 1)
     previous = min(previous, count - 1)
     gamma = virtual - previous
-    part = np.partition(stacked, (previous, following), axis=1)
-    low = part[:, previous]
-    high = part[:, following]
+    stacked.partition((previous, following), axis=1)
+    low = stacked[:, previous]
+    high = stacked[:, following]
     diff = high - low
     if gamma >= 0.5:
         return high - diff * (1.0 - gamma)

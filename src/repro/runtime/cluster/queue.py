@@ -645,13 +645,17 @@ class WorkQueue:
             )
         return leases
 
-    def status(self) -> ClusterStatus:
+    def status(
+        self, records: dict[str, TaskRecord] | None = None
+    ) -> ClusterStatus:
         """Snapshot of queue depth, store counts, and worker liveness.
 
         Workers are discovered through their registry files *and* through
         the leases they hold, so a worker that has claimed its first task
         but not yet completed one still shows up — with its lease heartbeat
         age — instead of only surfacing after its first result shard record.
+        ``records`` is the store's merged records when the caller has just
+        read them (``fleet_status`` does); by default they are loaded here.
         """
         pending = 0
         leased = 0
@@ -660,7 +664,8 @@ class WorkQueue:
                 leased += 1
             else:
                 pending += 1
-        records = self.store.load()
+        if records is None:
+            records = self.store.load()
         records_ok = sum(1 for record in records.values() if record.ok)
         leases = self.active_leases()
         claims: dict[str, list[LeaseStatus]] = {}

@@ -39,7 +39,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.runtime.atomics import atomic_write_bytes, atomic_write_json
 from repro.runtime.faults import get_fault_plane
@@ -62,6 +62,22 @@ _WRITER_SAFE = re.compile(r"[^A-Za-z0-9_.-]+")
 #: unparseable JSONL line; ``trailing`` marks the file's final line (the
 #: benign torn-append case) as opposed to mid-file corruption.
 CorruptLineCallback = Callable[[int, str, bool], None]
+
+
+def merge_records(records: Iterable[TaskRecord]) -> dict[str, TaskRecord]:
+    """Records keyed by content hash under the store's merge rules.
+
+    An ``ok`` record is never displaced by a failed one for the same key
+    (shard merge order must not resurrect failures); among records of equal
+    success the last one read wins.
+    """
+    merged: dict[str, TaskRecord] = {}
+    for record in records:
+        current = merged.get(record.key)
+        if current is not None and current.ok and not record.ok:
+            continue
+        merged[record.key] = record
+    return merged
 
 
 def sanitize_writer_id(writer: str) -> str:
@@ -337,19 +353,9 @@ class ResultStore:
                     )
 
     def load(self) -> dict[str, TaskRecord]:
-        """All records keyed by content hash, merged across shards.
-
-        An ``ok`` record is never displaced by a failed one for the same
-        key (shard merge order must not resurrect failures); among records
-        of equal success the last one read wins.
-        """
-        records: dict[str, TaskRecord] = {}
-        for record in self.iter_records():
-            current = records.get(record.key)
-            if current is not None and current.ok and not record.ok:
-                continue
-            records[record.key] = record
-        return records
+        """All records keyed by content hash, merged across shards by
+        :func:`merge_records`."""
+        return merge_records(self.iter_records())
 
     def compact(self) -> CompactionResult:
         """Merge every ``results-<worker>.jsonl`` shard into ``results.jsonl``.
@@ -377,14 +383,9 @@ class ResultStore:
             for path in self.shard_paths()
             if path.name != RESULTS_FILENAME
         ]
-        lines_before = 0
-        merged: dict[str, TaskRecord] = {}
-        for record in self.iter_records():
-            lines_before += 1
-            current = merged.get(record.key)
-            if current is not None and current.ok and not record.ok:
-                continue
-            merged[record.key] = record
+        records = list(self.iter_records())
+        lines_before = len(records)
+        merged = merge_records(records)
         target = self._directory / RESULTS_FILENAME
         if merged:
             self._directory.mkdir(parents=True, exist_ok=True)

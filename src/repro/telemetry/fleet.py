@@ -24,7 +24,8 @@ import numpy as np
 
 from repro.runtime.aggregate import StreamingAggregator
 from repro.runtime.checkpoint import list_checkpoints
-from repro.runtime.store import ResultStore
+from repro.runtime.store import ResultStore, merge_records
+from repro.runtime.tasks import TaskRecord
 from repro.telemetry.recorder import split_key
 from repro.telemetry.shards import load_worker_snapshots, merge_snapshots
 
@@ -47,8 +48,14 @@ def _percentiles(values: np.ndarray) -> dict[str, float] | None:
     }
 
 
-def _sweep_entries(store: ResultStore) -> list[dict[str, Any]]:
-    """Per-sweep progress + streaming delay-percentile convergence traces."""
+def _sweep_entries(
+    store: ResultStore, records: list[TaskRecord]
+) -> list[dict[str, Any]]:
+    """Per-sweep progress + streaming delay-percentile convergence traces.
+
+    ``records`` is one :meth:`ResultStore.iter_records` scan, in shard
+    append order; the first record read for a task counts.
+    """
     try:
         specs = store.load_specs()
     except Exception:  # pragma: no cover - unreadable spec files
@@ -62,7 +69,9 @@ def _sweep_entries(store: ResultStore) -> list[dict[str, Any]]:
         totals[name] = len(tasks)
         for task in tasks:
             key_to_sweep[task.content_hash()] = name
-    ok_values: dict[str, list[float]] = {name: [] for name in specs}
+    # The finite reach90 values of the sweep's ok records so far, one
+    # array per record, so a trace point never re-converts earlier ones.
+    finite_chunks: dict[str, list[np.ndarray]] = {name: [] for name in specs}
     ok_counts: dict[str, int] = {name: 0 for name in specs}
     failed_counts: dict[str, int] = {name: 0 for name in specs}
     traces: dict[str, list[dict[str, float]]] = {name: [] for name in specs}
@@ -76,7 +85,7 @@ def _sweep_entries(store: ResultStore) -> list[dict[str, Any]]:
     }
     # Records are read in shard append order, so the trace extends as the
     # fleet completes tasks — a live convergence view of a draining sweep.
-    for record in store.iter_records():
+    for record in records:
         name = key_to_sweep.get(record.key)
         if name is None or record.key in seen[name]:
             continue
@@ -90,21 +99,23 @@ def _sweep_entries(store: ResultStore) -> list[dict[str, Any]]:
         except ValueError:  # mismatched curve lengths; skip the partial view
             pass
         if record.reach90:
-            ok_values[name].extend(record.reach90)
+            finite_chunks[name].append(_finite(record.reach90))
             stride = max(1, totals[name] // MAX_TRACE_POINTS)
             if ok_counts[name] % stride == 0 or ok_counts[name] == totals[name]:
-                finite = _finite(ok_values[name])
+                finite = np.concatenate(finite_chunks[name])
                 if finite.size:
+                    p50, p90 = np.percentile(finite, (50, 90)).tolist()
                     traces[name].append(
                         {
                             "tasks_done": ok_counts[name],
-                            "p50_ms": float(np.percentile(finite, 50)),
-                            "p90_ms": float(np.percentile(finite, 90)),
+                            "p50_ms": p50,
+                            "p90_ms": p90,
                         }
                     )
     entries = []
     for name in sorted(specs):
-        finite = _finite(ok_values[name])
+        chunks = finite_chunks[name]
+        finite = np.concatenate(chunks) if chunks else np.empty(0)
         entries.append(
             {
                 "name": name,
@@ -167,8 +178,11 @@ def fleet_status(
 
     store = store if isinstance(store, ResultStore) else ResultStore(store)
     queue = WorkQueue(store, lease_ttl=lease_ttl)
-    status = queue.status()
-    records = store.load()
+    # One scan of the result shards feeds the queue counts, the throughput
+    # and the sweep traces.
+    scanned = list(store.iter_records())
+    records = merge_records(scanned)
+    status = queue.status(records)
     workers = [
         {
             "worker_id": worker.worker_id,
@@ -202,7 +216,7 @@ def fleet_status(
         ],
         "throughput": _throughput(records, queue_payload, workers),
         "checkpoints": _checkpoint_summary(store),
-        "sweeps": _sweep_entries(store),
+        "sweeps": _sweep_entries(store, scanned),
         "telemetry": {
             "workers": snapshots,
             "totals": merge_snapshots(snapshots),

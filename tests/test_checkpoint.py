@@ -14,7 +14,12 @@ reduction, and the fleet payload's partial curves.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +50,7 @@ from repro.runtime import (
     run_task,
 )
 from repro.runtime.checkpoint import (
+    PACKED_FLOATS_KEY,
     checkpoint_path,
     clear_task_checkpoints,
     latest_checkpoint,
@@ -284,14 +290,20 @@ class TestRunTaskResume:
         )
         return spec.expand()[0]
 
-    def test_resume_record_is_bit_identical(self, tmp_path):
-        task = self.make_task()
+    @pytest.mark.parametrize("protocol", ADAPTIVE_PROTOCOLS)
+    def test_resume_record_is_bit_identical(self, tmp_path, protocol):
+        task = self.make_task(protocol=protocol)
         clean = run_task(task)
         # Manufacture the checkpoint a killed worker would have left: the
         # exact mid-run state after two rounds, under the task's key.
         simulator = run_rounds_like_run_task(task, rounds=2)
         directory = task_checkpoint_dir(tmp_path, task.content_hash())
-        write_checkpoint(directory, json_round_trip(simulator.state_dict()))
+        path = write_checkpoint(
+            directory, json_round_trip(simulator.state_dict())
+        )
+        if protocol == "perigee-ucb":
+            # UCB's histories are stored packed, not as decimal lists.
+            assert PACKED_FLOATS_KEY in path.read_text(encoding="utf-8")
 
         recorder = MetricsRecorder()
         with use_recorder(recorder):
@@ -420,6 +432,113 @@ class TestCheckpointFiles:
         write_checkpoint(task_checkpoint_dir(tmp_path, "ccc"), self.snapshot(2))
         assert clear_task_checkpoints(tmp_path, "ccc")
         assert not clear_task_checkpoints(tmp_path, "ccc")
+
+
+UCB_LIST_FIXTURE = (
+    Path(__file__).parent / "fixtures" / "ucb_checkpoint_list_history.json"
+)
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+)
+float_lists = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=12)
+mixed_lists = st.lists(
+    st.one_of(st.integers(min_value=-50, max_value=50), st.floats()), max_size=6
+)
+snapshot_keys = st.text(max_size=6).filter(lambda key: key != PACKED_FLOATS_KEY)
+json_values = st.recursive(
+    st.one_of(json_scalars, float_lists, mixed_lists),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(snapshot_keys, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def packed(values: list[float]) -> dict:
+    raw = struct.pack(f"<{len(values)}d", *values)
+    return {PACKED_FLOATS_KEY: base64.b64encode(raw).decode("ascii")}
+
+
+class TestPackedFloatCodec:
+    """All-float lists are written as float64 bytes and read back exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload=json_values)
+    def test_round_trip_is_exact(self, payload):
+        state = {"rounds_completed": 1, "payload": payload}
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp) / "task"
+            write_checkpoint(directory, state)
+            restored = latest_checkpoint(directory)
+        # JSON text tells -0.0 from 0.0, 2 from 2.0 and keeps nan/inf, so
+        # byte-equal dumps mean every value and type came back.
+        assert json.dumps(restored, sort_keys=True) == json.dumps(
+            state, sort_keys=True
+        )
+
+    def test_float_lists_are_packed_and_others_are_not(self, tmp_path):
+        special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.5]
+        state = {
+            "rounds_completed": 1,
+            "floats": special,
+            "mixed": [1.5, 2],
+            "ints": [1, 2],
+            "empty": [],
+            "nested": [[0.25], {"deep": [3.0, -0.0]}],
+        }
+        path = write_checkpoint(tmp_path, state)
+        on_disk = json.loads(path.read_text(encoding="utf-8"))
+        assert on_disk["floats"] == packed(special)
+        assert on_disk["mixed"] == [1.5, 2]
+        assert on_disk["ints"] == [1, 2]
+        assert on_disk["empty"] == []
+        assert on_disk["nested"] == [packed([0.25]), {"deep": packed([3.0, -0.0])}]
+        restored = latest_checkpoint(tmp_path)
+        assert struct.pack("<7d", *restored["floats"]) == struct.pack(
+            "<7d", *special
+        )
+        assert [type(value) for value in restored["mixed"]] == [float, int]
+
+    def test_reserved_key_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="reserved"):
+            write_checkpoint(
+                tmp_path, {"rounds_completed": 1, PACKED_FLOATS_KEY: "x"}
+            )
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            {PACKED_FLOATS_KEY: "not base64!"},
+            {PACKED_FLOATS_KEY: base64.b64encode(bytes(12)).decode("ascii")},
+            {PACKED_FLOATS_KEY: 17},
+        ],
+        ids=["bad-base64", "partial-float", "not-a-string"],
+    )
+    def test_corrupt_packed_newest_falls_back_to_older(self, tmp_path, corrupt):
+        write_checkpoint(tmp_path, {"rounds_completed": 1, "samples": [0.5]})
+        checkpoint_path(tmp_path, 2).write_text(
+            json.dumps({"rounds_completed": 2, "samples": corrupt}),
+            encoding="utf-8",
+        )
+        state = latest_checkpoint(tmp_path)
+        assert state == {"rounds_completed": 1, "samples": [0.5]}
+
+    def test_list_history_snapshot_loads_unchanged(self, tmp_path):
+        text = UCB_LIST_FIXTURE.read_text(encoding="utf-8")
+        checkpoint_path(tmp_path, 2).write_text(text, encoding="utf-8")
+        assert json.dumps(latest_checkpoint(tmp_path), sort_keys=True) == text
+
+    def test_ucb_snapshot_reads_back_byte_identical(self, tmp_path):
+        text = UCB_LIST_FIXTURE.read_text(encoding="utf-8")
+        path = write_checkpoint(tmp_path, json.loads(text))
+        assert path.stat().st_size < len(text)
+        assert json.dumps(latest_checkpoint(tmp_path), sort_keys=True) == text
 
 
 class TestQueueCheckpointForgiveness:

@@ -13,13 +13,15 @@ import json
 import re
 import urllib.error
 import urllib.request
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.config import default_config
 from repro.runtime import ResultStore, Worker, WorkQueue
-from repro.runtime.tasks import SweepSpec
+from repro.runtime.tasks import SweepSpec, TaskRecord
 from repro.telemetry.fleet import (
     fleet_status,
     prometheus_text,
@@ -49,7 +51,91 @@ def drained_store(tmp_path_factory):
     return store
 
 
+FLEET_FIXTURE = Path(__file__).parent / "fixtures" / "fleet_status_drained.json"
+
+
+def build_synthetic_drained_store(directory) -> ResultStore:
+    """A drained two-worker store with fixed records and durations.
+
+    135 tasks (trace stride 2), reach times with unreachable (``inf``)
+    sources, a duplicate completion, and a failure that a later ``ok``
+    record supersedes in the other shard — which the store counts as ok
+    but the sweep trace, reading the failure first, counts as failed.
+    """
+    store = ResultStore(directory)
+    spec = SweepSpec(
+        name="fleet-synthetic",
+        config=default_config(num_nodes=12, rounds=2, seed=3),
+        protocols=("random", "perigee-subset", "perigee-ucb"),
+        repeats=45,
+    )
+    store.save_spec(spec)
+    queue = WorkQueue(store)
+    writers = {name: store.for_writer(name) for name in ("fleet-a", "fleet-b")}
+    for name in writers:
+        queue.register_worker(name)
+    rng = np.random.default_rng(11)
+    for index, task in enumerate(spec.expand()):
+        reach90 = (rng.random(12) * 400.0).tolist()
+        if index % 7 == 0:
+            reach90[index % 12] = float("inf")
+        record = TaskRecord(
+            key=task.content_hash(),
+            task=task,
+            duration_s=0.25 * (1 + index % 4),
+            reach90=reach90,
+            reach50=[value / 2 for value in reach90],
+        )
+        shard = writers["fleet-a" if index % 2 else "fleet-b"]
+        if index in (5, 60):
+            other = writers["fleet-b" if index % 2 else "fleet-a"]
+            other.append(
+                TaskRecord(key=record.key, task=task, status="failed", error="x")
+            )
+        shard.append(record)
+        if index == 9:
+            shard.append(record)
+    return store
+
+
+def comparable_payload(payload: dict) -> str:
+    """The payload without its clock-dependent fields and store path."""
+    payload = dict(payload)
+    for field in ("generated_at", "store"):
+        payload.pop(field)
+    payload["workers"] = [
+        {key: value for key, value in worker.items() if key != "last_seen_s"}
+        for worker in payload["workers"]
+    ]
+    payload["leases"] = [
+        {key: value for key, value in lease.items() if key != "age_s"}
+        for lease in payload["leases"]
+    ]
+    return json.dumps(payload, sort_keys=True)
+
+
 class TestFleetStatus:
+    def test_drained_payload_is_pinned(self, tmp_path):
+        """The payload matches the one the three-scan implementation built
+        for the same store, byte for byte, up to clocks and paths."""
+        store = build_synthetic_drained_store(tmp_path / "runs")
+        expected = FLEET_FIXTURE.read_text(encoding="utf-8").strip()
+        assert comparable_payload(fleet_status(store)) == expected
+
+    def test_results_are_scanned_once_per_call(self, tmp_path, monkeypatch):
+        store = build_synthetic_drained_store(tmp_path / "runs")
+        scans = []
+        original = ResultStore.iter_records
+
+        def counting(self):
+            scans.append(self)
+            return original(self)
+
+        monkeypatch.setattr(ResultStore, "iter_records", counting)
+        fleet_status(store)
+        fleet_status(store)
+        assert len(scans) == 2
+
     def test_payload_shape(self, drained_store):
         payload = fleet_status(drained_store)
         assert payload["queue"] == {"pending": 0, "leased": 0}
