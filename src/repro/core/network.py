@@ -17,11 +17,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-#: Retained change-log entries.  A Perigee round at out-degree 8 rewires at
-#: most ~2 edges per node, so this window covers several full rounds even at
-#: N=20k; consumers that fall behind it (or attach mid-run) simply rebuild.
-MAX_CHANGE_LOG = 1 << 17
-
 
 class ConnectionError_(RuntimeError):
     """Raised when an invalid connection operation is attempted."""
@@ -57,15 +52,10 @@ class P2PNetwork:
         self._max_incoming = max_incoming
         self._outgoing: list[set[int]] = [set() for _ in range(num_nodes)]
         self._incoming: list[set[int]] = [set() for _ in range(num_nodes)]
-        # Topology version + bounded change log.  Every successful edge
-        # mutation bumps the version and appends one entry, so incremental
-        # consumers (the propagation engine's weight-graph cache) can patch
-        # their state from the delta instead of re-reading all N adjacency
-        # sets.  ``_log_base_version`` is the oldest version the log can
-        # still diff against; bulk rewrites and trimming advance it.
+        # Bumped by every successful edge mutation, so consumers that memoise
+        # a view of the topology (the propagation engine's weight graph) can
+        # tell when it went stale.
         self._topology_version = 0
-        self._change_log: list[tuple[int, bool, int, int]] = []
-        self._log_base_version = 0
 
     # ------------------------------------------------------------------ #
     # Basic properties
@@ -93,72 +83,12 @@ class P2PNetwork:
         return range(self._num_nodes)
 
     # ------------------------------------------------------------------ #
-    # Topology versioning (incremental-consumer support)
+    # Topology versioning
     # ------------------------------------------------------------------ #
     @property
     def topology_version(self) -> int:
         """Monotonic counter bumped by every successful edge mutation."""
         return self._topology_version
-
-    def _record_change(self, added: bool, u: int, v: int) -> None:
-        if u > v:
-            u, v = v, u
-        self._topology_version += 1
-        self._change_log.append((self._topology_version, added, u, v))
-        if len(self._change_log) > MAX_CHANGE_LOG:
-            # Drop the older half; diffs against versions before the cut
-            # return None and the consumer falls back to a full rebuild.
-            cut = len(self._change_log) // 2
-            self._log_base_version = self._change_log[cut - 1][0]
-            del self._change_log[:cut]
-
-    def _reset_change_log(self) -> None:
-        """Invalidate all outstanding diffs after a bulk topology rewrite."""
-        self._topology_version += 1
-        self._change_log.clear()
-        self._log_base_version = self._topology_version
-
-    def changes_since(
-        self, version: int
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]] | None:
-        """Net undirected edge delta between ``version`` and now.
-
-        Returns ``(added, removed)`` as lists of canonical ``(u, v)`` pairs
-        with ``u < v``, or ``None`` when ``version`` predates the retained
-        log window (the caller must rebuild from scratch).  A pair touched
-        multiple times contributes at most once: what matters is its
-        membership at ``version`` versus its membership now.
-        """
-        if version == self._topology_version:
-            return [], []
-        if version > self._topology_version or version < self._log_base_version:
-            return None
-        log = self._change_log
-        # Binary search for the first entry with entry_version > version
-        # (entry versions are strictly increasing).
-        lo, hi = 0, len(log)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if log[mid][0] <= version:
-                lo = mid + 1
-            else:
-                hi = mid
-        first_op: dict[tuple[int, int], bool] = {}
-        last_op: dict[tuple[int, int], bool] = {}
-        for _, added, u, v in log[lo:]:
-            pair = (u, v)
-            if pair not in first_op:
-                first_op[pair] = added
-            last_op[pair] = added
-        added_pairs: list[tuple[int, int]] = []
-        removed_pairs: list[tuple[int, int]] = []
-        for pair, final_added in last_op.items():
-            was_present = not first_op[pair]  # first add => was absent
-            if final_added and not was_present:
-                added_pairs.append(pair)
-            elif not final_added and was_present:
-                removed_pairs.append(pair)
-        return added_pairs, removed_pairs
 
     # ------------------------------------------------------------------ #
     # Connection management
@@ -223,7 +153,7 @@ class P2PNetwork:
             return False
         self._outgoing[initiator].add(target)
         self._incoming[target].add(initiator)
-        self._record_change(True, initiator, target)
+        self._topology_version += 1
         return True
 
     def disconnect(self, initiator: int, target: int) -> bool:
@@ -240,7 +170,7 @@ class P2PNetwork:
             return False
         self._outgoing[initiator].discard(target)
         self._incoming[target].discard(initiator)
-        self._record_change(False, initiator, target)
+        self._topology_version += 1
         return True
 
     def disconnect_all_outgoing(self, node_id: int) -> None:
@@ -364,24 +294,6 @@ class P2PNetwork:
         )
         return np.stack([keys // n, keys % n], axis=1)
 
-    def purge_node(self, node_id: int) -> int:
-        """Drop every connection touching ``node_id`` (it left the network).
-
-        Unlike :meth:`disconnect_all_outgoing`, this also tears down
-        connections *initiated by other nodes* towards ``node_id`` — the
-        behaviour of a TCP peer disappearing.  Returns the number of
-        connections removed.
-        """
-        self._check_node(node_id)
-        removed = 0
-        for target in list(self._outgoing[node_id]):
-            if self.disconnect(node_id, target):
-                removed += 1
-        for initiator in list(self._incoming[node_id]):
-            if self.disconnect(initiator, node_id):
-                removed += 1
-        return removed
-
     def make_fully_connected(self) -> None:
         """Turn the overlay into a complete graph (the "ideal" baseline).
 
@@ -399,14 +311,13 @@ class P2PNetwork:
         self._incoming = [
             {peer for peer in range(n) if peer != node_id} for node_id in range(n)
         ]
-        self._reset_change_log()
+        self._topology_version += 1
 
     def copy(self) -> "P2PNetwork":
         """Deep copy of the overlay (used by experiments that snapshot topologies)."""
         clone = P2PNetwork(self._num_nodes, self._out_degree, self._max_incoming)
         clone._outgoing = [set(s) for s in self._outgoing]
         clone._incoming = [set(s) for s in self._incoming]
-        clone._reset_change_log()
         return clone
 
     # ------------------------------------------------------------------ #
@@ -430,10 +341,9 @@ class P2PNetwork:
     def load_state_dict(self, state: dict[str, object]) -> None:
         """Restore the overlay captured by :meth:`state_dict`.
 
-        The change log is reset afterwards, so incremental consumers keyed to
-        :attr:`topology_version` observe a version they cannot diff against
-        and fall back to a full rebuild — restored state never aliases stale
-        deltas.  Restoring sets from sorted lists is bit-identity safe: every
+        The restore bumps :attr:`topology_version`, so a weight graph
+        memoised for the old topology is never served for the restored one.
+        Restoring sets from sorted lists is bit-identity safe: every
         RNG-consuming reader of the outgoing sets sorts them first or is
         insensitive to iteration order.
         """
@@ -456,7 +366,7 @@ class P2PNetwork:
                 incoming[target].add(node_id)
         self._outgoing = outgoing
         self._incoming = incoming
-        self._reset_change_log()
+        self._topology_version += 1
         self.validate_invariants()
 
     def degree_histogram(self) -> dict[int, int]:

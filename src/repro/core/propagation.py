@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -39,33 +40,22 @@ from repro.core.observations import RoundObservations
 from repro.latency.base import LatencyModel
 from repro.telemetry.recorder import get_recorder
 
-class _GraphCache:
-    """The engine's patched-in-place view of one network's weight graph.
+class _GraphMemo(NamedTuple):
+    """One network's weight graph at one topology version.
 
-    ``pairs``/``delta``/``keys`` hold the undirected edge set sorted by the
-    canonical key ``u * N + v`` (``u < v``) together with each edge's link
-    latency, so a round's rewire delta is applied with a few vectorised
-    array splices instead of re-reading all ``N`` adjacency sets.  ``graph``
-    is the directed CSR rebuilt from those arrays (C-speed).
+    ``pairs``/``delta`` are the canonical sorted edge array and its link
+    latencies (what :meth:`PropagationEngine.round_observations` reads);
+    ``graph`` is the directed CSR built from them.  A Perigee round rewires
+    a fixed share of the overlay (every node drops and redials peers), so
+    the memo is rebuilt whole whenever the version moves and serves only
+    the repeat reads within one topology version.
     """
 
-    __slots__ = ("network_ref", "version", "keys", "pairs", "delta", "graph")
-
-    def __init__(
-        self,
-        network_ref: "weakref.ref[P2PNetwork]",
-        version: int,
-        keys: np.ndarray,
-        pairs: np.ndarray,
-        delta: np.ndarray,
-        graph: csr_matrix,
-    ) -> None:
-        self.network_ref = network_ref
-        self.version = version
-        self.keys = keys
-        self.pairs = pairs
-        self.delta = delta
-        self.graph = graph
+    network_ref: "weakref.ref[P2PNetwork]"
+    version: int
+    pairs: np.ndarray
+    delta: np.ndarray
+    graph: csr_matrix
 
 
 @dataclass(frozen=True)
@@ -113,7 +103,6 @@ class PropagationEngine:
         self,
         latency: LatencyModel,
         validation_delays_ms: np.ndarray,
-        incremental: bool = True,
     ) -> None:
         validation = np.asarray(validation_delays_ms, dtype=float)
         if validation.ndim != 1:
@@ -131,34 +120,11 @@ class PropagationEngine:
         self._latency = latency
         self._validation = validation
         self._num_nodes = latency.num_nodes
-        # Incremental mode (default on; ``incremental=False`` disables it):
-        # cache the directed CSR weight graph and patch it from the
-        # network's change log.  Results are bit-identical either way — the
-        # cache only changes how the same graph is built (pinned by the
-        # parity suite).
-        self._incremental = bool(incremental)
-        self._graph_cache: _GraphCache | None = None
-        self._stats = {"graph_hits": 0, "graph_patches": 0, "graph_misses": 0}
+        self._memo: _GraphMemo | None = None
 
     @property
     def num_nodes(self) -> int:
         return self._num_nodes
-
-    @property
-    def incremental(self) -> bool:
-        """Whether the incremental weight-graph cache is enabled."""
-        return self._incremental
-
-    def cache_stats(self) -> dict[str, int | bool]:
-        """Cumulative cache counters (also emitted through the recorder).
-
-        ``graph_hits``/``graph_patches``/``graph_misses`` count weight-graph
-        requests served from cache / patched from the rewire delta / rebuilt
-        from scratch.
-        """
-        stats: dict[str, int | bool] = dict(self._stats)
-        stats["incremental"] = self._incremental
-        return stats
 
     @property
     def latency_model(self) -> LatencyModel:
@@ -171,20 +137,26 @@ class PropagationEngine:
     # ------------------------------------------------------------------ #
     # Graph construction
     # ------------------------------------------------------------------ #
+    def _current_memo(self, network: P2PNetwork) -> _GraphMemo | None:
+        """The memo if it holds ``network`` at its current topology version."""
+        memo = self._memo
+        if (
+            memo is not None
+            and memo.network_ref() is network
+            and memo.version == network.topology_version
+        ):
+            return memo
+        return None
+
     def _edge_arrays(self, network: P2PNetwork) -> tuple[np.ndarray, np.ndarray]:
         """Canonical sorted edge array ``(E, 2)`` and per-edge latencies.
 
-        Read from the weight-graph cache when it holds ``network`` at its
-        current topology version (no counter moves), else gathered afresh.
-        Callers must not mutate the returned arrays.
+        Read from the memo when it is current (no counter moves), else
+        gathered afresh.  Callers must not mutate the returned arrays.
         """
-        cache = self._graph_cache
-        if (
-            cache is not None
-            and cache.network_ref() is network
-            and cache.version == network.topology_version
-        ):
-            return cache.pairs, cache.delta
+        memo = self._current_memo(network)
+        if memo is not None:
+            return memo.pairs, memo.delta
         pairs = network.to_numpy_edges()
         if not pairs.shape[0]:
             return pairs, np.zeros(0, dtype=float)
@@ -197,8 +169,7 @@ class PropagationEngine:
         Every undirected communication edge yields two directed entries.  The
         miner's validation delay is *included* by these weights and later
         subtracted from all distances, which is equivalent to not charging the
-        miner for validating its own block.  The CSR constructor canonicalises
-        entry order, so patched and from-scratch graphs are bit-identical.
+        miner for validating its own block.
         """
         n = self._num_nodes
         if pairs.shape[0] == 0:
@@ -211,94 +182,6 @@ class PropagationEngine:
             [self._validation[u] + delta, self._validation[v] + delta]
         )
         return csr_matrix((weights, (rows, cols)), shape=(n, n))
-
-    # ------------------------------------------------------------------ #
-    # Incremental graph cache
-    # ------------------------------------------------------------------ #
-    def _rebuild_graph_cache(self, network: P2PNetwork) -> _GraphCache:
-        """Full cache (re)build from the network's current edge set."""
-        version = network.topology_version
-        pairs, delta = self._edge_arrays(network)
-        keys = pairs[:, 0] * self._num_nodes + pairs[:, 1]  # ascending
-        cache = _GraphCache(
-            network_ref=weakref.ref(network),
-            version=version,
-            keys=keys,
-            pairs=pairs,
-            delta=delta,
-            graph=self._csr_from_pairs(pairs, delta),
-        )
-        self._graph_cache = cache
-        return cache
-
-    def _apply_patch(
-        self,
-        network: P2PNetwork,
-        cache: _GraphCache,
-        added: list[tuple[int, int]],
-        removed: list[tuple[int, int]],
-    ) -> bool:
-        """Splice the net rewire delta into the cached edge arrays.
-
-        Returns ``False`` when the delta is inconsistent with the cached
-        edge set (the caller rebuilds from scratch) — a defensive check, as
-        the network's change log nets against actual membership.
-        """
-        n = self._num_nodes
-        keys, pairs, delta = cache.keys, cache.pairs, cache.delta
-        if removed:
-            removed_pairs = np.asarray(removed, dtype=np.int64)
-            rkeys = np.sort(removed_pairs[:, 0] * n + removed_pairs[:, 1])
-            idx = np.searchsorted(keys, rkeys)
-            if np.any(idx >= keys.shape[0]) or np.any(keys[idx] != rkeys):
-                return False
-            keep = np.ones(keys.shape[0], dtype=bool)
-            keep[idx] = False
-            keys, pairs, delta = keys[keep], pairs[keep], delta[keep]
-        if added:
-            added_pairs = np.asarray(added, dtype=np.int64)
-            order = np.argsort(added_pairs[:, 0] * n + added_pairs[:, 1])
-            added_pairs = added_pairs[order]
-            akeys = added_pairs[:, 0] * n + added_pairs[:, 1]
-            pos = np.searchsorted(keys, akeys)
-            if keys.shape[0]:
-                clipped = np.minimum(pos, keys.shape[0] - 1)
-                if np.any((pos < keys.shape[0]) & (keys[clipped] == akeys)):
-                    return False
-            added_delta = np.asarray(
-                self._latency.pairwise(added_pairs[:, 0], added_pairs[:, 1]),
-                dtype=float,
-            )
-            keys = np.insert(keys, pos, akeys)
-            pairs = np.insert(pairs, pos, added_pairs, axis=0)
-            delta = np.insert(delta, pos, added_delta)
-        cache.keys, cache.pairs, cache.delta = keys, pairs, delta
-        cache.graph = self._csr_from_pairs(pairs, delta)
-        cache.version = network.topology_version
-        return True
-
-    def _graph_for(self, network: P2PNetwork) -> csr_matrix:
-        """Current weight graph via the incremental cache (callers must not
-        mutate the returned CSR)."""
-        recorder = get_recorder()
-        cache = self._graph_cache
-        if cache is not None and cache.network_ref() is network:
-            version = network.topology_version
-            if version == cache.version:
-                self._stats["graph_hits"] += 1
-                recorder.incr("engine.graph_cache.hit")
-                return cache.graph
-            diff = network.changes_since(cache.version)
-            if diff is not None:
-                added, removed = diff
-                if self._apply_patch(network, cache, added, removed):
-                    self._stats["graph_patches"] += 1
-                    recorder.incr("engine.graph_cache.patched")
-                    return cache.graph
-        cache = self._rebuild_graph_cache(network)
-        self._stats["graph_misses"] += 1
-        recorder.incr("engine.graph_cache.miss")
-        return cache.graph
 
     # ------------------------------------------------------------------ #
     # Propagation
@@ -428,14 +311,28 @@ class PropagationEngine:
 
         Public wrapper so batched consumers (the delay evaluator, security
         analyses) can build the graph once and reuse it across many Dijkstra
-        passes.  With the incremental engine on, the returned CSR is the
-        engine's live cache — treat it as immutable.
+        passes.  The graph is memoised per topology version, so ``propagate``,
+        ``round_observations`` and evaluation share one build per round; the
+        returned CSR is the engine's memo — treat it as immutable.
         """
         if network.num_nodes != self._num_nodes:
             raise ValueError("network size must match the latency model")
-        if self._incremental:
-            return self._graph_for(network)
-        return self._csr_from_pairs(*self._edge_arrays(network))
+        recorder = get_recorder()
+        memo = self._current_memo(network)
+        if memo is not None:
+            recorder.incr("engine.graph_cache.hit")
+            return memo.graph
+        recorder.incr("engine.graph_cache.miss")
+        version = network.topology_version
+        pairs, delta = self._edge_arrays(network)
+        self._memo = _GraphMemo(
+            weakref.ref(network),
+            version,
+            pairs,
+            delta,
+            self._csr_from_pairs(pairs, delta),
+        )
+        return self._memo.graph
 
     def arrival_times_from(
         self,

@@ -138,10 +138,6 @@ class Simulator:
         Optional :class:`~repro.metrics.evaluator.DelayEvaluator` policy for
         :meth:`evaluate`.  The default is exact (chunked) at paper scale and
         switches to hash-power-weighted source sampling at large N.
-    incremental_engine:
-        Whether the propagation engine keeps its incremental weight-graph
-        cache (default on).  Results are bit-identical either way; the
-        switch only trades memory for round cost.
     """
 
     def __init__(
@@ -152,7 +148,6 @@ class Simulator:
         latency: LatencyModel | None = None,
         rng: np.random.Generator | None = None,
         delay_evaluator: DelayEvaluator | None = None,
-        incremental_engine: bool = True,
     ) -> None:
         self._config = config
         self._protocol = protocol
@@ -173,9 +168,7 @@ class Simulator:
         if self._latency.num_nodes != config.num_nodes:
             raise ValueError("latency model size must match config.num_nodes")
         self._engine = PropagationEngine(
-            self._latency,
-            self._population.validation_delays,
-            incremental=incremental_engine,
+            self._latency, self._population.validation_delays
         )
         self._context = ProtocolContext(
             config=config, nodes=self._population.nodes, latency=self._latency

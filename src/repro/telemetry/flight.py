@@ -314,13 +314,6 @@ class FlightRecorder:
                 simulator.config.hash_power_target,
             )
             row["delay"] = _percentile_stats(reach)
-        # Cumulative incremental-engine counters (graph hit / patch / rebuild).
-        try:
-            stats = simulator.engine.cache_stats()
-        except AttributeError:
-            stats = None
-        if stats is not None:
-            row["engine"] = {key: int(value) for key, value in stats.items()}
         self._append_row(row)
         self._accumulate(row)
 
@@ -566,13 +559,6 @@ def flight_report(run_dir: str | os.PathLike) -> dict[str, Any]:
                 ),
             }
 
-    # Engine cache counters are cumulative; the last recorded round carries
-    # the run totals.
-    engine: dict[str, Any] = {}
-    engine_rounds = [row["engine"] for row in rounds if row.get("engine")]
-    if engine_rounds:
-        engine = dict(engine_rounds[-1])
-
     summary = run["summary"] or {}
     return {
         "key": run["key"],
@@ -582,7 +568,6 @@ def flight_report(run_dir: str | os.PathLike) -> dict[str, Any]:
         "convergence": convergence,
         "churn": churn,
         "topology_drift": drift,
-        "engine": engine,
         "final": summary.get("final"),
     }
 
@@ -641,14 +626,6 @@ def render_flight_report(report: Mapping[str, Any]) -> str:
             start = "n/a" if entry["round0"] is None else f"{entry['round0']:.3f}"
             end = "n/a" if entry["final"] is None else f"{entry['final']:.3f}"
             lines.append(f"  {field}: {start} -> {end}")
-    engine = report.get("engine") or {}
-    if engine.get("incremental"):
-        lines.append(
-            "engine cache: "
-            f"graph {engine.get('graph_hits', 0)} hit / "
-            f"{engine.get('graph_patches', 0)} patched / "
-            f"{engine.get('graph_misses', 0)} rebuilt"
-        )
     final = report.get("final") or {}
     reach90 = final.get("reach90")
     if reach90:

@@ -331,14 +331,16 @@ GOLDEN_PROTOCOLS = {
 #: state_dict) for 60 nodes, 5 rounds of 12 blocks, seed 4.  Edges and state
 #: were recorded before scoring moved into one batched pass per round.
 #: ``mixed-ucb``'s state was re-recorded once its snapshot started carrying
-#: the inner UCB histories; its edges and flight rows did not move.
+#: the inner UCB histories; its edges and flight rows did not move.  All six
+#: were re-recorded when flight rows dropped their ``engine`` counters; edges
+#: and state did not move.
 GOLDEN_DIGESTS = {
-    "perigee-vanilla": "1d87aa974538752dbfedebcd99e63e0b01ba569bc2a0d14966a105982d897d36",
-    "perigee-subset": "de6762d36105ef50e3ed45fe585dd5e50bdc60d5e1a4f5b16b8345ec4c8ff169",
-    "perigee-ucb": "c83987f160953b66e977a18f674dc222ec9a834f11e795c1293925263330aa02",
-    "mixed-ucb": "9562aec8708301f436921eca15da2f5b8bd7b55606cdd830dce1af83bb4129c2",
-    "freeride": "801a35be47aff914a3d87760850b4c61f6ddf68997349d90bf2633beebd1d042",
-    "eclipse": "7e0082e7e04edd8c29111c6a8add640c5c9f6abbe762c1636c5bec8687e0da58",
+    "perigee-vanilla": "11fcf7c3e0e803cbcfc85388d44adbbfd0027d60491ee6f71120b6c4d0fcd239",
+    "perigee-subset": "56bf879adcb13e2e14f2d7f5256386f5e7e87c3b03ec95cc81ecfd1c5eb99942",
+    "perigee-ucb": "55306298338c99815ffaf5d25b0949569f84353eed57e283c69057e4ebf3c486",
+    "mixed-ucb": "49d554259bf584b1f9263bca8da167e9cd749c26bb5ec7c31836720b21fbe345",
+    "freeride": "40e2523f6061d9221be052f238ddb3a58610cf10e150e49b65f95811ebc4187a",
+    "eclipse": "6591be8a98318aee8ca0cd92ce520404ab1ca510e6246827183e26a4eb0cdaa8",
 }
 
 

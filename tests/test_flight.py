@@ -12,6 +12,7 @@ the Chrome-trace export.
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 import urllib.error
 import urllib.request
@@ -176,17 +177,28 @@ class TestRecorderArtifacts:
         report = flight_report(tmp_path / "run")
         json.loads(json.dumps(report, allow_nan=False))
 
-    def test_engine_entry_holds_graph_cache_counters(self, tmp_path):
+    def test_rows_and_report_carry_no_engine_entry(self, tmp_path):
         flight = run_recorded(tmp_path / "run", rounds=2)
         flight.close()
+        rows = (tmp_path / "run" / "rounds.jsonl").read_text().splitlines()
+        assert rows and all("engine" not in json.loads(row) for row in rows)
         report = flight_report(tmp_path / "run")
-        assert sorted(report["engine"]) == [
-            "graph_hits",
-            "graph_misses",
-            "graph_patches",
-            "incremental",
-        ]
-        assert "sssp" not in render_flight_report(report)
+        assert "engine" not in report
+        # Artifacts written while rows still carried the engine's cumulative
+        # cache counters load and render; the counters are ignored.
+        old = tmp_path / "old"
+        shutil.copytree(tmp_path / "run", old)
+        counters = {"graph_hits": 5, "graph_misses": 1, "incremental": 1}
+        (old / "rounds.jsonl").write_text(
+            "".join(
+                json.dumps({**json.loads(row), "engine": counters}) + "\n"
+                for row in rows
+            )
+        )
+        old_report = flight_report(old)
+        assert old_report["rounds_recorded"] == 2
+        assert "engine" not in old_report
+        assert render_flight_report(old_report).startswith("run ")
 
 
 class TestBitIdentity:

@@ -1,16 +1,17 @@
-"""Property-based parity: incremental engine vs the from-scratch rebuild.
+"""The propagation engine's weight-graph memo, plus its neighbours.
 
-The incremental engine promises *bit-for-bit* the same arrival times as
-the rebuild path: the cached directed CSR weight graph is patched in place
-from the network's rewire delta instead of rebuilt from all N adjacency
-sets, and every call still runs one Dijkstra pass over it.  This suite
-pins that promise across random rewire sequences — including node churn
-(``purge_node``) and disconnected components — plus the surrounding
-contracts: graph-patch equality against a from-scratch CSR, cache counters
-through the telemetry recorder, end-to-end ``execute_sweep`` record
-equality with the engine on vs off, the process-parallel / adaptive
-evaluation backends, the composition-aware overlay wrappers, and chunked
-theory stretch.
+``PropagationEngine`` memoises one directed CSR weight graph per network
+and topology version, so ``propagate``, ``round_observations`` and the
+delay evaluation of one round share a single build.  The contract is that
+the memo never serves a stale graph: a hypothesis suite runs random
+sequences of every topology mutation (``connect``, ``disconnect``,
+``replace_outgoing``, ``fill_random_outgoing``, ``make_fully_connected``,
+``load_state_dict`` and ``copy``) and checks after each step that a
+change raises ``topology_version`` and that one long-lived engine answers
+exactly as a fresh one.  Around it: disconnected components, the memo's
+hit/miss counters through the telemetry recorder, the process-parallel /
+adaptive evaluation backends, the composition-aware overlay wrappers, and
+chunked theory stretch.
 """
 
 import numpy as np
@@ -18,10 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import default_config
 from repro.core.network import P2PNetwork
 from repro.core.propagation import PropagationEngine
-from repro.core.simulator import Simulator
 from repro.latency.base import LatencyModel, MatrixLatencyModel
 from repro.latency.relay import (
     MinerSpeedupLatencyModel,
@@ -31,11 +30,20 @@ from repro.latency.relay import (
     build_relay_tree,
 )
 from repro.metrics.evaluator import DelayEvaluator
-from repro.protocols.registry import make_protocol
 from repro.telemetry.recorder import MetricsRecorder, use_recorder
 
 common_settings = settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+MUTATIONS = (
+    "connect",
+    "disconnect",
+    "replace_outgoing",
+    "fill_random_outgoing",
+    "make_fully_connected",
+    "load_state_dict",
+    "copy",
 )
 
 
@@ -57,69 +65,82 @@ def make_network(n: int, seed: int, degree: int = 4) -> P2PNetwork:
     return net
 
 
-def apply_random_mutation(net: P2PNetwork, rng: np.random.Generator) -> None:
-    kind = rng.integers(0, 10)
-    if kind == 0:
-        # Node churn: a peer disappears entirely (can disconnect components).
-        net.purge_node(int(rng.integers(0, net.num_nodes)))
-        return
-    u, v = (int(x) for x in rng.integers(0, net.num_nodes, size=2))
-    if u == v:
-        return
-    if net.has_edge(u, v):
-        net.disconnect(u, v) or net.disconnect(v, u)
-    else:
-        net.connect(u, v)
+def assert_engine_matches_fresh(engine, net, latency, validation, sources):
+    """``engine`` answers, in round order, exactly as a new engine does."""
+    fresh = PropagationEngine(latency, validation)
+    got = engine.propagate(net, sources)
+    want = fresh.propagate(net, sources)
+    assert got.arrival_times.tobytes() == want.arrival_times.tobytes()
+    got_obs = engine.round_observations(net, got)
+    want_obs = fresh.round_observations(net, want)
+    for name in ("senders", "receivers", "indptr", "times"):
+        assert (
+            getattr(got_obs, name).tobytes() == getattr(want_obs, name).tobytes()
+        ), name
+    graph = engine.weight_graph(net)
+    fresh_graph = fresh.weight_graph(net)
+    for name in ("indptr", "indices", "data"):
+        assert (
+            getattr(graph, name).tobytes() == getattr(fresh_graph, name).tobytes()
+        ), name
+    held = engine.arrival_times_from(net, sources, graph=graph)
+    assert held.tobytes() == fresh.arrival_times_from(net, sources).tobytes()
+
+
+@common_settings
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(6, 30),
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(MUTATIONS),
+            st.integers(0, 1_000_000),
+            st.integers(0, 1_000_000),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+)
+def test_memo_never_serves_a_stale_graph(seed, n, operations):
+    rng = np.random.default_rng(seed)
+    latency = make_latency(n, seed + 1)
+    validation = rng.uniform(0.0, 40.0, size=n)
+    net = make_network(n, seed + 2)
+    engine = PropagationEngine(latency, validation)
+    snapshots = [net.state_dict()]
+    sources = rng.integers(0, n, size=4)
+    assert_engine_matches_fresh(engine, net, latency, validation, sources)
+    for op, raw_a, raw_b in operations:
+        a, b = raw_a % n, raw_b % n
+        before, state = net.topology_version, net.state_dict()
+        if op == "copy":
+            net = net.copy()  # a new object: the memo must not follow it
+        elif op in ("connect", "disconnect"):
+            if a == b:
+                continue
+            changed = getattr(net, op)(a, b)
+            # A refused connect or a missing link leaves the version alone.
+            assert (net.topology_version > before) == changed
+        elif op == "replace_outgoing":
+            keep = sorted(net.outgoing_neighbors(a))[: raw_b % 3]
+            net.replace_outgoing(a, keep, rng, num_random=1)
+        elif op == "fill_random_outgoing":
+            net.fill_random_outgoing(a, rng)
+        elif op == "make_fully_connected":
+            net.make_fully_connected()
+            assert net.topology_version > before
+        else:
+            # Often an earlier edge set: a version that went back would alias.
+            net.load_state_dict(snapshots[raw_b % len(snapshots)])
+            assert net.topology_version > before
+        if op != "copy" and net.state_dict() != state:
+            assert net.topology_version > before
+        snapshots.append(net.state_dict())
+        sources = rng.integers(0, n, size=int(rng.integers(1, 6)))
+        assert_engine_matches_fresh(engine, net, latency, validation, sources)
 
 
 class TestArrivalTimeParity:
-    """Bit-identical arrival times across random rewire sequences."""
-
-    @common_settings
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        n=st.integers(8, 60),
-        steps=st.integers(1, 25),
-    )
-    def test_propagate_parity(self, seed, n, steps):
-        rng = np.random.default_rng(seed)
-        latency = make_latency(n, seed + 1)
-        validation = rng.uniform(0.0, 40.0, size=n)
-        net = make_network(n, seed + 2)
-        on = PropagationEngine(latency, validation, incremental=True)
-        off = PropagationEngine(latency, validation, incremental=False)
-        for _ in range(steps):
-            for _ in range(int(rng.integers(0, 5))):
-                apply_random_mutation(net, rng)
-            sources = rng.integers(0, n, size=int(rng.integers(1, 6)))
-            got = on.propagate(net, sources).arrival_times
-            want = off.propagate(net, sources).arrival_times
-            assert np.array_equal(got, want)
-
-    @common_settings
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        n=st.integers(8, 50),
-        steps=st.integers(1, 15),
-    )
-    def test_arrival_times_from_parity(self, seed, n, steps):
-        """The evaluator path: Dijkstra over the caller-held patched graph."""
-        rng = np.random.default_rng(seed)
-        latency = make_latency(n, seed + 1)
-        validation = rng.uniform(0.0, 40.0, size=n)
-        net = make_network(n, seed + 2)
-        on = PropagationEngine(latency, validation, incremental=True)
-        off = PropagationEngine(latency, validation, incremental=False)
-        for _ in range(steps):
-            for _ in range(int(rng.integers(0, 4))):
-                apply_random_mutation(net, rng)
-            # Each step's mutations force a patch of the graph passed in.
-            sources = rng.integers(0, n, size=8)
-            graph = on.weight_graph(net)
-            got = on.arrival_times_from(net, sources, graph=graph)
-            want = off.arrival_times_from(net, sources)
-            assert np.array_equal(got, want)
-
     def test_disconnected_components_stay_inf(self):
         n = 12
         latency = make_latency(n, 0)
@@ -132,85 +153,36 @@ class TestArrivalTimeParity:
                 for j in group:
                     if i < j:
                         net.connect(i, j)
-        on = PropagationEngine(latency, validation, incremental=True)
-        off = PropagationEngine(latency, validation, incremental=False)
+        engine = PropagationEngine(latency, validation)
         sources = np.arange(n)
-        got = on.propagate(net, sources).arrival_times
-        want = off.propagate(net, sources).arrival_times
-        assert np.array_equal(got, want)
+        got = engine.propagate(net, sources).arrival_times
+        want = PropagationEngine(latency, validation).propagate(net, sources)
+        assert np.array_equal(got, want.arrival_times)
         assert np.all(np.isinf(got[0, 6:]))
-        # Bridge the components and check the patched graph catches up.
+        # Bridge the components: the memo must not serve the split graph.
         net.connect(0, 6)
-        got = on.propagate(net, sources).arrival_times
-        want = off.propagate(net, sources).arrival_times
-        assert np.array_equal(got, want)
+        got = engine.propagate(net, sources).arrival_times
+        want = PropagationEngine(latency, validation).propagate(net, sources)
+        assert np.array_equal(got, want.arrival_times)
         assert np.all(np.isfinite(got[0]))
 
-    @common_settings
-    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(6, 40))
-    def test_patched_graph_equals_rebuilt_graph(self, seed, n):
-        rng = np.random.default_rng(seed)
-        latency = make_latency(n, seed + 1)
-        validation = rng.uniform(0.0, 40.0, size=n)
-        net = make_network(n, seed + 2)
-        engine = PropagationEngine(latency, validation, incremental=True)
-        engine.weight_graph(net)  # prime the cache
-        for _ in range(10):
-            apply_random_mutation(net, rng)
-        patched = engine.weight_graph(net)
-        fresh = PropagationEngine(
-            latency, validation, incremental=True
-        ).weight_graph(net)
-        assert engine.cache_stats()["graph_patches"] >= 1
-        assert np.array_equal(patched.toarray(), fresh.toarray())
-        assert np.array_equal(patched.indptr, fresh.indptr)
-        assert np.array_equal(patched.indices, fresh.indices)
-        assert np.array_equal(patched.data, fresh.data)
-
     def test_stale_version_falls_back_to_rebuild(self):
-        """Diffs the change log no longer covers trigger a clean rebuild."""
+        """A copy is another network: the memo misses and rebuilds."""
         n = 16
         latency = make_latency(n, 3)
         validation = np.zeros(n)
         net = make_network(n, 4)
-        engine = PropagationEngine(latency, validation, incremental=True)
+        engine = PropagationEngine(latency, validation)
         engine.weight_graph(net)
-        copy = net.copy()  # resets the clone's change log
-        off = PropagationEngine(latency, validation, incremental=False)
+        copy = net.copy()
+        recorder = MetricsRecorder()
         sources = np.arange(n)
-        got = engine.propagate(copy, sources).arrival_times
-        want = off.propagate(copy, sources).arrival_times
-        assert np.array_equal(got, want)
-        assert engine.cache_stats()["graph_misses"] >= 1
-
-
-class TestNetworkChangeLog:
-    def test_changes_since_nets_add_then_remove(self):
-        net = P2PNetwork(8)
-        base = net.topology_version
-        assert net.connect(0, 1)
-        assert net.disconnect(0, 1)
-        added, removed = net.changes_since(base)
-        assert added == [] and removed == []
-
-    def test_changes_since_nets_remove_then_add(self):
-        net = P2PNetwork(8)
-        assert net.connect(0, 1)
-        base = net.topology_version
-        assert net.disconnect(0, 1)
-        assert net.connect(1, 0)
-        added, removed = net.changes_since(base)
-        assert added == [] and removed == []
-
-    def test_changes_since_unknown_version_returns_none(self):
-        net = P2PNetwork(8)
-        assert net.changes_since(net.topology_version + 1) is None
-
-    def test_make_fully_connected_resets_log(self):
-        net = P2PNetwork(6)
-        base = net.topology_version
-        net.make_fully_connected()
-        assert net.changes_since(base) is None
+        with use_recorder(recorder):
+            got = engine.propagate(copy, sources).arrival_times
+        want = PropagationEngine(latency, validation).propagate(copy, sources)
+        assert np.array_equal(got, want.arrival_times)
+        assert recorder.counter("engine.graph_cache.miss") == 1
+        assert recorder.counter("engine.graph_cache.hit") == 0
 
 
 class TestEngineCounters:
@@ -219,75 +191,18 @@ class TestEngineCounters:
         latency = make_latency(n, 7)
         validation = np.zeros(n)
         net = make_network(n, 8)
-        engine = PropagationEngine(latency, validation, incremental=True)
+        engine = PropagationEngine(latency, validation)
         recorder = MetricsRecorder()
-        rng = np.random.default_rng(9)
         with use_recorder(recorder):
-            engine.propagate(net, np.arange(6))
-            apply_random_mutation(net, rng)
-            apply_random_mutation(net, rng)
-            engine.propagate(net, np.arange(6))
-        assert recorder.counter("engine.graph_cache.miss") >= 1
-        assert recorder.counter("engine.graph_cache.patched") >= 1
-        stats = engine.cache_stats()
-        assert stats["incremental"] is True
-        assert stats["graph_misses"] >= 1
-        assert stats["graph_patches"] >= 1
+            result = engine.propagate(net, np.arange(6))  # miss
+            engine.round_observations(net, result)  # reads the memo, no count
+            engine.weight_graph(net)  # hit
+            u, v = net.edge_list()[0]
+            assert net.disconnect(u, v) or net.disconnect(v, u)
+            engine.propagate(net, np.arange(6))  # miss: the version moved
+        assert recorder.counter("engine.graph_cache.miss") == 2
+        assert recorder.counter("engine.graph_cache.hit") == 1
         assert recorder.counter("engine.dijkstra_sources") == 12
-
-
-class TestEndToEndParity:
-    def test_simulator_runs_identical_engine_on_vs_off(self):
-        config = default_config(
-            num_nodes=40, rounds=4, blocks_per_round=10, seed=5
-        )
-        results = []
-        for incremental in (True, False):
-            simulator = Simulator(
-                config,
-                make_protocol("perigee-subset"),
-                incremental_engine=incremental,
-            )
-            outcome = simulator.run()
-            results.append((outcome, sorted(simulator.network.edges())))
-        (a, a_edges), (b, b_edges) = results
-        assert np.array_equal(a.final_reach_times_ms, b.final_reach_times_ms)
-        assert a_edges == b_edges
-
-    def test_execute_sweep_records_identical(self, tmp_path, monkeypatch):
-        from repro.runtime.executor import SerialExecutor, execute_sweep
-        from repro.runtime.tasks import SweepSpec
-
-        config = default_config(
-            num_nodes=30, rounds=2, blocks_per_round=8, seed=11
-        )
-        spec = SweepSpec(
-            name="parity",
-            config=config,
-            protocols=("random", "perigee-subset"),
-            repeats=1,
-        )
-        built = []
-
-        def stateless_engine(*args, **kwargs):
-            engine = PropagationEngine(*args, **{**kwargs, "incremental": False})
-            built.append(engine)
-            return engine
-
-        def sweep_payload():
-            records = execute_sweep(spec, executor=SerialExecutor())
-            dicts = [record.to_dict() for record in records]
-            for entry in dicts:
-                entry.pop("duration_s")  # wall-clock noise
-            return dicts
-
-        incremental = sweep_payload()
-        monkeypatch.setattr(
-            "repro.core.simulator.PropagationEngine", stateless_engine
-        )
-        stateless = sweep_payload()
-        assert built and not any(engine.incremental for engine in built)
-        assert incremental == stateless
 
 
 class TestEvaluatorBackends:
@@ -296,9 +211,7 @@ class TestEvaluatorBackends:
         self.latency = make_latency(self.n, 21)
         self.validation = np.zeros(self.n)
         self.net = make_network(self.n, 22)
-        self.engine = PropagationEngine(
-            self.latency, self.validation, incremental=False
-        )
+        self.engine = PropagationEngine(self.latency, self.validation)
         self.hash_power = np.full(self.n, 1.0 / self.n)
 
     def test_parallel_workers_bit_identical(self):

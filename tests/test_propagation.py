@@ -12,6 +12,7 @@ from repro.core.propagation import PropagationEngine
 from repro.core.simulator import Simulator
 from repro.latency.base import MatrixLatencyModel
 from repro.protocols.registry import make_protocol
+from repro.telemetry.recorder import MetricsRecorder, use_recorder
 
 
 def build_line_network(n):
@@ -181,15 +182,13 @@ def _scalar_round(engine, network, result, block_ids):
     )
 
 
-def _parity_engine(num_nodes, incremental, seed=3):
+def _parity_engine(num_nodes, seed=3):
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(5.0, 200.0, size=(num_nodes, num_nodes))
     matrix = (matrix + matrix.T) / 3.0
     np.fill_diagonal(matrix, 0.0)
     validation = rng.uniform(0.0, 40.0, size=num_nodes)
-    engine = PropagationEngine(
-        MatrixLatencyModel(matrix), validation, incremental=incremental
-    )
+    engine = PropagationEngine(MatrixLatencyModel(matrix), validation)
     return engine, rng
 
 
@@ -217,19 +216,32 @@ def _assert_same_round(observed, expected):
 
 
 class TestOnePassRoundObservations:
-    """``round_observations`` equals the scalar formula bit for bit."""
+    """``round_observations`` equals the scalar formula bit for bit.
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_matches_scalar_forward_times(self, incremental):
-        engine, rng = _parity_engine(30, incremental)
+    ``warm`` primes the engine's weight-graph memo for the network before
+    ``propagate`` (as a previous round's evaluation would), so ``propagate``
+    hits the memo instead of building it.
+    """
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_matches_scalar_forward_times(self, warm):
+        engine, rng = _parity_engine(30)
         network = _random_overlay(30, rng, isolated=(7,))
+        if warm:
+            engine.weight_graph(network)
         sources = np.array([0, 5, 5, 12, 29, 7])
-        result = engine.propagate(network, sources)
-        stats = engine.cache_stats()
-        block_ids = np.arange(100, 100 + sources.size)
-        observed = engine.round_observations(network, result, block_ids=block_ids)
-        # Reading the cached edge arrays moves no cache counter.
-        assert engine.cache_stats() == stats
+        recorder = MetricsRecorder()
+        with use_recorder(recorder):
+            result = engine.propagate(network, sources)
+            counts = dict(recorder.snapshot()["counters"])
+            block_ids = np.arange(100, 100 + sources.size)
+            observed = engine.round_observations(
+                network, result, block_ids=block_ids
+            )
+            # Reading the memo's edge arrays moves no counter.
+            assert recorder.snapshot()["counters"] == counts
+        served = "hit" if warm else "miss"
+        assert counts[f"engine.graph_cache.{served}"] == 1
         _assert_same_round(
             observed, _scalar_round(engine, network, result, block_ids)
         )
@@ -239,10 +251,12 @@ class TestOnePassRoundObservations:
         assert observed.neighbors_of(7).size == 0
         assert np.all(observed.first_arrivals()[7] == np.inf)
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_network_mutated_after_propagate(self, incremental):
-        engine, rng = _parity_engine(25, incremental)
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_network_mutated_after_propagate(self, warm):
+        engine, rng = _parity_engine(25)
         network = _random_overlay(25, rng)
+        if warm:
+            engine.weight_graph(network)
         result = engine.propagate(network, [1, 4, 9])
         u, v = network.edge_list()[0]
         assert network.disconnect(u, v) or network.disconnect(v, u)
@@ -253,10 +267,12 @@ class TestOnePassRoundObservations:
         )
         assert observed.num_directed_edges == 2 * network.num_edges()
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_second_network_object(self, incremental):
-        engine, rng = _parity_engine(25, incremental)
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_second_network_object(self, warm):
+        engine, rng = _parity_engine(25)
         network = _random_overlay(25, rng)
+        if warm:
+            engine.weight_graph(network)
         other = _random_overlay(25, rng)
         result = engine.propagate(network, [2, 2, 17])
         observed = engine.round_observations(other, result)
@@ -264,10 +280,12 @@ class TestOnePassRoundObservations:
             observed, _scalar_round(engine, other, result, np.arange(3))
         )
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_empty_overlay(self, incremental):
-        engine, _ = _parity_engine(6, incremental)
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_empty_overlay(self, warm):
+        engine, _ = _parity_engine(6)
         network = P2PNetwork(num_nodes=6, out_degree=2, max_incoming=4)
+        if warm:
+            engine.weight_graph(network)
         result = engine.propagate(network, [0, 3])
         observed = engine.round_observations(network, result)
         _assert_same_round(observed, RoundObservations.empty(6, np.arange(2)))
@@ -276,7 +294,7 @@ class TestOnePassRoundObservations:
         )
 
     def test_block_ids_must_match_block_count(self):
-        engine, rng = _parity_engine(10, True)
+        engine, rng = _parity_engine(10)
         network = _random_overlay(10, rng)
         result = engine.propagate(network, [0, 1])
         with pytest.raises(ValueError):

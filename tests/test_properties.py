@@ -76,7 +76,7 @@ def _reference_edges(network):
     seed=st.integers(min_value=0, max_value=1000),
     operations=st.lists(
         st.tuples(
-            st.sampled_from(["connect", "disconnect", "replace", "purge"]),
+            st.sampled_from(["connect", "disconnect", "replace"]),
             st.integers(0, 1_000_000),
             st.integers(0, 1_000_000),
         ),
@@ -88,9 +88,7 @@ def test_to_numpy_edges_matches_set_and_sort_reference(num_nodes, seed, operatio
     rng = np.random.default_rng(seed)
     for op, raw_a, raw_b in operations:
         a, b = raw_a % num_nodes, raw_b % num_nodes
-        if op == "purge":
-            network.purge_node(a)
-        elif a == b:
+        if a == b:
             continue
         elif op == "connect":
             network.connect(a, b)
