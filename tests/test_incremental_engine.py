@@ -8,7 +8,9 @@ sequences of every topology mutation (``connect``, ``disconnect``,
 ``replace_outgoing``, ``fill_random_outgoing``, ``make_fully_connected``,
 ``load_state_dict`` and ``copy``) and checks after each step that a
 change raises ``topology_version`` and that one long-lived engine answers
-exactly as a fresh one.  Around it: disconnected components, the memo's
+exactly as a fresh one.  ``TestArrivalTimeParity`` pins the same promise
+for ``propagate``, ``arrival_times_from`` and the CSR itself over random
+rewire sequences.  Around it: disconnected components, the memo's
 hit/miss counters through the telemetry recorder, the process-parallel /
 adaptive evaluation backends, the composition-aware overlay wrappers, and
 chunked theory stretch.
@@ -63,6 +65,17 @@ def make_network(n: int, seed: int, degree: int = 4) -> P2PNetwork:
             if u != int(v):
                 net.connect(u, int(v))
     return net
+
+
+def apply_random_rewire(net: P2PNetwork, rng: np.random.Generator) -> None:
+    """One random ``connect`` or ``disconnect`` (may split components)."""
+    u, v = (int(x) for x in rng.integers(0, net.num_nodes, size=2))
+    if u == v:
+        return
+    if net.has_edge(u, v):
+        net.disconnect(u, v) or net.disconnect(v, u)
+    else:
+        net.connect(u, v)
 
 
 def assert_engine_matches_fresh(engine, net, latency, validation, sources):
@@ -141,6 +154,76 @@ def test_memo_never_serves_a_stale_graph(seed, n, operations):
 
 
 class TestArrivalTimeParity:
+    """A long-lived engine answers as a fresh one across rewire sequences."""
+
+    @common_settings
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(8, 60),
+        steps=st.integers(1, 25),
+    )
+    def test_propagate_parity(self, seed, n, steps):
+        rng = np.random.default_rng(seed)
+        latency = make_latency(n, seed + 1)
+        validation = rng.uniform(0.0, 40.0, size=n)
+        net = make_network(n, seed + 2)
+        engine = PropagationEngine(latency, validation)
+        for _ in range(steps):
+            for _ in range(int(rng.integers(0, 5))):
+                apply_random_rewire(net, rng)
+            sources = rng.integers(0, n, size=int(rng.integers(1, 6)))
+            got = engine.propagate(net, sources).arrival_times
+            fresh = PropagationEngine(latency, validation)
+            want = fresh.propagate(net, sources).arrival_times
+            assert np.array_equal(got, want)
+
+    @common_settings
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(8, 50),
+        steps=st.integers(1, 15),
+    )
+    def test_arrival_times_from_parity(self, seed, n, steps):
+        """The evaluator path: Dijkstra over the caller-held memoised graph."""
+        rng = np.random.default_rng(seed)
+        latency = make_latency(n, seed + 1)
+        validation = rng.uniform(0.0, 40.0, size=n)
+        net = make_network(n, seed + 2)
+        engine = PropagationEngine(latency, validation)
+        for _ in range(steps):
+            for _ in range(int(rng.integers(0, 4))):
+                apply_random_rewire(net, rng)
+            sources = rng.integers(0, n, size=8)
+            graph = engine.weight_graph(net)
+            got = engine.arrival_times_from(net, sources, graph=graph)
+            fresh = PropagationEngine(latency, validation)
+            want = fresh.arrival_times_from(net, sources)
+            assert np.array_equal(got, want)
+
+    @common_settings
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(6, 40))
+    def test_patched_graph_equals_rebuilt_graph(self, seed, n):
+        """After rewires the memo is rebuilt, never patched or served stale."""
+        rng = np.random.default_rng(seed)
+        latency = make_latency(n, seed + 1)
+        validation = rng.uniform(0.0, 40.0, size=n)
+        net = make_network(n, seed + 2)
+        engine = PropagationEngine(latency, validation)
+        engine.weight_graph(net)  # prime the memo
+        before = net.topology_version
+        for _ in range(10):
+            apply_random_rewire(net, rng)
+        recorder = MetricsRecorder()
+        with use_recorder(recorder):
+            memoised = engine.weight_graph(net)
+        fresh = PropagationEngine(latency, validation).weight_graph(net)
+        assert net.topology_version > before
+        assert recorder.counter("engine.graph_cache.miss") == 1
+        assert np.array_equal(memoised.toarray(), fresh.toarray())
+        assert np.array_equal(memoised.indptr, fresh.indptr)
+        assert np.array_equal(memoised.indices, fresh.indices)
+        assert np.array_equal(memoised.data, fresh.data)
+
     def test_disconnected_components_stay_inf(self):
         n = 12
         latency = make_latency(n, 0)
@@ -183,6 +266,28 @@ class TestArrivalTimeParity:
         assert np.array_equal(got, want.arrival_times)
         assert recorder.counter("engine.graph_cache.miss") == 1
         assert recorder.counter("engine.graph_cache.hit") == 0
+
+
+class TestNetworkChangeLog:
+    def test_make_fully_connected_resets_log(self):
+        """``make_fully_connected`` raises the version; the memo rebuilds."""
+        n = 6
+        latency = make_latency(n, 1)
+        validation = np.zeros(n)
+        net = P2PNetwork(n)
+        net.connect(0, 1)
+        engine = PropagationEngine(latency, validation)
+        sparse = engine.weight_graph(net)
+        base = net.topology_version
+        net.make_fully_connected()
+        assert net.topology_version > base
+        recorder = MetricsRecorder()
+        with use_recorder(recorder):
+            graph = engine.weight_graph(net)
+        assert recorder.counter("engine.graph_cache.miss") == 1
+        assert graph.nnz > sparse.nnz
+        fresh = PropagationEngine(latency, validation).weight_graph(net)
+        assert np.array_equal(graph.toarray(), fresh.toarray())
 
 
 class TestEngineCounters:
