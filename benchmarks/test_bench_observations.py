@@ -16,6 +16,13 @@ against scoring the same round one node at a time through
 ``select_retained_block``, on the largest size after the UCB history has
 filled; at N>=1000 the UCB cell must be >=2x faster.
 
+A third arm times the percentile-anchor kernel all three scoring rules
+share, :func:`~repro.core.observations.order_statistics` (one single-kth
+partition plus a ``max``), against a two-kth ``np.partition`` at the shapes
+one fig3a round scores (N=1000, B=60): UCB's stacked history slab, Vanilla's
+stacked rows and one Subset greedy step.  It checks the anchors agree and
+records the times, with no speed gate.
+
 Knobs:
 
 * ``PERIGEE_BENCH_OBS_NODES``  (default "300,1000") — comma-separated sizes
@@ -36,7 +43,7 @@ import numpy as np
 import pytest
 
 from repro.config import default_config
-from repro.core.observations import NEVER, percentile_score
+from repro.core.observations import NEVER, order_statistics, percentile_score
 from repro.core.simulator import Simulator
 from repro.protocols.registry import make_protocol
 from repro.telemetry.recorder import MetricsRecorder, use_recorder
@@ -390,3 +397,67 @@ def test_bench_large_network_smoke():
         for node in range(0, 5000, 500)
     ]
     assert all(degree == config.out_degree for degree in degrees)
+
+
+#: ``(variant, shape)`` of the blocks one fig3a round (N=1000, B=60) hands
+#: to the percentile kernel: UCB's slab of 7,000 equally long histories of
+#: 1,140 samples, Vanilla's 8,000 stacked rows and a Subset greedy step over
+#: 1,000 nodes' ``(8, 60)`` blocks.
+ORDER_STATISTIC_SHAPES = (
+    ("perigee-ucb", (7000, 1140)),
+    ("perigee-vanilla", (8000, 60)),
+    ("perigee-subset", (1000, 8, 60)),
+)
+
+
+def _best_of(kernel, base, work, repeats=5):
+    """Fastest of ``repeats`` timed calls, each on a fresh copy of ``base``."""
+    best = math.inf
+    for _ in range(repeats):
+        np.copyto(work, base)
+        start = time.perf_counter()
+        kernel(work)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize(
+    "variant,shape",
+    ORDER_STATISTIC_SHAPES,
+    ids=[variant for variant, _ in ORDER_STATISTIC_SHAPES],
+)
+def test_bench_order_statistics(variant, shape):
+    """Single-kth partition + max vs a two-kth partition, same anchors."""
+    print_banner(f"Percentile anchors, {variant} shape {shape}")
+    rng = np.random.default_rng(0)
+    base = rng.exponential(scale=100.0, size=shape)
+    if variant != "perigee-ucb":
+        # Round blocks carry blocks a neighbor never delivered; UCB keeps
+        # only finite samples.
+        base[rng.uniform(size=shape) < 0.05] = NEVER
+    rank = 0.9 * (shape[-1] - 1)
+    lower, upper = math.floor(rank), math.ceil(rank)
+    work = np.empty_like(base)
+
+    def two_kth(values):
+        values.partition((lower, upper), axis=-1)
+        return values[..., lower].copy(), values[..., upper].copy()
+
+    two_kth_s = _best_of(two_kth, base, work)
+    expected = two_kth(base.copy())
+    single_kth_s = _best_of(
+        lambda values: order_statistics(values, lower, upper), base, work
+    )
+    low, high = order_statistics(base.copy(), lower, upper)
+    assert np.array_equal(low, expected[0])
+    assert np.array_equal(high, expected[1])
+    emit_bench_json(
+        {
+            "bench": "order-statistics",
+            "variant": variant,
+            "shape": "x".join(str(size) for size in shape),
+            "two_kth_ms": round(two_kth_s * 1000.0, 2),
+            "single_kth_ms": round(single_kth_s * 1000.0, 2),
+            "speedup": round(two_kth_s / single_kth_s, 2),
+        }
+    )

@@ -18,7 +18,10 @@ implementation, the one rounds run:
 Every rule is array-native and scores many nodes at once: it operates on
 ``(neighbors, blocks)`` timestamp blocks sliced out of
 :class:`~repro.core.observations.RoundObservations`, with no Python-level
-loop over observations.
+loop over observations.  All three score by a linear percentile, and all
+three find its two interpolation anchors with
+:func:`~repro.core.observations.order_statistics`: one single-kth partition
+plus a ``max``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.observations import NEVER
+from repro.core.observations import NEVER, order_statistics
 
 __all__ = [
     "SCORE_PERCENTILE",
@@ -62,13 +65,14 @@ def _half_width(samples: int, exploration_constant: float) -> float:
 def _linear_percentile_rows(stacked: np.ndarray, percentile: float) -> np.ndarray:
     """Row-wise ``np.percentile(..., axis=1)`` with the 'linear' method.
 
-    Replicates NumPy's virtual-index / partition / lerp arithmetic exactly
-    (same operations, same rounding) while skipping its generic dispatch
-    overhead — UCB scoring calls this once per history-length group per node,
-    so the per-call constant matters.  Bitwise equality with
-    ``np.percentile`` is pinned by the parity test suite.  ``stacked`` is
-    partitioned in place (each row's samples are reordered), which saves a
-    copy of the slab; pass an array the caller no longer needs.
+    Replicates NumPy's virtual-index / order-statistic / lerp arithmetic
+    exactly (same operations, same rounding) while skipping its generic
+    dispatch overhead — UCB scoring calls this once per history-length group
+    per scoring chunk, so the per-call constant matters.  The two anchors
+    come from :func:`~repro.core.observations.order_statistics`.  Bitwise
+    equality with ``np.percentile`` is pinned by the parity test suite.
+    ``stacked`` is partitioned in place (each row's samples are reordered),
+    which saves a copy of the slab; pass an array the caller no longer needs.
     """
     count = stacked.shape[1]
     virtual = (count - 1) * (percentile / 100.0)
@@ -76,9 +80,7 @@ def _linear_percentile_rows(stacked: np.ndarray, percentile: float) -> np.ndarra
     following = min(previous + 1, count - 1)
     previous = min(previous, count - 1)
     gamma = virtual - previous
-    stacked.partition((previous, following), axis=1)
-    low = stacked[:, previous]
-    high = stacked[:, following]
+    low, high = order_statistics(stacked, previous, following)
     diff = high - low
     if gamma >= 0.5:
         return high - diff * (1.0 - gamma)
@@ -185,9 +187,7 @@ def greedy_subset_selection_batch(
         chosen = np.empty((len(members), steps), dtype=np.int64)
         for step in range(steps):
             transformed = np.minimum(stacked, group_best[:, None, :])
-            transformed.partition((lower, upper), axis=2)
-            low = transformed[:, :, lower]
-            high = transformed[:, :, upper]
+            low, high = order_statistics(transformed, lower, upper)
             finite = np.isfinite(low) & np.isfinite(high) & available
             if lower == upper:
                 scores = np.where(finite, low, NEVER)

@@ -41,6 +41,7 @@ import socket
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from repro.runtime.atomics import atomic_write_json
 from repro.runtime.checkpoint import (
@@ -49,11 +50,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.faults import get_fault_plane
 from repro.runtime.retry import DEFAULT_IO_RETRY, retry
-from repro.runtime.store import (
-    ResultStore,
-    iter_jsonl_payloads,
-    sanitize_writer_id,
-)
+from repro.runtime.store import ResultStore, merge_records, sanitize_writer_id
 from repro.runtime.tasks import SweepSpec, Task, TaskRecord
 from repro.telemetry.recorder import get_recorder
 
@@ -645,17 +642,17 @@ class WorkQueue:
             )
         return leases
 
-    def status(
-        self, records: dict[str, TaskRecord] | None = None
-    ) -> ClusterStatus:
+    def status(self, records: Sequence[TaskRecord] | None = None) -> ClusterStatus:
         """Snapshot of queue depth, store counts, and worker liveness.
 
         Workers are discovered through their registry files *and* through
         the leases they hold, so a worker that has claimed its first task
         but not yet completed one still shows up — with its lease heartbeat
         age — instead of only surfacing after its first result shard record.
-        ``records`` is the store's merged records when the caller has just
-        read them (``fleet_status`` does); by default they are loaded here.
+        ``records`` is one :meth:`ResultStore.iter_records` scan when the
+        caller has just made it (``fleet_status`` does); by default the scan
+        is made here.  A worker's ``completed`` count is the distinct ``ok``
+        keys the scan read from its result shard.
         """
         pending = 0
         leased = 0
@@ -665,8 +662,13 @@ class WorkQueue:
             else:
                 pending += 1
         if records is None:
-            records = self.store.load()
-        records_ok = sum(1 for record in records.values() if record.ok)
+            records = list(self.store.iter_records())
+        merged = merge_records(records)
+        records_ok = sum(1 for record in merged.values() if record.ok)
+        ok_keys: dict[Path, set[str]] = {}
+        for record in records:
+            if record.ok and record.shard is not None:
+                ok_keys.setdefault(record.shard, set()).add(record.key)
         leases = self.active_leases()
         claims: dict[str, list[LeaseStatus]] = {}
         for lease in leases:
@@ -690,7 +692,9 @@ class WorkQueue:
                 worker_id=worker_id,
                 age_seconds=age,
                 alive=age <= self.lease_ttl,
-                completed=self._shard_record_count(worker_id),
+                completed=len(
+                    ok_keys.get(self.store.for_writer(worker_id).results_path, ())
+                ),
                 active_claims=len(claims.get(worker_id, ())),
             )
             for worker_id, age in sorted(ages.items())
@@ -699,24 +703,10 @@ class WorkQueue:
             pending=pending,
             leased=leased,
             records_ok=records_ok,
-            records_failed=len(records) - records_ok,
+            records_failed=len(merged) - records_ok,
             workers=workers,
             leases=leases,
         )
-
-    def _shard_record_count(self, worker_id: str) -> int:
-        """Distinct tasks this worker finished successfully (duplicate
-        completions and failure records don't inflate the count)."""
-        shard = self.store.for_writer(worker_id).results_path
-        if not shard.exists():
-            return 0
-        keys = {
-            payload["key"]
-            for payload in iter_jsonl_payloads(shard)
-            if isinstance(payload.get("key"), str)
-            and payload.get("status") == "ok"
-        }
-        return len(keys)
 
     # ------------------------------------------------------------------ #
     # Paths

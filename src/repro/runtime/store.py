@@ -326,6 +326,9 @@ class ResultStore:
     def iter_records(self) -> Iterator[TaskRecord]:
         """Yield all parseable records, shared file first, then shards.
 
+        Each record's ``shard`` is the file it was read from, so one scan
+        also tells which worker's shard holds which completion.
+
         A corrupt line never discards the rest of its shard: a torn
         *trailing* line (crash mid-append) is counted
         (``store.torn_lines``) and skipped; mid-file corruption — including
@@ -346,11 +349,14 @@ class ResultStore:
 
             for payload in iter_jsonl_payloads(path, on_corrupt=on_corrupt):
                 try:
-                    yield TaskRecord.from_dict(payload)
+                    record = TaskRecord.from_dict(payload)
                 except (KeyError, TypeError, ValueError):
                     self._quarantine_line(
                         path, 0, json.dumps(payload, sort_keys=True)
                     )
+                    continue
+                record.shard = path
+                yield record
 
     def load(self) -> dict[str, TaskRecord]:
         """All records keyed by content hash, merged across shards by

@@ -32,6 +32,7 @@ import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -211,9 +212,10 @@ class TaskRecord:
 
     ``reach90``/``reach50`` hold the raw (unsorted) per-source reach times in
     milliseconds; sorting and averaging happen at aggregation time so the
-    stored record is the most re-usable form.  ``cached`` is runtime-only
-    bookkeeping (``True`` when the record was served from a store instead of
-    being executed) and is never serialised.
+    stored record is the most re-usable form.  ``cached`` and ``shard`` are
+    runtime-only bookkeeping and are never serialised: ``cached`` is ``True``
+    when the record was served from a store instead of being executed, and
+    ``shard`` is the results file a store scan read it from.
     """
 
     key: str
@@ -226,6 +228,7 @@ class TaskRecord:
     histogram: dict[str, Any] | None = None
     evaluation: dict[str, Any] | None = None
     cached: bool = False
+    shard: Path | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:

@@ -178,11 +178,11 @@ def fleet_status(
 
     store = store if isinstance(store, ResultStore) else ResultStore(store)
     queue = WorkQueue(store, lease_ttl=lease_ttl)
-    # One scan of the result shards feeds the queue counts, the throughput
-    # and the sweep traces.
+    # One scan of the result shards feeds the queue counts (each worker's
+    # completions included), the throughput and the sweep traces.
     scanned = list(store.iter_records())
     records = merge_records(scanned)
-    status = queue.status(records)
+    status = queue.status(scanned)
     workers = [
         {
             "worker_id": worker.worker_id,

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import default_config
@@ -22,6 +22,8 @@ from repro.core.network import P2PNetwork
 from repro.core.observations import (
     NEVER,
     RoundObservations,
+    batched_percentile_scores,
+    order_statistics,
     percentile_score,
     percentile_scores,
 )
@@ -332,15 +334,102 @@ def test_stacked_intervals_match_per_neighbor_reference(histories, percentile):
     cols=st.integers(min_value=1, max_value=120),
     seed=st.integers(min_value=0, max_value=10_000),
     percentile=st.floats(min_value=0.0, max_value=100.0),
+    distinct=st.sampled_from([None, 1, 2, 5]),
 )
 def test_linear_percentile_rows_is_bitwise_np_percentile(
-    rows, cols, seed, percentile
+    rows, cols, seed, percentile, distinct
 ):
     rng = np.random.default_rng(seed)
-    stacked = rng.normal(scale=100.0, size=(rows, cols))
+    if distinct is None:
+        stacked = rng.normal(scale=100.0, size=(rows, cols))
+    else:
+        # Duplicate-heavy rows: both anchors often fall inside one run of
+        # equal samples.
+        stacked = rng.integers(0, distinct, size=(rows, cols)) * 37.5
     expected = np.percentile(stacked, percentile, axis=1)
     actual = _linear_percentile_rows(stacked, percentile)
     assert np.array_equal(expected, actual)
+
+
+@common_settings
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 6), st.integers(1, 70)),
+        st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 70)),
+    ),
+    seed=st.integers(min_value=0, max_value=10_000),
+    rank=st.floats(min_value=0.0, max_value=1.0),
+    adjacent=st.booleans(),
+    ties=st.booleans(),
+    infinity_fraction=st.floats(min_value=0.0, max_value=0.5),
+    nans=st.integers(min_value=0, max_value=3),
+)
+@example(
+    shape=(4, 1), seed=0, rank=0.9, adjacent=True, ties=False,
+    infinity_fraction=0.0, nans=0,
+)
+@example(
+    shape=(3, 2, 11), seed=1, rank=0.5, adjacent=False, ties=True,
+    infinity_fraction=0.2, nans=2,
+)
+# UCB's slab at fig3a's scale: on rows this long the partition at ``upper``
+# leaves some rows' ``lower``-th statistic away from position ``lower``.
+@example(
+    shape=(400, 1140), seed=0, rank=0.9, adjacent=True, ties=False,
+    infinity_fraction=0.0, nans=0,
+)
+def test_order_statistics_matches_full_sort(
+    shape, seed, rank, adjacent, ties, infinity_fraction, nans
+):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(scale=100.0, size=shape)
+    if ties:
+        values = np.round(values / 80.0)
+    values[rng.uniform(size=shape) < infinity_fraction] = np.inf
+    values[rng.uniform(size=shape) < infinity_fraction / 4] = -np.inf
+    flat = values.reshape(-1)
+    flat[rng.choice(flat.size, size=min(nans, flat.size), replace=False)] = np.nan
+    cols = shape[-1]
+    upper = min(int(rank * cols), cols - 1)
+    lower = upper - 1 if adjacent and upper > 0 else upper
+    ordered = np.sort(values, axis=-1)
+    low, high = order_statistics(values.copy(), lower, upper)
+    assert low.shape == high.shape == shape[:-1]
+    assert np.array_equal(low, ordered[..., lower], equal_nan=True)
+    assert np.array_equal(high, ordered[..., upper], equal_nan=True)
+
+
+@pytest.mark.parametrize("lower,upper", [(3, 2), (1, 3), (-1, 1)])
+def test_order_statistics_rejects_anchors_that_are_not_neighbours(lower, upper):
+    with pytest.raises(ValueError):
+        order_statistics(np.arange(10.0).reshape(2, 5), lower, upper)
+
+
+@common_settings
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    percentile=st.floats(min_value=0.0, max_value=100.0),
+)
+def test_percentile_scores_leaves_its_input_unchanged(seed, percentile):
+    rng = np.random.default_rng(seed)
+    times = rng.uniform(0.0, 500.0, size=(7, 60))
+    times[rng.uniform(size=times.shape) < 0.1] = NEVER
+    before = times.tobytes()
+    percentile_scores(times, percentile)
+    assert times.tobytes() == before
+
+
+@common_settings
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    widths=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=5),
+)
+def test_batched_percentile_scores_leaves_its_inputs_unchanged(seed, widths):
+    rng = np.random.default_rng(seed)
+    blocks = [rng.uniform(0.0, 500.0, size=(3, width)) for width in widths]
+    before = [block.tobytes() for block in blocks]
+    batched_percentile_scores(blocks, 90.0)
+    assert [block.tobytes() for block in blocks] == before
 
 
 @common_settings
