@@ -314,7 +314,6 @@ def _score_per_node(protocol, simulator, observations):
                 neighbors,
                 observations.normalized_rows(node_id, neighbors),
                 budget,
-                simulator._rng,
             )
 
 

@@ -16,6 +16,8 @@ Run with::
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.analysis.reporting import format_table
@@ -33,39 +35,49 @@ from repro.protocols.registry import (
 
 
 class EpsilonGreedyProtocol(PerigeeBase):
-    """Keep neighbors with the best mean delivery time; explore with prob. epsilon."""
+    """Keep neighbors with the best mean delivery time; explore with prob. epsilon.
+
+    Scorers do not see the round's random generator (it drives the rewire),
+    so the epsilon draws come from a generator the protocol owns, seeded by
+    ``seed``.
+    """
 
     name = "epsilon-greedy"
 
-    def __init__(self, epsilon: float = 0.2, **kwargs) -> None:
+    def __init__(self, epsilon: float = 0.2, seed: int = 0, **kwargs) -> None:
         super().__init__(**kwargs)
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError("epsilon must be within [0, 1]")
         self._epsilon = epsilon
+        self._rng = np.random.default_rng(seed)
 
-    def select_retained_block(
+    def select_retained_batch(
         self,
-        node_id: int,
-        neighbors: np.ndarray,
-        times: np.ndarray,
+        node_ids: Sequence[int],
+        neighbors: Sequence[np.ndarray],
+        times: Sequence[np.ndarray],
         retain_budget: int,
-        rng: np.random.Generator,
-    ) -> set[int]:
-        # ``times`` holds one row of time-normalised delivery offsets per
-        # outgoing neighbor (``inf`` where a block was never delivered).
+    ) -> list[set[int]]:
+        # ``times[i]`` holds one row of time-normalised delivery offsets per
+        # outgoing neighbor of ``node_ids[i]`` (``inf`` where a block was
+        # never delivered).
         if retain_budget <= 0:
-            return set()
+            return [set() for _ in node_ids]
 
         def mean_delivery(row: np.ndarray) -> float:
             samples = row[np.isfinite(row)]
             return float(np.mean(samples)) if samples.size else float("inf")
 
-        ranked = sorted(zip(map(mean_delivery, times), neighbors.tolist()))
-        retained = [peer for _, peer in ranked[:retain_budget]]
-        if retained and rng.random() < self._epsilon:
-            # Drop one retained neighbor at random to explore more aggressively.
-            retained = retained[:-1]
-        return set(retained)
+        retained_sets = []
+        for ids, block in zip(neighbors, times):
+            ranked = sorted(zip(map(mean_delivery, block), ids.tolist()))
+            retained = [peer for _, peer in ranked[:retain_budget]]
+            if retained and self._rng.random() < self._epsilon:
+                # Drop one retained neighbor at random to explore more
+                # aggressively.
+                retained = retained[:-1]
+            retained_sets.append(set(retained))
+        return retained_sets
 
 
 def main() -> None:
@@ -106,7 +118,7 @@ def main() -> None:
     )
     print()
     print(
-        "Custom protocols only need to implement select_retained_block(); "
+        "Custom protocols only need to implement select_retained_batch(); "
         "everything else (simulation, metrics, baselines) is reused from the "
         "library."
     )

@@ -1,8 +1,8 @@
-"""Setuptools shim.
+"""Setuptools shim carrying no project metadata.
 
-The canonical project metadata lives in ``pyproject.toml``.  This file exists
-only so the package can be installed in environments whose setuptools is too
-old to build editable wheels (legacy ``pip install -e . --no-use-pep517``).
+The repository is not installed to be used: the tests, the CLI
+(``python -m repro.cli``), the examples and CI all run from the source tree
+with ``PYTHONPATH=src``, as the README shows.
 """
 
 from setuptools import setup

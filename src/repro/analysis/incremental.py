@@ -91,11 +91,6 @@ class MixedDeploymentProtocol(PerigeeBase):
     def on_neighbors_dropped(self, node_id: int, dropped: set[int]) -> None:
         self._inner.on_neighbors_dropped(node_id, dropped)
 
-    @property
-    def scores_in_batch(self) -> bool:
-        """Adopters are scored in one pass exactly when the inner variant is."""
-        return self._inner.scores_in_batch
-
     def select_retained_batch(
         self,
         node_ids: Sequence[int],
@@ -105,22 +100,6 @@ class MixedDeploymentProtocol(PerigeeBase):
     ) -> list[set[int]]:
         return self._inner.select_retained_batch(
             node_ids, neighbors, times, retain_budget
-        )
-
-    def select_retained_block(
-        self,
-        node_id: int,
-        neighbors: np.ndarray,
-        times: np.ndarray,
-        retain_budget: int,
-        rng: np.random.Generator,
-    ) -> set[int]:
-        return self._inner.select_retained_block(
-            node_id=node_id,
-            neighbors=neighbors,
-            times=times,
-            retain_budget=retain_budget,
-            rng=rng,
         )
 
     def describe(self) -> dict[str, object]:

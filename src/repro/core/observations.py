@@ -43,11 +43,11 @@ def percentile_score(values: list[float] | np.ndarray, percentile: float = 90.0)
     An empty multiset scores infinity (an unobserved neighbor carries no
     evidence of good connectivity).
     """
+    if not 0.0 <= percentile <= 100.0:
+        raise ValueError("percentile must be within [0, 100]")
     array = np.asarray(list(values), dtype=float)
     if array.size == 0:
         return NEVER
-    if not 0.0 <= percentile <= 100.0:
-        raise ValueError("percentile must be within [0, 100]")
     if not np.any(np.isfinite(array)):
         return NEVER
     # The percentile is taken over the full multiset: with enough infinite

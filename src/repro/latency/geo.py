@@ -284,7 +284,3 @@ class GeographicLatencyModel(LatencyModel):
         diag = self.pairwise(u, u)
         if not np.allclose(diag, 0.0):
             raise ValueError("latency matrix diagonal must be zero")
-
-    def region_of(self, node_id: int) -> str:
-        """Region of the given node, as known to the model."""
-        return self._nodes[node_id].region

@@ -11,15 +11,12 @@ Every variant follows the same per-round template for each node ``v``:
 The base class implements the template, the topology initialisation (an
 arbitrary random topology, as if obtained from a bootstrapping server) and the
 mechanics of retaining/replacing connections under the incoming-capacity
-limits.  Subclasses provide :meth:`select_retained_block`, which receives the
-node's normalised observations as a ``(neighbors, blocks)`` timestamp block
-sliced out of the round's columnar
-:class:`~repro.core.observations.RoundObservations`.
-
-The built-in variants also provide :meth:`PerigeeBase.select_retained_batch`,
-which scores many nodes in one vectorised pass; :meth:`PerigeeBase.update`
-then scores every node once per round before the RNG-consuming rewire loop
-runs (see its docstring for why that is exact).
+limits.  Subclasses provide :meth:`PerigeeBase.select_retained_batch`, which
+scores many nodes in one vectorised pass from their normalised observations,
+each a ``(neighbors, blocks)`` timestamp block gathered from the round's
+columnar :class:`~repro.core.observations.RoundObservations`.
+:meth:`PerigeeBase.update` scores every updating node once per round before
+the RNG-consuming rewire loop runs (see its docstring for why that is exact).
 """
 
 from __future__ import annotations
@@ -43,14 +40,6 @@ from repro.telemetry.recorder import get_recorder
 #: Bounds the phase's stacked temporaries (a few MB at out-degree 8 and
 #: ~50 blocks a round) independently of the overlay size.
 SCORE_CHUNK_NODES = 1024
-
-
-def _defining_class(cls: type, name: str) -> type | None:
-    """The class in ``cls``'s MRO whose own namespace defines ``name``."""
-    for klass in cls.__mro__:
-        if name in vars(klass):
-            return klass
-    return None
 
 
 class PerigeeBase(NeighborSelectionProtocol):
@@ -113,21 +102,6 @@ class PerigeeBase(NeighborSelectionProtocol):
         del node_id
         return True
 
-    @property
-    def scores_in_batch(self) -> bool:
-        """Whether :meth:`update` scores every node up front, in one pass.
-
-        True when the class that supplies :meth:`select_retained_batch` also
-        supplies :meth:`select_retained_block` — the built-in variants, whose
-        block scorer is a one-node call into the batch.  A subclass that
-        overrides only the per-node scorer (possibly drawing from ``rng``)
-        keeps being called per node, inside the rewire loop.
-        """
-        batch_owner = _defining_class(type(self), "select_retained_batch")
-        return batch_owner is not PerigeeBase and batch_owner is (
-            _defining_class(type(self), "select_retained_block")
-        )
-
     def update(
         self,
         context: ProtocolContext,
@@ -137,17 +111,16 @@ class PerigeeBase(NeighborSelectionProtocol):
     ) -> None:
         """Algorithm 1 for every updating node, in two phases.
 
-        (a) *Score*: when :attr:`scores_in_batch`, every updating node's
-        retained set is computed before the rewire, in chunks of
-        :data:`SCORE_CHUNK_NODES` nodes.  This is exact because rewiring a
-        node changes only its own outgoing set (the invariant documented on
-        :meth:`P2PNetwork.replace_outgoing`), so each node's outgoing set at
-        its turn equals the one it had at round start, and the built-in
-        scorers draw nothing from ``rng``.
+        (a) *Score*: every updating node's retained set is computed before
+        the rewire, in chunks of :data:`SCORE_CHUNK_NODES` nodes.  This is
+        exact because rewiring a node changes only its own outgoing set (the
+        invariant documented on :meth:`P2PNetwork.replace_outgoing`), so
+        each node's outgoing set at its turn equals the one it had at round
+        start, and scorers are never handed ``rng``.
 
         (b) *Rewire*: nodes take their turn in ``rng.permutation`` order,
-        exactly as a per-node loop would; variants without a batch scorer
-        are scored here, one node at a time.
+        exactly as a per-node loop would, and swap the peers they did not
+        retain for random ones.
         """
         exploration = self.exploration_budget(context)
         retain_budget = max(0, network.out_degree - exploration)
@@ -165,12 +138,10 @@ class PerigeeBase(NeighborSelectionProtocol):
         flight_blocks: list[np.ndarray] = []
         nodes_updated = 0
         neighbors_retained = 0
-        batched = self.scores_in_batch
         with recorder.span("perigee.score"):
-            if batched:
-                offsets, kept, scored_blocks = self._score_updating_nodes(
-                    network, observations, retain_budget, flight.enabled
-                )
+            offsets, kept, scored_blocks = self._score_updating_nodes(
+                network, observations, retain_budget, flight.enabled
+            )
         with recorder.span("perigee.rewire"):
             order = rng.permutation(network.num_nodes)
             for raw_id in order:
@@ -185,24 +156,9 @@ class PerigeeBase(NeighborSelectionProtocol):
                         flight_dropped.append(0)
                         flight_added.append(len(filled))
                     continue
-                if batched:
-                    retained = kept[offsets[node_id] : offsets[node_id + 1]].tolist()
-                    if flight.enabled:
-                        flight_blocks.append(scored_blocks[node_id])
-                else:
-                    neighbors = np.fromiter(
-                        sorted(outgoing), dtype=np.int64, count=len(outgoing)
-                    )
-                    times = observations.normalized_rows(node_id, neighbors)
-                    if flight.enabled:
-                        flight_blocks.append(times)
-                    retained = self.select_retained_block(
-                        node_id=node_id,
-                        neighbors=neighbors,
-                        times=times,
-                        retain_budget=retain_budget,
-                        rng=rng,
-                    )
+                retained = kept[offsets[node_id] : offsets[node_id + 1]].tolist()
+                if flight.enabled:
+                    flight_blocks.append(scored_blocks[node_id])
                 retained = {peer for peer in retained if peer in outgoing}
                 self.on_neighbors_dropped(node_id, set(outgoing) - retained)
                 nodes_updated += 1
@@ -286,16 +242,20 @@ class PerigeeBase(NeighborSelectionProtocol):
         times: Sequence[np.ndarray],
         retain_budget: int,
     ) -> list[set[int]]:
-        """Retained sets for many nodes at once (the batch scorer).
+        """Choose which outgoing neighbors each node keeps for the next round.
 
-        Element ``i`` must equal ``select_retained_block(node_ids[i],
-        neighbors[i], times[i], retain_budget, rng)`` — same arguments, no
-        RNG.  Variants that provide it also implement
-        :meth:`select_retained_block` as a one-node call into it, so each
-        variant keeps a single scoring algorithm; see :attr:`scores_in_batch`.
+        ``neighbors[i]`` is the ascending array of node ``node_ids[i]``'s
+        current outgoing neighbors and ``times[i]`` the matching
+        ``(len(neighbors[i]), B_v)`` time-normalised timestamp block
+        (Equation 2 already applied; blocks the node never heard of are
+        dropped, deliveries that never happened are ``inf``).  Element ``i``
+        of the result is a subset of ``neighbors[i]`` of size at most
+        ``retain_budget``.  Every Perigee variant implements this; a scorer
+        that needs randomness owns its generator, because the round's
+        ``rng`` belongs to the rewire.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} scores one node at a time"
+            "Perigee variants must implement select_retained_batch()"
         )
 
     def select_retained_block(
@@ -304,24 +264,11 @@ class PerigeeBase(NeighborSelectionProtocol):
         neighbors: np.ndarray,
         times: np.ndarray,
         retain_budget: int,
-        rng: np.random.Generator,
     ) -> set[int]:
-        """Choose which outgoing neighbors to keep for the next round.
-
-        ``neighbors`` is the ascending array of the node's current outgoing
-        neighbors and ``times`` the matching ``(len(neighbors), B_v)``
-        time-normalised timestamp block (Equation 2 already applied; blocks
-        the node never heard of are dropped, deliveries that never happened
-        are ``inf``).  Implementations return a subset of ``neighbors`` of
-        size at most ``retain_budget``.
-
-        Variants that score without ``rng`` should also provide
-        :meth:`select_retained_batch` and implement this as a one-node call
-        into it, so :meth:`update` scores every node up front.
-        """
-        raise NotImplementedError(
-            "Perigee variants must implement select_retained_block()"
-        )
+        """One node's retained set: a one-node call into the batch scorer."""
+        return self.select_retained_batch(
+            [node_id], [neighbors], [times], retain_budget
+        )[0]
 
     def on_neighbors_dropped(self, node_id: int, dropped: set[int]) -> None:
         """Hook for variants that keep per-neighbor history (UCB)."""

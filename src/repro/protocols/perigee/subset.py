@@ -36,16 +36,3 @@ class PerigeeSubsetProtocol(PerigeeBase):
             neighbors, times, retain_budget, self.percentile
         )
         return [set(selected) for selected in picks]
-
-    def select_retained_block(
-        self,
-        node_id: int,
-        neighbors: np.ndarray,
-        times: np.ndarray,
-        retain_budget: int,
-        rng: np.random.Generator,
-    ) -> set[int]:
-        del rng
-        return self.select_retained_batch(
-            [node_id], [neighbors], [times], retain_budget
-        )[0]

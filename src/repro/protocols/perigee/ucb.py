@@ -13,7 +13,9 @@ frequent but conservative.
 
 The bounds are :func:`repro.protocols.scoring.confidence_bounds`; the
 eviction rule is applied to them in
-:meth:`PerigeeUCBProtocol.select_retained_batch`, its only implementation.
+:meth:`PerigeeUCBProtocol.select_retained_batch`, the one scorer this variant
+implements (:meth:`PerigeeBase.select_retained_block` scores one node through
+it).
 """
 
 from __future__ import annotations
@@ -187,19 +189,6 @@ class PerigeeUCBProtocol(PerigeeBase):
                 )[:retain_budget]
             retained.append({peers[index] for index in keep})
         return retained
-
-    def select_retained_block(
-        self,
-        node_id: int,
-        neighbors: np.ndarray,
-        times: np.ndarray,
-        retain_budget: int,
-        rng: np.random.Generator,
-    ) -> set[int]:
-        del rng
-        return self.select_retained_batch(
-            [node_id], [neighbors], [times], retain_budget
-        )[0]
 
     def describe(self) -> dict[str, object]:
         info = super().describe()

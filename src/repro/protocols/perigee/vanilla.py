@@ -48,16 +48,3 @@ class PerigeeVanillaProtocol(PerigeeBase):
             retained.append(set(kept[start : start + count]))
             start += count
         return retained
-
-    def select_retained_block(
-        self,
-        node_id: int,
-        neighbors: np.ndarray,
-        times: np.ndarray,
-        retain_budget: int,
-        rng: np.random.Generator,
-    ) -> set[int]:
-        del rng
-        return self.select_retained_batch(
-            [node_id], [neighbors], [times], retain_budget
-        )[0]

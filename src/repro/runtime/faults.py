@@ -382,12 +382,3 @@ def install_fault_plane_from_env(
     plane = FaultPlane(FaultPlan.from_json(text))
     set_fault_plane(plane)
     return plane
-
-
-def fired_counter_total(counters: Mapping[str, float]) -> float:
-    """Sum of all ``fault.fired`` counter variants in a telemetry snapshot."""
-    return sum(
-        value
-        for key, value in counters.items()
-        if key == "fault.fired" or key.startswith("fault.fired|")
-    )

@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.instruments import InstrumentSlot
 
@@ -263,12 +263,3 @@ get_recorder = _SLOT.get
 set_recorder = _SLOT.set
 #: ``with use_recorder(rec): ...`` — scoped recorder installation.
 use_recorder = _SLOT.use
-
-
-def iter_metrics(snapshot: Mapping[str, Any]) -> Iterator[tuple[str, str, Any]]:
-    """Yield ``(kind, key, value)`` triples of one snapshot, sorted by key."""
-    for kind in ("counters", "gauges"):
-        for key in sorted(snapshot.get(kind, {})):
-            yield kind[:-1], key, snapshot[kind][key]
-    for key in sorted(snapshot.get("spans", {})):
-        yield "span", key, snapshot["spans"][key]

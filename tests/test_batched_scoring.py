@@ -266,9 +266,7 @@ class TestBatchParity:
         protocol = PerigeeUCBProtocol(exploration_constant=1.0)
         neighbors = np.array([2, 4, 6], dtype=np.int64)
         times = np.array([[1.0, 2.0], [NEVER, NEVER], [0.0, 3.0]])
-        assert protocol.select_retained_block(
-            0, neighbors, times, 8, np.random.default_rng(0)
-        ) == {2, 6}
+        assert protocol.select_retained_block(0, neighbors, times, 8) == {2, 6}
         assert protocol.history_for(0) == {2: [1.0, 2.0], 4: [], 6: [0.0, 3.0]}
 
     @common_settings
@@ -381,23 +379,6 @@ def test_ucb_slab_size_never_changes_records(monkeypatch, slab):
     # with remainders; a 1-sample slab scores every history alone.
     monkeypatch.setattr("repro.protocols.scoring.STACK_SAMPLES", slab)
     assert update_digest("perigee-ucb") == GOLDEN_DIGESTS["perigee-ucb"]
-
-
-def test_rng_scorers_keep_the_per_node_path():
-    class RandomPickVanilla(PerigeeVanillaProtocol):
-        calls = 0
-
-        def select_retained_block(self, node_id, neighbors, times, retain_budget, rng):
-            RandomPickVanilla.calls += 1
-            return {int(rng.choice(neighbors))}
-
-    assert PerigeeVanillaProtocol().scores_in_batch
-    assert MixedDeploymentProtocol({0}).scores_in_batch
-    assert not RandomPickVanilla().scores_in_batch
-    assert not MixedDeploymentProtocol({0}, inner=RandomPickVanilla()).scores_in_batch
-    config = default_config(num_nodes=30, rounds=1, blocks_per_round=6, seed=1)
-    Simulator(config, RandomPickVanilla()).run_round(0)
-    assert RandomPickVanilla.calls == config.num_nodes
 
 
 # --------------------------------------------------------------------------- #

@@ -481,33 +481,32 @@ def test_simulation_identical_on_array_and_dict_paths(variant, seed):
 
 
 class _LegacyOnlyVanilla(PerigeeBase):
-    """A variant with only the per-node entry point, scored by the scalar loop.
+    """A third-party variant whose batch scorer loops the scalar score.
 
-    Without a batch scorer, ``update`` scores it node by node inside the
-    rewire loop; the seed's per-neighbor ``percentile_score`` loop must pick
-    exactly what the built-in batched Vanilla picks.
+    Each node's neighbors are ranked by the seed's per-neighbor
+    ``percentile_score`` loop, one node after another; it must pick exactly
+    what the built-in vectorised Vanilla picks.
     """
 
     name = "legacy-only-vanilla"
 
-    def select_retained_block(self, node_id, neighbors, times, retain_budget, rng):
-        del node_id, rng
-        if retain_budget <= 0:
-            return set()
-        scores = {
-            neighbor: percentile_score(row, 90.0)
-            for neighbor, row in zip(neighbors.tolist(), times)
-        }
-        ranked = sorted(scores, key=lambda peer: (scores[peer], peer))
-        return set(ranked[:retain_budget])
+    def select_retained_batch(self, node_ids, neighbors, times, retain_budget):
+        retained = []
+        for ids, block in zip(neighbors, times):
+            scores = {
+                neighbor: percentile_score(row, 90.0)
+                for neighbor, row in zip(ids.tolist(), block)
+            }
+            ranked = sorted(scores, key=lambda peer: (scores[peer], peer))
+            retained.append(set(ranked[:retain_budget]))
+        return retained
 
 
 def test_legacy_select_retained_subclass_matches_vanilla():
-    """Third-party variants scoring one node at a time match the batch path."""
+    """A third-party variant scoring one node at a time matches the batch."""
     config = default_config(num_nodes=40, rounds=4, blocks_per_round=10, seed=6)
     legacy = Simulator(config, _LegacyOnlyVanilla())
     vanilla = Simulator(config, PerigeeVanillaProtocol())
-    assert not legacy.protocol.scores_in_batch
     legacy.run(rounds=4)
     vanilla.run(rounds=4)
     assert legacy.network.edge_list() == vanilla.network.edge_list()
@@ -536,15 +535,10 @@ def test_legacy_variant_receives_global_block_ids():
 
 
 def test_base_without_any_selector_raises():
-    protocol = PerigeeBase()
+    config = default_config(num_nodes=20, rounds=1, blocks_per_round=4, seed=0)
+    simulator = Simulator(config, PerigeeBase())
     with pytest.raises(NotImplementedError):
-        protocol.select_retained_block(
-            node_id=0,
-            neighbors=np.array([1, 2], dtype=np.int64),
-            times=np.zeros((2, 3)),
-            retain_budget=1,
-            rng=np.random.default_rng(0),
-        )
+        simulator.run_round(0)
 
 
 @pytest.mark.parametrize("variant_name", ["perigee-subset", "perigee-ucb"])

@@ -152,8 +152,9 @@ class TestPercentileScore:
         assert math.isfinite(score(values, 50.0))
 
     def test_invalid_percentile_rejected(self):
-        with pytest.raises(ValueError):
-            percentile_score([1.0], 150.0)
+        for values in ([1.0], []):
+            with pytest.raises(ValueError):
+                percentile_score(values, 150.0)
         with pytest.raises(ValueError):
             percentile_scores(np.ones((1, 1)), 150.0)
 

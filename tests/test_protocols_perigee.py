@@ -113,7 +113,6 @@ class TestVanillaAndSubsetRetention:
             neighbors=neighbors,
             times=observations.normalized_rows(node_id, neighbors),
             retain_budget=3,
-            rng=rng,
         )
         assert len(retained) <= 3
         assert retained <= outgoing
@@ -168,7 +167,6 @@ class TestUCBSpecifics:
             neighbors=outgoing,
             times=observations.normalized_rows(node_id, outgoing),
             retain_budget=len(outgoing),
-            rng=rng,
         )
         assert bad not in retained
         assert len(retained) == len(outgoing) - 1

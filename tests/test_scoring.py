@@ -51,9 +51,7 @@ def ucb_retained(rows, exploration_constant, retain_budget=8):
     protocol = PerigeeUCBProtocol(exploration_constant=exploration_constant)
     neighbors = np.array(sorted(rows), dtype=np.int64)
     times = np.array([rows[peer] for peer in sorted(rows)], dtype=float)
-    return protocol.select_retained_block(
-        0, neighbors, times, retain_budget, np.random.default_rng(0)
-    )
+    return protocol.select_retained_block(0, neighbors, times, retain_budget)
 
 
 def group_score(times, percentile=90.0):
