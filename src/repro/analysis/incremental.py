@@ -128,11 +128,6 @@ class IncrementalDeploymentResult:
         """Relative improvement adopters see over the all-random baseline."""
         return 1.0 - self.adopter_delay_ms / self.baseline_delay_ms
 
-    @property
-    def non_adopter_improvement(self) -> float:
-        """Relative improvement non-adopters see over the all-random baseline."""
-        return 1.0 - self.non_adopter_delay_ms / self.baseline_delay_ms
-
 
 def _median(values: np.ndarray) -> float:
     finite = values[np.isfinite(values)]

@@ -553,7 +553,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_large_n_arguments(parser: argparse.ArgumentParser) -> None:
-    """Large-N knobs (scaling ladder / submit): backend + delay evaluation."""
+    """Large-N knobs (scaling ladder / submit).
+
+    ``--latency-memory`` picks the geographic backend; ``--eval-*`` set the
+    delay evaluator's mode, auto threshold and sample size.
+    """
     parser.add_argument(
         "--latency-memory",
         choices=("dense", "sparse"),
@@ -586,27 +590,6 @@ def _add_large_n_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="sources drawn in sampled mode (default 512)",
     )
-    parser.add_argument(
-        "--eval-workers",
-        type=int,
-        default=None,
-        help=(
-            "process-parallel Dijkstra workers for the evaluation's "
-            "source chunks; results and task hashes are identical to the "
-            "serial path (default 1)"
-        ),
-    )
-    parser.add_argument(
-        "--eval-target-se",
-        type=float,
-        default=None,
-        metavar="MS",
-        help=(
-            "adaptive sampled mode: grow the sample (in --eval-samples "
-            "batches, same deterministic stream) until every target's "
-            "standard error is at most this many milliseconds"
-        ),
-    )
 
 
 def _evaluation_params(args: argparse.Namespace) -> dict:
@@ -618,10 +601,6 @@ def _evaluation_params(args: argparse.Namespace) -> dict:
         params["exact_threshold"] = args.eval_threshold
     if getattr(args, "eval_samples", None) is not None:
         params["sample_size"] = args.eval_samples
-    if getattr(args, "eval_workers", None) is not None:
-        params["workers"] = args.eval_workers
-    if getattr(args, "eval_target_se", None) is not None:
-        params["target_se_ms"] = args.eval_target_se
     return params
 
 

@@ -130,10 +130,6 @@ class PropagationEngine:
     def latency_model(self) -> LatencyModel:
         return self._latency
 
-    @property
-    def validation_delays(self) -> np.ndarray:
-        return self._validation.copy()
-
     # ------------------------------------------------------------------ #
     # Graph construction
     # ------------------------------------------------------------------ #
@@ -205,19 +201,11 @@ class PropagationEngine:
             raise ValueError("source ids out of range")
         if network.num_nodes != self._num_nodes:
             raise ValueError("network size must match the latency model")
+        get_recorder().incr("engine.propagate_blocks", int(sources.size))
+        # Two blocks mined by one node share a shortest-path tree: solve each
+        # distinct miner once and expand the rows over the blocks.
         unique_sources, inverse = np.unique(sources, return_inverse=True)
-        recorder = get_recorder()
-        recorder.incr("engine.propagate_blocks", int(sources.size))
-        recorder.incr("engine.dijkstra_sources", int(unique_sources.size))
-        graph = self.weight_graph(network)
-        distances = np.atleast_2d(
-            dijkstra(graph, directed=True, indices=unique_sources)
-        )
-        # Remove the miner's own validation delay which the directed weights
-        # charged on the first hop out of each source.
-        distances -= self._validation[unique_sources][:, None]
-        distances[np.arange(unique_sources.size), unique_sources] = 0.0
-        arrival = distances[inverse]
+        arrival = self.arrival_times_from(network, unique_sources)[inverse]
         return PropagationResult(sources=sources.copy(), arrival_times=arrival)
 
     def forwarding_times(
@@ -358,6 +346,8 @@ class PropagationEngine:
         if graph is None:
             graph = self.weight_graph(network)
         distances = np.atleast_2d(dijkstra(graph, directed=True, indices=sources))
+        # Remove the miner's own validation delay which the directed weights
+        # charged on the first hop out of each source.
         distances -= self._validation[sources][:, None]
         distances[np.arange(sources.size), sources] = 0.0
         return distances

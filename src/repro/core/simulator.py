@@ -28,8 +28,7 @@ from repro.core.observations import RoundObservations
 from repro.core.propagation import PropagationEngine, PropagationResult
 from repro.datasets.bitnodes import NodePopulation, generate_population
 from repro.latency.base import LatencyModel
-from repro.latency.geo import GeographicLatencyModel
-from repro.latency.metric_space import MetricSpaceLatencyModel
+from repro.latency.factory import build_latency_model
 from repro.metrics.evaluator import DEFAULT_EVALUATOR, DelayEvaluator
 from repro.protocols.base import NeighborSelectionProtocol, ProtocolContext
 from repro.telemetry.flight import get_flight_recorder
@@ -163,7 +162,9 @@ class Simulator:
         if len(self._population) != config.num_nodes:
             raise ValueError("population size must match config.num_nodes")
         self._latency = (
-            latency if latency is not None else self._build_latency_model()
+            latency
+            if latency is not None
+            else build_latency_model(config, self._population, self._rng)
         )
         if self._latency.num_nodes != config.num_nodes:
             raise ValueError("latency model size must match config.num_nodes")
@@ -285,22 +286,6 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # Simulation steps
     # ------------------------------------------------------------------ #
-    def _build_latency_model(self) -> LatencyModel:
-        if self._config.latency_model == "metric":
-            return MetricSpaceLatencyModel(
-                num_nodes=self._config.num_nodes,
-                dimension=self._config.metric_dimension,
-                rng=self._rng,
-            )
-        memory = (
-            "sparse"
-            if self._config.latency_model == "geographic-sparse"
-            else "dense"
-        )
-        return GeographicLatencyModel(
-            self._population.nodes, self._rng, memory=memory
-        )
-
     def mine_blocks(self, count: int | None = None) -> list[Block]:
         """Draw miners proportionally to hash power and mint blocks."""
         count = self._config.blocks_per_round if count is None else count

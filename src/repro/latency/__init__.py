@@ -10,6 +10,8 @@ ways the evaluation derives those constants:
   unit hypercube, the theoretical model of Section 3.
 * :mod:`repro.latency.relay` — overlays a fast block-distribution network
   (bloXroute-like) on top of an existing latency matrix (Section 5.4).
+* :mod:`repro.latency.factory` — the model a ``SimulationConfig`` asks for,
+  shared by the simulator and the sweep scenarios.
 """
 
 from repro.latency.base import LatencyModel, MatrixLatencyModel

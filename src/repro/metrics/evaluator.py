@@ -30,6 +30,11 @@ dominates evaluation wall-clock and memory at large N.
   (N <= 4096) exact, so default results are unchanged; the 20k-node regime
   switches to sampling automatically.
 
+Every mode runs its Dijkstra passes serially, chunk by chunk, through
+:meth:`~repro.core.propagation.PropagationEngine.arrival_times_from` — the
+engine's one shortest-path kernel, shared with block propagation.
+Parallelism lives a level up, across the tasks of a sweep.
+
 Source selection is deterministic: the sample depends only on
 ``(seed, population, hash power)``, never on global RNG state, so repeated
 evaluations of a converging topology are paired samples and distributed
@@ -38,7 +43,6 @@ workers agree on the sources without coordination.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -67,45 +71,6 @@ DEFAULT_SAMPLE_SIZE = 512
 DEFAULT_CHUNK_SIZE = 512
 
 _MODES = ("auto", "exact", "sampled")
-
-#: Cap on adaptive sampled-mode growth: at most this many ``sample_size``
-#: batches are drawn before the evaluation returns whatever precision it has.
-MAX_ADAPTIVE_BATCHES = 8
-
-
-# --------------------------------------------------------------------------- #
-# Process-parallel chunk backend
-#
-# Each worker receives the pickled payload once (pool initializer) and then
-# evaluates source chunks independently.  The per-chunk arithmetic replicates
-# ``PropagationEngine.arrival_times_from`` + ``reach_times_for_sources``
-# operation for operation, so parallel results are bit-identical to the
-# serial chunk loop (pinned by the parity tests).
-# --------------------------------------------------------------------------- #
-_WORKER_STATE: dict[str, Any] = {}
-
-
-def _init_eval_worker(graph, validation, weights, targets) -> None:
-    _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["validation"] = validation
-    _WORKER_STATE["weights"] = weights
-    _WORKER_STATE["targets"] = targets
-
-
-def _eval_chunk(chunk: np.ndarray) -> np.ndarray:
-    from scipy.sparse.csgraph import dijkstra
-
-    graph = _WORKER_STATE["graph"]
-    validation = _WORKER_STATE["validation"]
-    weights = _WORKER_STATE["weights"]
-    targets = _WORKER_STATE["targets"]
-    arrival = np.atleast_2d(dijkstra(graph, directed=True, indices=chunk))
-    arrival -= validation[chunk][:, None]
-    arrival[np.arange(chunk.size), chunk] = 0.0
-    reach = np.empty((len(targets), chunk.size), dtype=float)
-    for index, target in enumerate(targets):
-        reach[index] = reach_times_for_sources(arrival, weights, target)
-    return reach
 
 
 @dataclass(frozen=True)
@@ -194,16 +159,6 @@ class DelayEvaluator:
         ``chunk_size x N`` floats in every mode.
     seed:
         Seed of the deterministic source draw in sampled mode.
-    workers:
-        Process-parallel Dijkstra workers for the chunk loop (``1`` keeps
-        the serial in-process path).  Results are bit-identical either way;
-        the pool only pays off when several chunks are in flight.
-    target_se_ms:
-        Adaptive sampled mode: keep drawing ``sample_size``-source batches
-        (same deterministic stream — the first batch is exactly the
-        non-adaptive draw) until every target's standard error falls to
-        this value, up to :data:`MAX_ADAPTIVE_BATCHES` batches.  ``None``
-        keeps the fixed single draw.
     """
 
     mode: str = DEFAULT_MODE
@@ -211,8 +166,6 @@ class DelayEvaluator:
     sample_size: int = DEFAULT_SAMPLE_SIZE
     chunk_size: int = DEFAULT_CHUNK_SIZE
     seed: int = 0
-    workers: int = 1
-    target_se_ms: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -223,10 +176,6 @@ class DelayEvaluator:
             raise ValueError("sample_size must be positive")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
-        if self.target_se_ms is not None and self.target_se_ms <= 0:
-            raise ValueError("target_se_ms must be positive (or None)")
 
     # ------------------------------------------------------------------ #
     # Parameter round-trip (SweepSpec / task records / CLI)
@@ -237,11 +186,9 @@ class DelayEvaluator:
         params = dict(params or {})
         unknown = set(params) - {
             "mode", "exact_threshold", "sample_size", "chunk_size", "seed",
-            "workers", "target_se_ms",
         }
         if unknown:
             raise ValueError(f"unknown evaluation parameters: {sorted(unknown)}")
-        target_se = params.get("target_se_ms")
         return cls(
             mode=str(params.get("mode", DEFAULT_MODE)),
             exact_threshold=int(
@@ -250,8 +197,6 @@ class DelayEvaluator:
             sample_size=int(params.get("sample_size", DEFAULT_SAMPLE_SIZE)),
             chunk_size=int(params.get("chunk_size", DEFAULT_CHUNK_SIZE)),
             seed=int(params.get("seed", 0)),
-            workers=int(params.get("workers", 1)),
-            target_se_ms=None if target_se is None else float(target_se),
         )
 
     def to_params(self) -> dict[str, Any]:
@@ -259,8 +204,7 @@ class DelayEvaluator:
         defaults = DelayEvaluator()
         params: dict[str, Any] = {}
         for name in (
-            "mode", "exact_threshold", "sample_size", "chunk_size", "seed",
-            "workers", "target_se_ms",
+            "mode", "exact_threshold", "sample_size", "chunk_size", "seed"
         ):
             value = getattr(self, name)
             if value != getattr(defaults, name):
@@ -272,7 +216,7 @@ class DelayEvaluator:
     # ------------------------------------------------------------------ #
     def _select_sources(
         self, candidates: np.ndarray, weights: np.ndarray
-    ) -> tuple[np.ndarray, bool, np.random.Generator | None]:
+    ) -> tuple[np.ndarray, bool]:
         """Resolve the evaluated sources and whether they were sampled.
 
         Sampled draws are i.i.d. with replacement proportional to hash
@@ -281,24 +225,20 @@ class DelayEvaluator:
         weighted draw *without* replacement would need Horvitz-Thompson
         corrections to be unbiased.)  A sample at least as large as the
         population degrades to the exact census instead.
-
-        The generator that produced the draw is returned so adaptive mode
-        can continue the *same* deterministic stream for follow-up batches
-        (its first batch is therefore exactly the non-adaptive draw).
         """
         count = candidates.size
         use_sampling = self.mode == "sampled" or (
             self.mode == "auto" and count > self.exact_threshold
         )
         if not use_sampling or self.sample_size >= count:
-            return candidates, False, None
+            return candidates, False
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.seed, spawn_key=(count,))
         )
         drawn = rng.choice(
             count, size=self.sample_size, replace=True, p=weights
         )
-        return candidates[np.sort(drawn)], True, rng
+        return candidates[np.sort(drawn)], True
 
     def _distinct_reach(
         self,
@@ -309,36 +249,15 @@ class DelayEvaluator:
         weights: np.ndarray,
         targets: tuple[float, ...],
     ) -> np.ndarray:
-        """Per-target reach times for distinct sources, chunked.
-
-        With ``workers > 1`` and more than one chunk, the chunks run on a
-        process pool instead (same arithmetic, bit-identical rows).
-        """
-        chunks = [
-            distinct[start : start + self.chunk_size]
-            for start in range(0, distinct.size, self.chunk_size)
-        ]
+        """Per-target reach times for distinct sources, chunked."""
         reach = np.empty((len(targets), distinct.size), dtype=float)
-        if self.workers > 1 and len(chunks) > 1:
-            validation = engine.validation_delays
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(chunks)),
-                initializer=_init_eval_worker,
-                initargs=(graph, validation, weights, targets),
-            ) as pool:
-                start = 0
-                for block in pool.map(_eval_chunk, chunks):
-                    reach[:, start : start + block.shape[1]] = block
-                    start += block.shape[1]
-            return reach
-        start = 0
-        for chunk in chunks:
+        for start in range(0, distinct.size, self.chunk_size):
+            chunk = distinct[start : start + self.chunk_size]
             arrival = engine.arrival_times_from(network, chunk, graph=graph)
             for index, target in enumerate(targets):
                 reach[index, start : start + chunk.size] = (
                     reach_times_for_sources(arrival, weights, target)
                 )
-            start += chunk.size
         return reach
 
     def evaluate(
@@ -365,63 +284,21 @@ class DelayEvaluator:
         if hash_power.shape[0] != engine.num_nodes:
             raise ValueError("hash_power length must match the engine size")
         candidates = np.arange(engine.num_nodes, dtype=np.int64)
-        weights = hash_power
-        draw_weights = weights / weights.sum()
-        sources, sampled, draw_rng = self._select_sources(
-            candidates, draw_weights
+        sources, sampled = self._select_sources(
+            candidates, hash_power / hash_power.sum()
         )
 
         recorder = get_recorder()
         mode = "sampled" if sampled else "exact"
         targets = tuple(float(t) for t in target_fractions)
-        total_distinct = 0
-        adaptive_batches = 0
         with recorder.span("evaluate.delay", mode=mode):
             graph = engine.weight_graph(network)
-
-            def reach_for(batch_sources: np.ndarray) -> np.ndarray:
-                # With-replacement samples can repeat a source; solve each
-                # distinct source once and expand the rows over the multiset.
-                nonlocal total_distinct
-                distinct, inverse = np.unique(
-                    batch_sources, return_inverse=True
-                )
-                total_distinct += int(distinct.size)
-                block = self._distinct_reach(
-                    engine, network, graph, distinct, weights, targets
-                )
-                return block[:, inverse]
-
-            reach = reach_for(sources)
-            # Adaptive sampled mode: grow the sample (continuing the same
-            # deterministic stream) until every target's standard error hits
-            # the requested precision, up to MAX_ADAPTIVE_BATCHES batches.
-            if sampled and self.target_se_ms is not None and draw_rng is not None:
-                count = candidates.size
-                batches = 1
-                while batches < MAX_ADAPTIVE_BATCHES:
-                    batch_errors = [
-                        _mean_standard_error(reach[index])
-                        for index in range(len(targets))
-                    ]
-                    if all(
-                        err is not None and err <= self.target_se_ms
-                        for err in batch_errors
-                    ):
-                        break
-                    drawn = draw_rng.choice(
-                        count,
-                        size=self.sample_size,
-                        replace=True,
-                        p=draw_weights,
-                    )
-                    batch_sources = candidates[np.sort(drawn)]
-                    reach = np.concatenate(
-                        [reach, reach_for(batch_sources)], axis=1
-                    )
-                    sources = np.concatenate([sources, batch_sources])
-                    batches += 1
-                adaptive_batches = batches - 1
+            # With-replacement samples can repeat a source; solve each
+            # distinct source once and expand the rows over the multiset.
+            distinct, inverse = np.unique(sources, return_inverse=True)
+            reach = self._distinct_reach(
+                engine, network, graph, distinct, hash_power, targets
+            )[:, inverse]
 
         errors: tuple[float | None, ...]
         if sampled:
@@ -431,11 +308,9 @@ class DelayEvaluator:
         else:
             errors = tuple(None for _ in targets)
         recorder.incr("evaluate.calls", mode=mode)
-        recorder.incr("evaluate.dijkstra_sources", total_distinct)
+        recorder.incr("evaluate.dijkstra_sources", int(distinct.size))
         if sampled:
             recorder.incr("evaluate.sampled_draws", int(sources.size))
-            if adaptive_batches:
-                recorder.incr("evaluate.adaptive_batches", adaptive_batches)
             if errors[0] is not None:
                 recorder.gauge("evaluate.standard_error_ms", errors[0])
         return DelayEvaluation(

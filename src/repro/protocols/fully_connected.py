@@ -1,11 +1,14 @@
 """The fully-connected ideal (Section 5.1).
 
 A topology in which every node is directly connected to every other node
-gives a theoretical lower bound on block propagation time: a block travels at
-most one hop (plus the receiver's validation).  It is not implementable at
-Bitcoin scale — it exists purely as the "ideal" reference curve in the
-figures — so this protocol bypasses the incoming-connection limit when
-constructing the graph.
+gives a theoretical lower bound on block propagation time: every shortest
+path (link latencies plus relays' validation delays) is available to it, so
+no overlay, being a subgraph, delivers a block sooner.  That path is not
+always the direct link: with per-link jitter a relay through a third node is
+often faster, so blocks still cross several hops here.  It is not
+implementable at Bitcoin scale — it exists purely as the "ideal" reference
+curve in the figures — so this protocol bypasses the incoming-connection
+limit when constructing the graph.
 """
 
 from __future__ import annotations

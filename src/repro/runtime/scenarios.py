@@ -23,7 +23,7 @@ from repro.config import SimulationConfig
 from repro.datasets.bitnodes import NodePopulation, generate_population
 from repro.datasets.regions import REGIONS, region_proportion_vector
 from repro.latency.base import LatencyModel
-from repro.latency.geo import GeographicLatencyModel
+from repro.latency.factory import build_latency_model
 from repro.latency.relay import (
     DEFAULT_MINER_SPEEDUP,
     DEFAULT_RELAY_LINK_MS,
@@ -70,28 +70,20 @@ def _default_population(
     return generate_population(config, rng)
 
 
-def _latency_memory(config: SimulationConfig, params: Mapping[str, Any]) -> str:
-    """Resolve the geographic backend: scenario param, then config.
-
-    ``params["latency_memory"]`` ("dense"/"sparse") wins; otherwise the
-    configuration's ``latency_model == "geographic-sparse"`` selects the
-    on-demand backend.  The default stays dense — bit-for-bit identical to
-    every stored result.
-    """
-    memory = params.get("latency_memory")
-    if memory is not None:
-        return str(memory)
-    return "sparse" if config.latency_model == "geographic-sparse" else "dense"
-
-
 def _default_latency(
     config: SimulationConfig,
     population: NodePopulation,
     params: Mapping[str, Any],
     rng: np.random.Generator,
 ) -> LatencyModel:
-    return GeographicLatencyModel(
-        population.nodes, rng, memory=_latency_memory(config, params)
+    """The configuration's latency model (:func:`build_latency_model`).
+
+    ``params["latency_memory"]`` ("dense"/"sparse") wins over the
+    configuration and picks the geographic backend.  The default stays
+    dense geographic — bit-for-bit identical to every stored result.
+    """
+    return build_latency_model(
+        config, population, rng, memory=params.get("latency_memory")
     )
 
 
@@ -107,9 +99,7 @@ def _miner_speedup_latency(
     ``latency_memory="sparse"`` the scenario never materialises an N x N
     matrix and runs at 20k+ nodes.
     """
-    base = GeographicLatencyModel(
-        population.nodes, rng, memory=_latency_memory(config, params)
-    )
+    base = _default_latency(config, population, params, rng)
     speedup = float(params.get("speedup", DEFAULT_MINER_SPEEDUP))
     return apply_miner_speedup(base, population.high_power_miners, speedup=speedup)
 
@@ -148,9 +138,7 @@ def _relay_latency(
     ``latency_memory="sparse"`` the scenario runs at 20k+ nodes without a
     dense matrix.
     """
-    base = GeographicLatencyModel(
-        population.nodes, rng, memory=_latency_memory(config, params)
-    )
+    base = _default_latency(config, population, params, rng)
     link_ms = float(params.get("relay_link_ms", DEFAULT_RELAY_LINK_MS))
     members = tuple(node.node_id for node in population.nodes if node.is_relay)
     overlay = RelayNetworkOverlay(

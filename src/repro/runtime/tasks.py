@@ -93,9 +93,7 @@ class Task:
         :class:`repro.metrics.evaluator.DelayEvaluator.from_params`).  The
         default (``"{}"``) means the default evaluation policy; only
         non-default parameters enter the content hash, so pre-existing task
-        hashes — and therefore stored results — remain valid.  ``workers``
-        is execution policy (the pool's rows are bit-identical to the
-        serial loop), so like ``flight`` it is **excluded** from the hash.
+        hashes — and therefore stored results — remain valid.
     flight:
         Whether the executing worker should attach a flight recorder
         (:mod:`repro.telemetry.flight`) and persist a per-round trace under
@@ -149,7 +147,6 @@ class Task:
             "collect_histogram": self.collect_histogram,
         }
         evaluation = json.loads(self.evaluation_json)
-        evaluation.pop("workers", None)
         if evaluation:
             payload_dict["evaluation"] = evaluation
         payload = canonical_json(payload_dict)

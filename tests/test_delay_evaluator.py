@@ -214,25 +214,23 @@ class TestRuntimeIntegration:
 
         baseline = task({}).content_hash()
         for evaluation in (
-            {"workers": 1},
             {"mode": "auto"},
-            {"workers": 2},
-            {"mode": "auto", "seed": 0, "target_se_ms": None},
+            {"mode": "auto", "seed": 0, "chunk_size": 512},
         ):
             assert task(evaluation).content_hash() == baseline, evaluation
-        # The pool size still reaches the executing worker.
-        assert task({"workers": 2}).evaluation_params == {"workers": 2}
-        assert task({"workers": 1}).evaluation_json == "{}"
+            assert task(evaluation).evaluation_json == "{}"
         sampled = {"mode": "sampled", "sample_size": 8}
-        assert (
-            task({**sampled, "workers": 2}).content_hash()
-            == task(sampled).content_hash()
-            != baseline
-        )
+        assert task(sampled).content_hash() != baseline
 
     @pytest.mark.parametrize(
         "evaluation",
-        [{"bogus": 1}, {"mode": "fastest"}, {"workers": 0}, {"sample_size": 0}],
+        [
+            {"bogus": 1},
+            {"mode": "fastest"},
+            {"workers": 2},
+            {"target_se_ms": 1.0},
+            {"sample_size": 0},
+        ],
     )
     def test_invalid_evaluation_rejected_at_construction(self, evaluation):
         with pytest.raises(ValueError):

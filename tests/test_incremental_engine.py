@@ -11,9 +11,9 @@ change raises ``topology_version`` and that one long-lived engine answers
 exactly as a fresh one.  ``TestArrivalTimeParity`` pins the same promise
 for ``propagate``, ``arrival_times_from`` and the CSR itself over random
 rewire sequences.  Around it: disconnected components, the memo's
-hit/miss counters through the telemetry recorder, the process-parallel /
-adaptive evaluation backends, the composition-aware overlay wrappers, and
-chunked theory stretch.
+hit/miss counters through the telemetry recorder, the delay evaluator's
+parameter round trip, the composition-aware overlay wrappers, and chunked
+theory stretch.
 """
 
 import numpy as np
@@ -311,85 +311,10 @@ class TestEngineCounters:
 
 
 class TestEvaluatorBackends:
-    def setup_method(self):
-        self.n = 220
-        self.latency = make_latency(self.n, 21)
-        self.validation = np.zeros(self.n)
-        self.net = make_network(self.n, 22)
-        self.engine = PropagationEngine(self.latency, self.validation)
-        self.hash_power = np.full(self.n, 1.0 / self.n)
-
-    def test_parallel_workers_bit_identical(self):
-        serial = DelayEvaluator(mode="exact", chunk_size=50)
-        parallel = DelayEvaluator(mode="exact", chunk_size=50, workers=2)
-        a = serial.evaluate(
-            self.engine, self.net, self.hash_power, target_fractions=(0.5, 0.9)
-        )
-        b = parallel.evaluate(
-            self.engine, self.net, self.hash_power, target_fractions=(0.5, 0.9)
-        )
-        assert np.array_equal(a.reach_times_ms, b.reach_times_ms)
-        assert np.array_equal(a.source_ids, b.source_ids)
-
-    @pytest.mark.parametrize(
-        ("sample_size", "target_se_ms", "draws"),
-        [(96, None, 96), (48, 1e-6, 384)],
-    )
-    def test_parallel_sampled_matches_serial(
-        self, sample_size, target_se_ms, draws
-    ):
-        # Skewed hash power makes the with-replacement draw repeat sources,
-        # so the pool path must expand its distinct rows over the multiset.
-        hash_power = np.random.default_rng(3).dirichlet(np.ones(self.n))
-        params = dict(
-            mode="sampled",
-            sample_size=sample_size,
-            chunk_size=16,
-            seed=4,
-            target_se_ms=target_se_ms,
-        )
-        a = DelayEvaluator(**params).evaluate(self.engine, self.net, hash_power)
-        b = DelayEvaluator(**params, workers=2).evaluate(
-            self.engine, self.net, hash_power
-        )
-        assert a.sampled and a.num_sources == draws
-        assert 16 < np.unique(a.source_ids).size < draws
-        assert np.array_equal(a.source_ids, b.source_ids)
-        assert np.array_equal(a.reach_times_ms, b.reach_times_ms)
-        assert a.standard_error_ms == b.standard_error_ms
-
-    def test_adaptive_first_batch_matches_fixed_draw(self):
-        fixed = DelayEvaluator(mode="sampled", sample_size=32, seed=13)
-        adaptive = DelayEvaluator(
-            mode="sampled", sample_size=32, seed=13, target_se_ms=1e12
-        )
-        a = fixed.evaluate(self.engine, self.net, self.hash_power)
-        b = adaptive.evaluate(self.engine, self.net, self.hash_power)
-        assert np.array_equal(a.source_ids, b.source_ids)
-        assert np.array_equal(a.reach_times_ms, b.reach_times_ms)
-
-    def test_adaptive_grows_until_precision(self):
-        from repro.metrics.evaluator import MAX_ADAPTIVE_BATCHES
-
-        loose = DelayEvaluator(mode="sampled", sample_size=32, seed=13)
-        tight = DelayEvaluator(
-            mode="sampled", sample_size=32, seed=13, target_se_ms=1e-9
-        )
-        a = loose.evaluate(self.engine, self.net, self.hash_power)
-        b = tight.evaluate(self.engine, self.net, self.hash_power)
-        assert b.num_sources == 32 * MAX_ADAPTIVE_BATCHES
-        assert a.num_sources == 32
-        # The grown sample cannot be less precise than the single batch.
-        assert b.standard_error_ms[0] <= a.standard_error_ms[0]
-
     def test_params_round_trip(self):
-        evaluator = DelayEvaluator(workers=4, target_se_ms=2.5)
+        evaluator = DelayEvaluator(mode="sampled", sample_size=32, seed=13)
         assert DelayEvaluator.from_params(evaluator.to_params()) == evaluator
         assert DelayEvaluator().to_params() == {}
-        with pytest.raises(ValueError):
-            DelayEvaluator(workers=0)
-        with pytest.raises(ValueError):
-            DelayEvaluator(target_se_ms=0.0)
 
 
 class _NoDenseModel(LatencyModel):

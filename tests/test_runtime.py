@@ -158,6 +158,33 @@ class TestScenarios:
         with pytest.raises(ValueError):
             unregister_scenario("default")
 
+    def test_swept_metric_config_runs_on_metric_latency(self, monkeypatch):
+        """A sweep task honours ``latency_model`` exactly as ``Simulator``."""
+        import repro.runtime.executor as executor
+        from repro.core.simulator import Simulator
+        from repro.latency.metric_space import MetricSpaceLatencyModel
+        from repro.protocols.registry import make_protocol
+
+        built = []
+
+        class RecordingSimulator(Simulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.latency_model)
+
+        monkeypatch.setattr(executor, "Simulator", RecordingSimulator)
+        config = CONFIG.with_overrides(latency_model="metric")
+        task = make_spec(config=config, protocols=("random",), repeats=1).expand()[0]
+        assert run_task(task).ok
+        (swept,) = built
+        assert isinstance(swept, MetricSpaceLatencyModel)
+        standalone = Simulator(
+            config,
+            make_protocol("random"),
+            rng=np.random.default_rng(task.environment_seed()),
+        ).latency_model
+        assert swept.as_matrix().tobytes() == standalone.as_matrix().tobytes()
+
 
 class TestExecutors:
     def test_parallel_identical_to_serial(self):
