@@ -477,11 +477,11 @@ def scaling_specs(
     observation pipeline's large-N headroom.
 
     ``latency_memory="sparse"`` runs every rung on the on-demand latency
-    backend (O(N) memory — required past N ~ 20k), and ``evaluation``
-    carries :class:`~repro.metrics.evaluator.DelayEvaluator` parameters to
-    every task, e.g. ``{"mode": "sampled", "sample_size": 256}``; both are
-    part of the task descriptions, so cluster workers pick them up
-    automatically.
+    backend (``latency_model="geographic-sparse"``, O(N) memory — required
+    past N ~ 20k), and ``evaluation`` carries
+    :class:`~repro.metrics.evaluator.DelayEvaluator` parameters to every
+    task, e.g. ``{"mode": "sampled", "sample_size": 256}``; both are part of
+    the task descriptions, so cluster workers pick them up automatically.
     """
     if latency_memory not in ("dense", "sparse"):
         raise ValueError("latency_memory must be 'dense' or 'sparse'")
@@ -490,10 +490,8 @@ def scaling_specs(
     )
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    # Keep default-grid task hashes (and stored results) stable: only
-    # non-default choices enter the scenario / evaluation parameters.
-    scenario_params = (
-        {"latency_memory": latency_memory} if latency_memory != "dense" else {}
+    latency_model = (
+        "geographic-sparse" if latency_memory == "sparse" else "geographic"
     )
     specs = []
     for size in sizes:
@@ -503,6 +501,7 @@ def scaling_specs(
             seed=seed,
             blocks_per_round=blocks_per_round,
             hash_power_distribution="uniform",
+            latency_model=latency_model,
         )
         specs.append(
             SweepSpec(
@@ -511,7 +510,6 @@ def scaling_specs(
                 protocols=tuple(protocols),
                 repeats=repeats,
                 scenario="large-network",
-                scenario_params=scenario_params,
                 evaluation=dict(evaluation or {}),
             )
         )

@@ -555,8 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_large_n_arguments(parser: argparse.ArgumentParser) -> None:
     """Large-N knobs (scaling ladder / submit).
 
-    ``--latency-memory`` picks the geographic backend; ``--eval-*`` set the
-    delay evaluator's mode, auto threshold and sample size.
+    ``--latency-memory sparse`` sets ``latency_model="geographic-sparse"``
+    on every rung's configuration; ``--eval-*`` set the delay evaluator's
+    mode, auto threshold and sample size.
     """
     parser.add_argument(
         "--latency-memory",

@@ -62,7 +62,9 @@ class SimulationConfig:
         Name of the latency model: ``"geographic"`` (iPlane-like region
         matrix, dense N x N backend), ``"geographic-sparse"`` (same model,
         on-demand pair computation in O(N) memory — the large-N backend) or
-        ``"metric"`` (hypercube embedding).
+        ``"metric"`` (hypercube embedding).  This field alone picks the
+        backend, for a standalone ``Simulator`` and for sweep tasks alike
+        (:func:`repro.latency.factory.build_latency_model`).
     metric_dimension:
         Dimension of the hypercube when ``latency_model == "metric"``.
     hash_power_target:

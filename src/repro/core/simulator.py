@@ -128,9 +128,8 @@ class Simulator:
         Optional pre-generated node population; generated from ``config`` when
         omitted.
     latency:
-        Optional latency model; derived from ``config`` when omitted
-        (geographic by default, metric-space when
-        ``config.latency_model == "metric"``).
+        Optional latency model; built from ``config.latency_model`` by
+        :func:`~repro.latency.factory.build_latency_model` when omitted.
     rng:
         Optional random generator; seeded from ``config.seed`` when omitted.
     delay_evaluator:

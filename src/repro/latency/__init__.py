@@ -9,7 +9,7 @@ ways the evaluation derives those constants:
 * :mod:`repro.latency.metric_space` — latencies from a random embedding in the
   unit hypercube, the theoretical model of Section 3.
 * :mod:`repro.latency.relay` — overlays a fast block-distribution network
-  (bloXroute-like) on top of an existing latency matrix (Section 5.4).
+  (bloXroute-like) on top of an existing latency model (Section 5.4).
 * :mod:`repro.latency.factory` — the model a ``SimulationConfig`` asks for,
   shared by the simulator and the sweep scenarios.
 """

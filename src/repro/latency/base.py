@@ -4,21 +4,22 @@ A latency model answers one question: what is the constant one-way latency
 ``δ(u, v)`` (in milliseconds) of sending a block between nodes ``u`` and ``v``
 if they are directly connected?
 
-Two access patterns exist:
+Every model implements that rule once, as the **pairwise gather**
+:meth:`LatencyModel.pairwise` — vectorised ``δ(u_i, v_i)`` for arrays of node
+pairs.  It is the contract the propagation engine consumes: a round over an
+overlay with ``E`` edges only ever needs ``E`` latency values, so models are
+free to compute pairs on demand instead of storing ``N x N`` floats (see the
+``memory="sparse"`` backend of :class:`repro.latency.geo.GeographicLatencyModel`).
 
-* the **pairwise gather** :meth:`LatencyModel.pairwise` — vectorised
-  ``δ(u_i, v_i)`` for arrays of node pairs.  This is the contract the
-  propagation engine consumes: a round over an overlay with ``E`` edges only
-  ever needs ``E`` latency values, so models are free to compute pairs on
-  demand instead of storing ``N x N`` floats (see the ``memory="sparse"``
-  backend of :class:`repro.latency.geo.GeographicLatencyModel`);
-* the **dense matrix** :meth:`LatencyModel.as_matrix` /
-  :meth:`LatencyModel.matrix_view` — for analyses that genuinely need all
-  pairs at once (theory validations, relay overlays).  ``as_matrix`` returns
-  a private copy the caller may mutate; ``matrix_view`` returns a read-only
-  array that may share storage with the model and must not be written to.
-  On-demand backends materialise the matrix on either call, so neither
-  belongs on an ``N ~ 20k`` hot path.
+The other access patterns are derived from it on the base class:
+
+* :meth:`LatencyModel.latency` — one pair, a one-element gather;
+* :meth:`LatencyModel.matrix_view` — the read-only dense matrix, gathered row
+  by row.  Models that store a matrix override it to return their storage;
+  on every other model each call materialises ``N^2`` floats, so it does not
+  belong on an ``N ~ 20k`` hot path;
+* :meth:`LatencyModel.as_matrix` — a private, writable copy of the dense
+  matrix.
 """
 
 from __future__ import annotations
@@ -37,52 +38,41 @@ class LatencyModel(abc.ABC):
         """Number of nodes the model covers."""
 
     @abc.abstractmethod
-    def latency(self, u: int, v: int) -> float:
-        """One-way latency in milliseconds between nodes ``u`` and ``v``."""
-
-    @abc.abstractmethod
-    def as_matrix(self) -> np.ndarray:
-        """Dense symmetric latency matrix with a zero diagonal (a copy)."""
-
-    def matrix_view(self) -> np.ndarray:
-        """Read-only dense latency matrix, sharing storage when possible.
-
-        Matrix-backed models override this to return their internal array
-        without copying.  The base implementation has no storage to share:
-        *every call* materialises :meth:`as_matrix` afresh (O(N^2) work and
-        memory on on-demand backends), so hold on to the result instead of
-        calling this in a loop.  Callers must treat the result as immutable
-        (``writeable`` is False).
-        """
-        matrix = self.as_matrix()
-        matrix.setflags(write=False)
-        return matrix
-
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Vectorised gather ``δ(u_i, v_i)`` for parallel id arrays.
 
-        Parameters
-        ----------
-        u, v:
-            Integer arrays (or sequences) of equal length; broadcasting is
-            not applied.  Returns a float array of the same length.
-
-        The default implementation loops over :meth:`latency`; matrix-backed
-        models override it with a fancy-indexed gather and on-demand models
-        with a direct recomputation, so the engine's per-edge gathers never
-        require the dense matrix.
+        ``u`` and ``v`` are integer arrays (or sequences) of equal length;
+        broadcasting is not applied.  Returns a float array of the same
+        length.  This is the model's one latency rule: the engine's per-edge
+        gathers and every other accessor read it.
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if u.shape != v.shape:
-            raise ValueError("u and v must have the same shape")
-        if u.ndim != 1:
-            raise ValueError("u and v must be 1-D arrays")
-        return np.fromiter(
-            (self.latency(int(a), int(b)) for a, b in zip(u, v)),
-            dtype=float,
-            count=u.size,
+
+    def latency(self, u: int, v: int) -> float:
+        """One-way latency in milliseconds between nodes ``u`` and ``v``."""
+        pair = self.pairwise(
+            np.array([u], dtype=np.int64), np.array([v], dtype=np.int64)
         )
+        return float(pair[0])
+
+    def matrix_view(self) -> np.ndarray:
+        """Read-only dense latency matrix (``writeable`` is False).
+
+        Matrix-backed models override this to return their storage without
+        copying.  The base implementation gathers the matrix row by row from
+        :meth:`pairwise`: *every call* costs O(N^2) work and memory, so hold
+        on to the result instead of calling this in a loop.
+        """
+        n = self.num_nodes
+        matrix = np.empty((n, n), dtype=float)
+        cols = np.arange(n, dtype=np.int64)
+        for i in range(n):
+            matrix[i] = self.pairwise(np.full(n, i, dtype=np.int64), cols)
+        matrix.setflags(write=False)
+        return matrix
+
+    def as_matrix(self) -> np.ndarray:
+        """Dense symmetric latency matrix with a zero diagonal (a copy)."""
+        return self.matrix_view().copy()
 
     def validate(self) -> None:
         """Check basic invariants of the produced matrix.
@@ -106,9 +96,8 @@ class LatencyModel(abc.ABC):
 class MatrixLatencyModel(LatencyModel):
     """Latency model backed by an explicit matrix.
 
-    Useful for tests, for custom scenarios, and as the result type of
-    overlays (e.g. :func:`repro.latency.relay.apply_relay_overlay`) that
-    transform another model's matrix.
+    Useful for tests and for custom scenarios that bring their own
+    measurements.
     """
 
     def __init__(self, matrix: np.ndarray) -> None:
@@ -126,12 +115,6 @@ class MatrixLatencyModel(LatencyModel):
     @property
     def num_nodes(self) -> int:
         return int(self._matrix.shape[0])
-
-    def latency(self, u: int, v: int) -> float:
-        return float(self._matrix[u, v])
-
-    def as_matrix(self) -> np.ndarray:
-        return self._matrix.copy()
 
     def matrix_view(self) -> np.ndarray:
         return self._matrix

@@ -1,6 +1,7 @@
 """The latency model a simulation configuration asks for.
 
-One decision, shared by :class:`~repro.core.simulator.Simulator` and the
+``SimulationConfig.latency_model`` is the one backend selector: this
+function is shared by :class:`~repro.core.simulator.Simulator` and the
 sweep scenario builders, so a configuration runs on the same backend
 whichever of them builds it.
 """
@@ -20,22 +21,18 @@ def build_latency_model(
     config: SimulationConfig,
     population: NodePopulation,
     rng: np.random.Generator,
-    memory: str | None = None,
 ) -> LatencyModel:
     """Build ``config.latency_model`` over ``population``, drawing from ``rng``.
 
     ``"metric"`` embeds the nodes in the unit hypercube of
     ``config.metric_dimension``; ``"geographic-sparse"`` is the on-demand
-    geographic backend and ``"geographic"`` the dense one.  An explicit
-    ``memory`` (``"dense"``/``"sparse"``) picks the geographic backend and
-    wins over the configuration.
+    geographic backend and ``"geographic"`` the dense one.
     """
-    if memory is None:
-        if config.latency_model == "metric":
-            return MetricSpaceLatencyModel(
-                num_nodes=config.num_nodes,
-                dimension=config.metric_dimension,
-                rng=rng,
-            )
-        memory = "sparse" if config.latency_model == "geographic-sparse" else "dense"
+    if config.latency_model == "metric":
+        return MetricSpaceLatencyModel(
+            num_nodes=config.num_nodes,
+            dimension=config.metric_dimension,
+            rng=rng,
+        )
+    memory = "sparse" if config.latency_model == "geographic-sparse" else "dense"
     return GeographicLatencyModel(population.nodes, rng, memory=memory)

@@ -215,15 +215,6 @@ class GeographicLatencyModel(LatencyModel):
         """Seed of the sparse backend's pair stream (``None`` when dense)."""
         return None if self._memory == "dense" else self._pair_seed
 
-    def latency(self, u: int, v: int) -> float:
-        if self._matrix is not None:
-            return float(self._matrix[u, v])
-        return float(
-            self.pairwise(
-                np.array([u], dtype=np.int64), np.array([v], dtype=np.int64)
-            )[0]
-        )
-
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -242,28 +233,10 @@ class GeographicLatencyModel(LatencyModel):
         values[u == v] = 0.0
         return values
 
-    def as_matrix(self) -> np.ndarray:
-        """Dense matrix copy.
-
-        With the sparse backend this *materialises* all ``N^2`` entries —
-        intended for small-N inspection and tests only, never for the
-        large-N hot path.
-        """
-        if self._matrix is not None:
-            return self._matrix.copy()
-        n = self.num_nodes
-        matrix = np.empty((n, n), dtype=float)
-        cols = np.arange(n, dtype=np.int64)
-        for i in range(n):
-            matrix[i] = self.pairwise(np.full(n, i, dtype=np.int64), cols)
-        return matrix
-
     def matrix_view(self) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix
-        matrix = self.as_matrix()
-        matrix.setflags(write=False)
-        return matrix
+        if self._matrix is None:
+            return super().matrix_view()
+        return self._matrix
 
     def validate(self) -> None:
         """Invariant checks; sampled (O(N)) under the sparse backend."""

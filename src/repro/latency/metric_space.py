@@ -96,15 +96,9 @@ class MetricSpaceLatencyModel(LatencyModel):
         """Milliseconds per unit of Euclidean distance."""
         return self._scale_ms
 
-    def latency(self, u: int, v: int) -> float:
-        return float(self._matrix[u, v])
-
     def euclidean_distance(self, u: int, v: int) -> float:
         """Unscaled Euclidean distance between the embedded points."""
         return float(self._matrix[u, v] / self._scale_ms)
-
-    def as_matrix(self) -> np.ndarray:
-        return self._matrix.copy()
 
     def matrix_view(self) -> np.ndarray:
         return self._matrix

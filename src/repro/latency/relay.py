@@ -16,9 +16,8 @@ presence — exactly the property the paper highlights (Perigee adapts to
 exploit relay networks without being told about them) — and because the
 engine consumes latencies exclusively through ``pairwise``, the scenarios
 composed this way run at 20k+ nodes over the O(N)-memory backends.
-``as_matrix`` still produces the dense composed matrix on demand, applying
-the exact operations the old matrix-copy implementation used, so analyses
-that need all pairs see bit-identical values.
+Analyses that need all pairs gather the composed matrix from ``pairwise``
+through the :class:`~repro.latency.base.LatencyModel` accessors.
 """
 
 from __future__ import annotations
@@ -81,6 +80,28 @@ class RelayNetworkOverlay:
         return pairs
 
 
+def tree_overlay(
+    members: tuple[int, ...],
+    branching: int = 3,
+    link_latency_ms: float = DEFAULT_RELAY_LINK_MS,
+) -> RelayNetworkOverlay:
+    """Organise ``members``, in order, as a ``branching``-ary tree.
+
+    ``members[0]`` is the root and ``members[i]`` hangs off
+    ``members[(i - 1) // branching]``.
+    """
+    if branching < 1:
+        raise ValueError("branching must be positive")
+    return RelayNetworkOverlay(
+        members=members,
+        tree_parent=tuple(
+            -1 if index == 0 else members[(index - 1) // branching]
+            for index in range(len(members))
+        ),
+        link_latency_ms=link_latency_ms,
+    )
+
+
 def build_relay_tree(
     candidate_nodes: int,
     rng: np.random.Generator,
@@ -93,34 +114,20 @@ def build_relay_tree(
         raise ValueError("size must be positive")
     if size > candidate_nodes:
         raise ValueError("size cannot exceed the number of candidate nodes")
-    if branching < 1:
-        raise ValueError("branching must be positive")
     members = tuple(
         int(x) for x in rng.choice(candidate_nodes, size=size, replace=False)
     )
-    parents = []
-    for index in range(size):
-        if index == 0:
-            parents.append(-1)
-        else:
-            parent_index = (index - 1) // branching
-            parents.append(members[parent_index])
-    return RelayNetworkOverlay(
-        members=members,
-        tree_parent=tuple(parents),
-        link_latency_ms=link_latency_ms,
-    )
+    return tree_overlay(members, branching, link_latency_ms)
 
 
 class RelayOverlayLatencyModel(LatencyModel):
     """Relay-overlay edits composed over a base model, pair by pair.
 
     The composed latency is ``min(base, link_latency_ms [tree-adjacent],
-    member_pair_latency_ms [both members])`` — elementwise minima commute,
-    so gathering pairs on demand yields the same values the dense rewrite
-    produced.  Tree-edge membership is resolved with a sorted-key
-    ``searchsorted`` lookup, keeping ``pairwise`` a handful of vectorised
-    passes over the queried pairs only.
+    member_pair_latency_ms [both members])``, the diagonal excluded.
+    Tree-edge membership is resolved with a sorted-key ``searchsorted``
+    lookup, keeping ``pairwise`` a handful of vectorised passes over the
+    queried pairs only.
     """
 
     def __init__(
@@ -163,21 +170,6 @@ class RelayOverlayLatencyModel(LatencyModel):
     def overlay(self) -> RelayNetworkOverlay:
         return self._overlay
 
-    def latency(self, u: int, v: int) -> float:
-        value = float(self._base.latency(u, v))
-        if u == v:
-            return value
-        if self._member_pair_ms is not None and (
-            self._is_member[u] and self._is_member[v]
-        ):
-            value = min(value, self._member_pair_ms)
-        n = self.num_nodes
-        key = (u * n + v) if u < v else (v * n + u)
-        pos = int(np.searchsorted(self._tree_keys, key))
-        if pos < self._tree_keys.size and self._tree_keys[pos] == key:
-            value = min(value, self._overlay.link_latency_ms)
-        return value
-
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -198,30 +190,13 @@ class RelayOverlayLatencyModel(LatencyModel):
             )
         return delta
 
-    def as_matrix(self) -> np.ndarray:
-        # Same operations (and order) as the historical dense implementation.
-        matrix = self._base.as_matrix()
-        link_ms = self._overlay.link_latency_ms
-        for child, parent in self._overlay.edges():
-            matrix[child, parent] = min(matrix[child, parent], link_ms)
-            matrix[parent, child] = matrix[child, parent]
-        if self._member_pair_ms is not None:
-            members = np.array(self._overlay.members, dtype=int)
-            sub = matrix[np.ix_(members, members)]
-            matrix[np.ix_(members, members)] = np.minimum(
-                sub, self._member_pair_ms
-            )
-        np.fill_diagonal(matrix, 0.0)
-        return matrix
-
 
 class MinerSpeedupLatencyModel(LatencyModel):
     """Figure 4(b)'s miner speedup composed over a base model, pair by pair.
 
     Pairs where both endpoints are high-power miners read
     ``max(base * speedup, floor_ms)``; everything else passes through.  The
-    diagonal is excluded from the edit (the dense implementation zeroed it
-    after scaling), so ``pairwise(u, u)`` stays ``0``.
+    diagonal is excluded from the edit, so ``pairwise(u, u)`` stays ``0``.
     """
 
     def __init__(
@@ -239,7 +214,6 @@ class MinerSpeedupLatencyModel(LatencyModel):
         if miners.size and (miners.min() < 0 or miners.max() >= base.num_nodes):
             raise ValueError("miner ids out of range for the base model")
         self._base = base
-        self._miners = miners
         self._speedup = float(speedup)
         self._floor_ms = float(floor_ms)
         self._is_miner = np.zeros(base.num_nodes, dtype=bool)
@@ -253,12 +227,6 @@ class MinerSpeedupLatencyModel(LatencyModel):
     def base(self) -> LatencyModel:
         return self._base
 
-    def latency(self, u: int, v: int) -> float:
-        value = float(self._base.latency(u, v))
-        if u != v and self._is_miner[u] and self._is_miner[v]:
-            value = max(value * self._speedup, self._floor_ms)
-        return value
-
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
@@ -266,17 +234,6 @@ class MinerSpeedupLatencyModel(LatencyModel):
         fast = self._is_miner[u] & self._is_miner[v] & (u != v)
         delta[fast] = np.maximum(delta[fast] * self._speedup, self._floor_ms)
         return delta
-
-    def as_matrix(self) -> np.ndarray:
-        # Same operations (and order) as the historical dense implementation.
-        matrix = self._base.as_matrix()
-        if self._miners.size:
-            sub = matrix[np.ix_(self._miners, self._miners)]
-            matrix[np.ix_(self._miners, self._miners)] = np.maximum(
-                sub * self._speedup, self._floor_ms
-            )
-        np.fill_diagonal(matrix, 0.0)
-        return matrix
 
 
 def apply_relay_overlay(
@@ -292,7 +249,7 @@ def apply_relay_overlay(
     nodes reach each other quickly through the operator's infrastructure.
 
     Returns a composition-aware wrapper: no dense matrix is materialised
-    until (and unless) ``as_matrix`` is called.
+    until (and unless) ``matrix_view`` or ``as_matrix`` is called.
     """
     return RelayOverlayLatencyModel(
         base, overlay, member_pair_latency_ms=member_pair_latency_ms
@@ -313,7 +270,7 @@ def apply_miner_speedup(
     never become free.
 
     Returns a composition-aware wrapper: no dense matrix is materialised
-    until (and unless) ``as_matrix`` is called.
+    until (and unless) ``matrix_view`` or ``as_matrix`` is called.
     """
     return MinerSpeedupLatencyModel(
         base, miner_ids, speedup=speedup, floor_ms=floor_ms

@@ -28,10 +28,10 @@ from repro.latency.relay import (
     DEFAULT_MINER_SPEEDUP,
     DEFAULT_RELAY_LINK_MS,
     DEFAULT_RELAY_SIZE,
-    RelayNetworkOverlay,
     apply_miner_speedup,
     apply_relay_overlay,
     build_relay_tree,
+    tree_overlay,
 )
 
 PopulationBuilder = Callable[
@@ -78,13 +78,17 @@ def _default_latency(
 ) -> LatencyModel:
     """The configuration's latency model (:func:`build_latency_model`).
 
-    ``params["latency_memory"]`` ("dense"/"sparse") wins over the
-    configuration and picks the geographic backend.  The default stays
-    dense geographic — bit-for-bit identical to every stored result.
+    ``config.latency_model`` alone picks the backend.  A stored spec that
+    still carries the retired ``latency_memory`` scenario parameter is
+    rejected rather than run on a backend it did not ask for.
     """
-    return build_latency_model(
-        config, population, rng, memory=params.get("latency_memory")
-    )
+    if "latency_memory" in params:
+        raise ValueError(
+            "the 'latency_memory' scenario parameter is no longer read; "
+            'set latency_model="geographic-sparse" on the configuration '
+            "for the on-demand geographic backend"
+        )
+    return build_latency_model(config, population, rng)
 
 
 def _miner_speedup_latency(
@@ -95,9 +99,9 @@ def _miner_speedup_latency(
 ) -> LatencyModel:
     """Figure 4(b): fast interconnects among the high-power miners.
 
-    The speedup composes over the base model as a pairwise wrapper, so with
-    ``latency_memory="sparse"`` the scenario never materialises an N x N
-    matrix and runs at 20k+ nodes.
+    The speedup composes over the base model as a pairwise wrapper, so on
+    ``latency_model="geographic-sparse"`` the scenario never materialises an
+    N x N matrix and runs at 20k+ nodes.
     """
     base = _default_latency(config, population, params, rng)
     speedup = float(params.get("speedup", DEFAULT_MINER_SPEEDUP))
@@ -132,23 +136,16 @@ def _relay_latency(
     """Figure 4(c): low-latency relay tree over the flagged members.
 
     The relay tree is rebuilt deterministically over the members the
-    population builder flagged (a 3-ary tree in member order), so the fast
+    population builder flagged (a 3-ary tree in node-id order), so the fast
     links connect exactly the nodes whose validation delay was reduced.
-    The overlay composes pairwise over the base model, so with
-    ``latency_memory="sparse"`` the scenario runs at 20k+ nodes without a
-    dense matrix.
+    The overlay composes pairwise over the base model, so on
+    ``latency_model="geographic-sparse"`` the scenario runs at 20k+ nodes
+    without a dense matrix.
     """
     base = _default_latency(config, population, params, rng)
     link_ms = float(params.get("relay_link_ms", DEFAULT_RELAY_LINK_MS))
     members = tuple(node.node_id for node in population.nodes if node.is_relay)
-    overlay = RelayNetworkOverlay(
-        members=members,
-        tree_parent=tuple(
-            -1 if index == 0 else members[(index - 1) // 3]
-            for index in range(len(members))
-        ),
-        link_latency_ms=link_ms,
-    )
+    overlay = tree_overlay(members, link_latency_ms=link_ms)
     return apply_relay_overlay(base, overlay, member_pair_latency_ms=link_ms * 4)
 
 

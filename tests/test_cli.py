@@ -118,7 +118,8 @@ class TestParser:
             evaluation={"mode": "sampled", "sample_size": 32},
         )
         task = specs[0].expand()[0]
-        assert task.scenario_params == {"latency_memory": "sparse"}
+        assert task.config.latency_model == "geographic-sparse"
+        assert task.scenario_params == {}
         assert task.evaluation_params == {"mode": "sampled", "sample_size": 32}
 
     def test_parser_has_cluster_flag(self):

@@ -327,10 +327,7 @@ class _NoDenseModel(LatencyModel):
     def num_nodes(self) -> int:
         return int(self._matrix.shape[0])
 
-    def latency(self, u: int, v: int) -> float:
-        return float(self._matrix[u, v])
-
-    def as_matrix(self) -> np.ndarray:
+    def matrix_view(self) -> np.ndarray:
         raise AssertionError("overlay materialised a dense matrix")
 
     def pairwise(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

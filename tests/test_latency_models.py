@@ -1,12 +1,16 @@
 """Tests for the latency models (matrix, geographic, metric-space, relay)."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import repro.latency
 from repro.config import default_config
 from repro.datasets.bitnodes import generate_population
 from repro.datasets.regions import inter_region_latency_ms
-from repro.latency.base import MatrixLatencyModel
+from repro.latency.base import LatencyModel, MatrixLatencyModel
 from repro.latency.geo import MIN_LINK_LATENCY_MS, GeographicLatencyModel
 from repro.latency.metric_space import MetricSpaceLatencyModel
 from repro.latency.relay import (
@@ -14,6 +18,7 @@ from repro.latency.relay import (
     apply_miner_speedup,
     apply_relay_overlay,
     build_relay_tree,
+    tree_overlay,
 )
 
 
@@ -166,6 +171,14 @@ class TestRelayOverlay:
         for _, parent in overlay.edges():
             assert parent in overlay.members
 
+    def test_build_relay_tree_is_tree_overlay_of_its_members(self, rng):
+        overlay = build_relay_tree(50, rng, size=9, branching=2)
+        assert overlay == tree_overlay(overlay.members, branching=2)
+        members = (7, 3, 11, 5, 2)
+        assert tree_overlay(members).tree_parent == (-1, 7, 7, 7, 3)
+        with pytest.raises(ValueError):
+            tree_overlay(members, branching=0)
+
     def test_build_relay_tree_rejects_oversized(self, rng):
         with pytest.raises(ValueError):
             build_relay_tree(5, rng, size=10)
@@ -221,3 +234,49 @@ class TestRelayOverlay:
         base = MatrixLatencyModel.constant(5, 4.0)
         fast = apply_miner_speedup(base, [])
         assert np.allclose(fast.as_matrix(), base.as_matrix())
+
+
+def _latency_model_classes() -> set[type]:
+    """Every ``LatencyModel`` subclass defined in the ``repro.latency`` package."""
+    for info in pkgutil.iter_modules(repro.latency.__path__):
+        importlib.import_module(f"repro.latency.{info.name}")
+    found, pending = set(), [LatencyModel]
+    while pending:
+        for subclass in pending.pop().__subclasses__():
+            if subclass.__module__.startswith("repro.latency."):
+                found.add(subclass)
+            pending.append(subclass)
+    return found
+
+
+class TestOneLatencyRule:
+    """Each model states ``δ(u, v)`` once, as ``pairwise``."""
+
+    MATRIX_STORING = {
+        MatrixLatencyModel,
+        MetricSpaceLatencyModel,
+        GeographicLatencyModel,
+    }
+
+    def test_models_implement_only_pairwise(self):
+        classes = _latency_model_classes()
+        assert self.MATRIX_STORING < classes
+        for cls in classes:
+            assert "pairwise" in vars(cls), cls.__name__
+            assert "latency" not in vars(cls), cls.__name__
+            assert "as_matrix" not in vars(cls), cls.__name__
+            assert ("matrix_view" in vars(cls)) == (
+                cls in self.MATRIX_STORING
+            ), cls.__name__
+
+    def test_derived_accessors_agree_with_pairwise(self, population, rng):
+        base = GeographicLatencyModel(population.nodes, rng, memory="sparse")
+        model = apply_miner_speedup(base, [0, 1, 2, 3], speedup=0.2)
+        n = model.num_nodes
+        view = model.matrix_view()
+        assert not view.flags.writeable
+        rows, cols = np.divmod(np.arange(n * n), n)
+        assert np.array_equal(view.ravel(), model.pairwise(rows, cols))
+        copy = model.as_matrix()
+        assert copy.flags.writeable and np.array_equal(copy, view)
+        assert model.latency(0, 1) == view[0, 1]

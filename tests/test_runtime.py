@@ -185,6 +185,19 @@ class TestScenarios:
         ).latency_model
         assert swept.as_matrix().tobytes() == standalone.as_matrix().tobytes()
 
+    def test_latency_memory_scenario_param_fails_the_task(self):
+        """The retired parameter no longer overrides ``latency_model``."""
+        spec = make_spec(
+            config=CONFIG.with_overrides(latency_model="metric"),
+            protocols=("random",),
+            repeats=1,
+            scenario_params={"latency_memory": "sparse"},
+        )
+        (record,) = execute_sweep(spec, executor=SerialExecutor())
+        assert not record.ok
+        assert "latency_memory" in record.error
+        assert "geographic-sparse" in record.error
+
 
 class TestExecutors:
     def test_parallel_identical_to_serial(self):
