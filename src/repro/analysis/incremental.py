@@ -23,7 +23,7 @@ import numpy as np
 from repro.config import SimulationConfig, default_config
 from repro.core.simulator import Simulator
 from repro.datasets.bitnodes import generate_population
-from repro.latency.geo import GeographicLatencyModel
+from repro.latency.factory import build_latency_model
 from repro.metrics.evaluator import DEFAULT_EVALUATOR
 from repro.protocols.base import ProtocolContext
 from repro.protocols.perigee.base import PerigeeBase
@@ -162,7 +162,7 @@ def run_incremental_deployment(
         )
     rng = np.random.default_rng(config.seed)
     population = generate_population(config, rng)
-    latency = GeographicLatencyModel(population.nodes, rng)
+    latency = build_latency_model(config, population, rng)
 
     def reach_evaluation(simulator: Simulator):
         return DEFAULT_EVALUATOR.evaluate(

@@ -3,17 +3,17 @@
 Connections in Bitcoin-like networks are *initiated* by one side (the
 outgoing side) and *accepted* by the other (the incoming side), but once
 established they are bidirectional: blocks flow both ways (Section 2.1).
-:class:`P2PNetwork` therefore tracks, for every node, the set of outgoing
-neighbors it chose and the set of incoming neighbors that chose it, enforcing
-the ``dout`` and ``din`` limits, while exposing an undirected adjacency view
-for propagation.
+:class:`P2PNetwork` therefore stores each connection once, in the outgoing
+set of the node that initiated it, and keeps only a per-node count of the
+incoming side: the ``din`` limit is the one fact the paper's connection rule
+needs about it.  Propagation and the metrics read the undirected edge array
+:meth:`P2PNetwork.to_numpy_edges`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -51,7 +51,8 @@ class P2PNetwork:
         self._out_degree = out_degree
         self._max_incoming = max_incoming
         self._outgoing: list[set[int]] = [set() for _ in range(num_nodes)]
-        self._incoming: list[set[int]] = [set() for _ in range(num_nodes)]
+        # How many outgoing sets hold each node.
+        self._incoming_count: list[int] = [0] * num_nodes
         # Bumped by every successful edge mutation, so consumers that memoise
         # a view of the topology (the propagation engine's weight graph) can
         # tell when it went stale.
@@ -98,20 +99,6 @@ class P2PNetwork:
         self._check_node(node_id)
         return frozenset(self._outgoing[node_id])
 
-    def incoming_neighbors(self, node_id: int) -> frozenset[int]:
-        """Neighbors that connected to ``node_id``."""
-        self._check_node(node_id)
-        return frozenset(self._incoming[node_id])
-
-    def neighbors(self, node_id: int) -> frozenset[int]:
-        """All communication neighbors of ``node_id`` (its ``Γ_v``)."""
-        self._check_node(node_id)
-        return frozenset(self._outgoing[node_id] | self._incoming[node_id])
-
-    def degree(self, node_id: int) -> int:
-        """Number of distinct communication neighbors."""
-        return len(self.neighbors(node_id))
-
     def outgoing_slots_free(self, node_id: int) -> int:
         """Remaining outgoing connection budget of ``node_id``."""
         self._check_node(node_id)
@@ -120,7 +107,7 @@ class P2PNetwork:
     def incoming_slots_free(self, node_id: int) -> int:
         """Remaining incoming connection budget of ``node_id``."""
         self._check_node(node_id)
-        return self._max_incoming - len(self._incoming[node_id])
+        return self._max_incoming - self._incoming_count[node_id]
 
     def can_accept_incoming(self, node_id: int) -> bool:
         """Whether ``node_id`` would accept one more incoming connection."""
@@ -152,7 +139,7 @@ class P2PNetwork:
         if not self.can_accept_incoming(target):
             return False
         self._outgoing[initiator].add(target)
-        self._incoming[target].add(initiator)
+        self._incoming_count[target] += 1
         self._topology_version += 1
         return True
 
@@ -169,7 +156,7 @@ class P2PNetwork:
         if target not in self._outgoing[initiator]:
             return False
         self._outgoing[initiator].discard(target)
-        self._incoming[target].discard(initiator)
+        self._incoming_count[target] -= 1
         self._topology_version += 1
         return True
 
@@ -195,11 +182,11 @@ class P2PNetwork:
         Returns the resulting outgoing neighbor set.
 
         **Invariant:** this method and :meth:`fill_random_outgoing` change
-        the outgoing set of ``node_id`` only.  Disconnecting removes
-        ``node_id`` from a former peer's *incoming* set and connecting adds
-        it to the new peer's *incoming* set; no other node's
-        :meth:`outgoing_neighbors` changes.  ``PerigeeBase.update`` relies on
-        this to score every node before any node rewires.
+        the outgoing set of ``node_id`` only.  Disconnecting lowers a former
+        peer's *incoming* count and connecting raises the new peer's; no
+        other node's :meth:`outgoing_neighbors` changes.
+        ``PerigeeBase.update`` relies on this to score every node before any
+        node rewires.
         """
         self._check_node(node_id)
         keep_set = {int(peer) for peer in keep}
@@ -252,10 +239,6 @@ class P2PNetwork:
     # ------------------------------------------------------------------ #
     # Views used by propagation and metrics
     # ------------------------------------------------------------------ #
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate over undirected communication edges as ``(u, v)`` with ``u < v``."""
-        return iter(self.edge_list())
-
     def edge_list(self) -> list[tuple[int, int]]:
         """Unique undirected edges as a sorted list of ``(u, v)`` with ``u < v``."""
         return [(u, v) for u, v in self.to_numpy_edges().tolist()]
@@ -264,20 +247,12 @@ class P2PNetwork:
         """Number of distinct undirected communication edges."""
         return int(self.to_numpy_edges().shape[0])
 
-    def adjacency_lists(self) -> list[list[int]]:
-        """Undirected adjacency lists, indexed by node id."""
-        adjacency: list[set[int]] = [set() for _ in range(self._num_nodes)]
-        for u, v in self.edge_list():
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        return [sorted(neighbors) for neighbors in adjacency]
-
     def to_numpy_edges(self) -> np.ndarray:
         """Unique undirected edges as a sorted ``(E, 2)`` int64 array.
 
         Row ``(u, v)`` has ``u < v``; rows ascend by the canonical key
         ``u * N + v``, which also deduplicates a pair both endpoints
-        initiated (the fully connected baseline).
+        initiated.
         """
         n = self._num_nodes
         counts = np.fromiter(
@@ -299,25 +274,21 @@ class P2PNetwork:
 
         A clique violates Bitcoin's per-node connection budgets, so the
         budgets are raised to ``num_nodes - 1`` as part of this operation.
-        Used only by the fully-connected lower-bound baseline of the paper's
-        figures.
+        Each pair is stored once, initiated by its lower id.  Used only by
+        the fully-connected lower-bound baseline of the paper's figures.
         """
         n = self._num_nodes
         self._out_degree = n - 1
         self._max_incoming = n - 1
-        self._outgoing = [
-            {peer for peer in range(n) if peer != node_id} for node_id in range(n)
-        ]
-        self._incoming = [
-            {peer for peer in range(n) if peer != node_id} for node_id in range(n)
-        ]
+        self._outgoing = [set(range(node_id + 1, n)) for node_id in range(n)]
+        self._incoming_count = list(range(n))
         self._topology_version += 1
 
     def copy(self) -> "P2PNetwork":
         """Deep copy of the overlay (used by experiments that snapshot topologies)."""
         clone = P2PNetwork(self._num_nodes, self._out_degree, self._max_incoming)
         clone._outgoing = [set(s) for s in self._outgoing]
-        clone._incoming = [set(s) for s in self._incoming]
+        clone._incoming_count = list(self._incoming_count)
         return clone
 
     # ------------------------------------------------------------------ #
@@ -327,9 +298,9 @@ class P2PNetwork:
         """JSON-serialisable snapshot of the overlay.
 
         Only the outgoing sets are captured (sorted, so the snapshot is
-        canonical); the incoming sets are their exact mirror and are rebuilt
-        on restore.  Budgets are included because
-        :meth:`make_fully_connected` raises them mid-run.
+        canonical); the incoming counts follow from them and are rebuilt on
+        restore.  Budgets are included because :meth:`make_fully_connected`
+        raises them mid-run.
         """
         return {
             "num_nodes": self._num_nodes,
@@ -341,11 +312,14 @@ class P2PNetwork:
     def load_state_dict(self, state: dict[str, object]) -> None:
         """Restore the overlay captured by :meth:`state_dict`.
 
-        The restore bumps :attr:`topology_version`, so a weight graph
-        memoised for the old topology is never served for the restored one.
-        Restoring sets from sorted lists is bit-identity safe: every
-        RNG-consuming reader of the outgoing sets sorts them first or is
-        insensitive to iteration order.
+        The snapshot comes from disk, so all of it is checked before any
+        state is replaced: a snapshot that breaks an invariant of
+        :meth:`validate_invariants` raises ``ValueError`` and leaves the
+        overlay as it was.  The restore bumps :attr:`topology_version`, so a
+        weight graph memoised for the old topology is never served for the
+        restored one.  Restoring sets from sorted lists is bit-identity safe:
+        every RNG-consuming reader of the outgoing sets sorts them first or
+        is insensitive to iteration order.
         """
         if int(state["num_nodes"]) != self._num_nodes:
             raise ValueError(
@@ -355,68 +329,55 @@ class P2PNetwork:
         outgoing_lists = state["outgoing"]
         if len(outgoing_lists) != self._num_nodes:
             raise ValueError("checkpoint outgoing adjacency has wrong length")
-        self._out_degree = int(state["out_degree"])
-        self._max_incoming = int(state["max_incoming"])
+        out_degree = int(state["out_degree"])
+        max_incoming = int(state["max_incoming"])
         outgoing = [
             {int(target) for target in targets} for targets in outgoing_lists
         ]
-        incoming: list[set[int]] = [set() for _ in range(self._num_nodes)]
-        for node_id, targets in enumerate(outgoing):
-            for target in targets:
-                incoming[target].add(node_id)
+        incoming_count = self._incoming_counts(outgoing, out_degree, max_incoming)
+        self._out_degree = out_degree
+        self._max_incoming = max_incoming
         self._outgoing = outgoing
-        self._incoming = incoming
+        self._incoming_count = incoming_count
         self._topology_version += 1
-        self.validate_invariants()
-
-    def degree_histogram(self) -> dict[int, int]:
-        """Map from communication degree to the number of nodes with that degree."""
-        histogram: dict[int, int] = defaultdict(int)
-        for node_id in range(self._num_nodes):
-            histogram[self.degree(node_id)] += 1
-        return dict(histogram)
-
-    def is_connected(self) -> bool:
-        """Whether the undirected communication graph is connected."""
-        adjacency = self.adjacency_lists()
-        visited = [False] * self._num_nodes
-        stack = [0]
-        visited[0] = True
-        count = 1
-        while stack:
-            current = stack.pop()
-            for neighbor in adjacency[current]:
-                if not visited[neighbor]:
-                    visited[neighbor] = True
-                    count += 1
-                    stack.append(neighbor)
-        return count == self._num_nodes
 
     def validate_invariants(self) -> None:
-        """Check structural invariants; raises ``AssertionError`` on violation.
+        """Check structural invariants; raises ``ValueError`` on violation.
 
-        Invariants: outgoing sets respect ``out_degree``, incoming sets respect
-        ``max_incoming``, and the incoming sets exactly mirror the outgoing
-        sets.
+        Invariants: peer ids are in range, no node connects to itself,
+        outgoing sets respect ``out_degree``, incoming counts respect
+        ``max_incoming``, and each node's incoming count is the number of
+        outgoing sets that hold it.
         """
-        for node_id in range(self._num_nodes):
-            assert len(self._outgoing[node_id]) <= self._out_degree, (
-                f"node {node_id} exceeds out-degree budget"
-            )
-            assert len(self._incoming[node_id]) <= self._max_incoming, (
-                f"node {node_id} exceeds incoming budget"
-            )
-            assert node_id not in self._outgoing[node_id], "self-loop detected"
-        for u in range(self._num_nodes):
-            for v in self._outgoing[u]:
-                assert u in self._incoming[v], (
-                    f"outgoing edge {u}->{v} missing from incoming set of {v}"
-                )
-        for v in range(self._num_nodes):
-            for u in self._incoming[v]:
-                assert v in self._outgoing[u], (
-                    f"incoming edge {u}->{v} missing from outgoing set of {u}"
-                )
+        counts = self._incoming_counts(
+            self._outgoing, self._out_degree, self._max_incoming
+        )
+        if counts != self._incoming_count:
+            raise ValueError("incoming counts do not match the outgoing sets")
+
+    def _incoming_counts(
+        self, outgoing: list[set[int]], out_degree: int, max_incoming: int
+    ) -> list[int]:
+        """Incoming counts of ``outgoing`` (a bincount of its targets).
+
+        Raises ``ValueError`` if ``outgoing`` holds an out-of-range id or a
+        self-loop, or breaks either connection budget.
+        """
+        n = self._num_nodes
+        for node_id, targets in enumerate(outgoing):
+            if len(targets) > out_degree:
+                raise ValueError(f"node {node_id} exceeds out-degree budget")
+            if node_id in targets:
+                raise ValueError(f"node {node_id} connects to itself")
+            if targets and not (min(targets) >= 0 and max(targets) < n):
+                raise ValueError(f"node {node_id} has a peer id out of range")
+        counts = np.bincount(
+            np.fromiter(chain.from_iterable(outgoing), dtype=np.int64),
+            minlength=n,
+        )
+        if counts.max() > max_incoming:
+            raise ValueError(f"node {int(counts.argmax())} exceeds incoming budget")
+        return counts.tolist()
 
     def _check_node(self, node_id: int) -> None:
         if not 0 <= node_id < self._num_nodes:

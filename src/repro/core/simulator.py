@@ -258,7 +258,11 @@ class Simulator:
 
         Raises ``ValueError`` when the snapshot belongs to a different
         schema, protocol, or population size — restoring such a snapshot
-        could only produce silently wrong results.
+        could only produce silently wrong results.  The restore is all or
+        nothing: if any part of the snapshot fails to load, the simulator is
+        put back to the state it had and the error propagates, so a caller
+        that falls back to running from there runs exactly as if it had
+        never tried.
         """
         schema = state.get("schema")
         if schema != CHECKPOINT_SCHEMA:
@@ -276,6 +280,14 @@ class Simulator:
                 f"checkpoint is for {state['num_nodes']} nodes, "
                 f"config has {self._config.num_nodes}"
             )
+        previous = self.state_dict()
+        try:
+            self._restore(state)
+        except Exception:
+            self._restore(previous)
+            raise
+
+    def _restore(self, state: dict[str, object]) -> None:
         self._network.load_state_dict(state["network"])
         self._protocol.load_state_dict(state.get("protocol_state", {}))
         self._rng.bit_generator.state = rng_state_from_json(state["rng"])

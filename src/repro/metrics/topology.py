@@ -119,10 +119,10 @@ def topology_summary(
 
     Everything derives from a single edge-array extraction: degrees come
     from a ``bincount`` over the unique undirected edge list (the number of
-    distinct communication neighbors, same as :meth:`P2PNetwork.degree`) and
-    connectivity from :func:`connected_components` on the sparse adjacency —
-    the flight recorder calls this every round, so the summary must not cost
-    more than a few edge-array passes.
+    distinct communication neighbors) and connectivity from
+    :func:`connected_components` on the sparse adjacency — the flight
+    recorder calls this every round, so the summary must not cost more than
+    a few edge-array passes.
     """
     edges = network.to_numpy_edges()
     num_nodes = network.num_nodes

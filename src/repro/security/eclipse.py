@@ -25,7 +25,7 @@ import numpy as np
 from repro.config import default_config
 from repro.core.simulator import Simulator
 from repro.datasets.bitnodes import generate_population
-from repro.latency.geo import GeographicLatencyModel
+from repro.latency.factory import build_latency_model
 from repro.protocols.perigee.subset import PerigeeSubsetProtocol
 
 
@@ -119,7 +119,7 @@ def run_eclipse_attack(
     )
     rng = np.random.default_rng(seed)
     population = generate_population(config, rng)
-    latency = GeographicLatencyModel(population.nodes, rng)
+    latency = build_latency_model(config, population, rng)
     num_adversaries = max(1, int(round(num_nodes * adversary_fraction)))
     adversaries = set(
         int(node) for node in rng.choice(num_nodes, size=num_adversaries, replace=False)

@@ -28,7 +28,7 @@ from repro.core.propagation import PropagationEngine
 from repro.core.simulator import Simulator
 from repro.datasets.bitnodes import NodePopulation, generate_population
 from repro.latency.base import LatencyModel
-from repro.latency.geo import GeographicLatencyModel
+from repro.latency.factory import build_latency_model
 from repro.protocols.base import NeighborSelectionProtocol
 from repro.protocols.perigee.subset import PerigeeSubsetProtocol
 from repro.protocols.random_policy import RandomProtocol
@@ -208,7 +208,7 @@ def run_free_riding_experiment(
     )
     rng = np.random.default_rng(seed)
     population = generate_population(config, rng)
-    latency = GeographicLatencyModel(population.nodes, rng)
+    latency = build_latency_model(config, population, rng)
     free_riders = set(
         int(node) for node in rng.choice(num_nodes, size=num_free_riders, replace=False)
     )

@@ -21,18 +21,15 @@ Artifact layout, under ``<store>/runs/<task-hash>/``::
 
     meta.json      # who ran: task description / free-form metadata
     rounds.jsonl   # one JSON row per round, appended and fsynced as it runs
-    trace.npz      # columnar per-round series, written on close()
     summary.json   # rounds recorded + final-evaluation percentiles, on close()
 
 ``rounds.jsonl`` is the source of truth: it is appended incrementally, so a
 crashed run keeps every completed round and stays inspectable
-(``perigee-sim inspect``).  ``trace.npz`` is a convenience view for NumPy
-consumers and only exists for runs that closed cleanly.
+(``perigee-sim inspect``).
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -55,7 +52,6 @@ RUNS_DIRNAME = "runs"
 ROUNDS_FILENAME = "rounds.jsonl"
 META_FILENAME = "meta.json"
 SUMMARY_FILENAME = "summary.json"
-TRACE_FILENAME = "trace.npz"
 
 #: Schema version stamped into every artifact file.
 FLIGHT_SCHEMA_VERSION = 1
@@ -67,18 +63,6 @@ FLIGHT_SCHEMA_VERSION = 1
 #: Sources are drawn from the evaluator's own seeded stream, never from the
 #: simulation RNG.
 DEFAULT_FLIGHT_EVALUATOR = DelayEvaluator(mode="sampled", sample_size=32)
-
-#: Topology-summary fields mirrored into the columnar ``trace.npz``.
-_TOPOLOGY_SERIES_FIELDS = (
-    "num_edges",
-    "mean_degree",
-    "max_degree",
-    "mean_edge_latency_ms",
-    "median_edge_latency_ms",
-    "low_latency_edge_fraction",
-    "connected",
-)
-
 
 def runs_dir(store_directory: str | os.PathLike) -> Path:
     """The ``runs/`` directory of a store (not created)."""
@@ -227,19 +211,7 @@ class FlightRecorder:
         self._rewire_dropped: list[int] = []
         self._rewire_added: list[int] = []
         self._scores: list[np.ndarray] = []
-        # Columnar per-round series accumulated for trace.npz.
-        self._series: dict[str, list[float]] = {
-            "round": [],
-            "nodes_updated": [],
-            "edges_dropped": [],
-            "edges_added": [],
-            "score_p50": [],
-            "score_p90": [],
-            "delay_p50": [],
-            "delay_p90": [],
-        }
-        for field in _TOPOLOGY_SERIES_FIELDS:
-            self._series[f"topo_{field}"] = []
+        self._rounds_recorded = 0
         self._final: dict[str, Any] | None = None
         self._directory.mkdir(parents=True, exist_ok=True)
         _write_json_atomic(
@@ -253,7 +225,7 @@ class FlightRecorder:
 
     @property
     def rounds_recorded(self) -> int:
-        return len(self._series["round"])
+        return self._rounds_recorded
 
     # ------------------------------------------------------------------ #
     # Hooks called from the instrumented layers
@@ -315,7 +287,6 @@ class FlightRecorder:
             )
             row["delay"] = _percentile_stats(reach)
         self._append_row(row)
-        self._accumulate(row)
 
     def record_final(
         self,
@@ -332,30 +303,13 @@ class FlightRecorder:
             self._final = final
 
     def close(self) -> None:
-        """Write the columnar ``trace.npz`` + ``summary.json`` and stop."""
+        """Write ``summary.json`` and stop."""
         if self._closed:
             return
         self._closed = True
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        arrays = {
-            name: np.asarray(values, dtype=float)
-            for name, values in self._series.items()
-        }
-        from repro.runtime.atomics import atomic_write_bytes
-        from repro.runtime.retry import DEFAULT_IO_RETRY
-
-        trace_path = self._directory / TRACE_FILENAME
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
-        atomic_write_bytes(
-            trace_path,
-            buffer.getvalue(),
-            fsync=False,
-            fault_point="flight.write",
-            retry_policy=DEFAULT_IO_RETRY,
-        )
         _write_json_atomic(
             self._directory / SUMMARY_FILENAME,
             {
@@ -385,32 +339,7 @@ class FlightRecorder:
         # Flushed + fsynced per round: a crashed run keeps its prefix.
         self._handle.flush()
         os.fsync(self._handle.fileno())
-
-    def _accumulate(self, row: Mapping[str, Any]) -> None:
-        rewire = row["rewire"]
-        scores = row["scores"]
-        series = self._series
-        series["round"].append(float(row["round"]))
-        series["nodes_updated"].append(float(rewire["nodes_updated"]))
-        series["edges_dropped"].append(float(rewire["edges_dropped"]))
-        series["edges_added"].append(float(rewire["edges_added"]))
-        for name in ("p50", "p90"):
-            value = scores.get(name)
-            series[f"score_{name}"].append(
-                float("nan") if value is None else float(value)
-            )
-        topology = row.get("topology") or {}
-        for field in _TOPOLOGY_SERIES_FIELDS:
-            value = topology.get(field)
-            series[f"topo_{field}"].append(
-                float("nan") if value is None else float(value)
-            )
-        delay = row.get("delay") or {}
-        for name in ("p50", "p90"):
-            value = delay.get(name)
-            series[f"delay_{name}"].append(
-                float("nan") if value is None else float(value)
-            )
+        self._rounds_recorded += 1
 
 
 #: Process-wide default flight recorder instance (records nothing).

@@ -64,3 +64,16 @@ def random_network(small_config, rng) -> P2PNetwork:
     for node_id in rng.permutation(small_config.num_nodes):
         network.fill_random_outgoing(int(node_id), rng)
     return network
+
+
+def adjacency(network: P2PNetwork) -> list[list[int]]:
+    """Every node's sorted communication neighbors, from ``to_numpy_edges``.
+
+    Tests read degrees, neighbor sets and symmetric adjacency from this one
+    view of the overlay.
+    """
+    neighbors: list[list[int]] = [[] for _ in range(network.num_nodes)]
+    for u, v in network.to_numpy_edges().tolist():
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return [sorted(peers) for peers in neighbors]

@@ -61,7 +61,7 @@ from repro.runtime.checkpoint import (
     write_checkpoint,
 )
 from repro.runtime.scenarios import get_scenario
-from repro.runtime.tasks import SweepSpec, Task, TaskRecord
+from repro.runtime.tasks import SweepSpec, Task, TaskRecord, canonical_json
 from repro.telemetry.recorder import MetricsRecorder, use_recorder
 
 common_settings = settings(
@@ -223,6 +223,27 @@ class TestNetworkStateDict:
         with pytest.raises(ValueError):
             P2PNetwork(6).load_state_dict(state)
 
+    @pytest.mark.parametrize(
+        "row, budgets",
+        [
+            ([-1], {}),  # negative id
+            ([5], {}),  # id past the last node
+            ([0], {}),  # self-loop
+            ([1, 2, 3], {"out_degree": 2}),  # row over the out-degree
+            ([1], {"max_incoming": 0}),  # incoming count over the budget
+        ],
+    )
+    def test_invalid_snapshot_rejected_before_restore(self, row, budgets):
+        network = P2PNetwork(5, out_degree=3, max_incoming=3)
+        network.connect(1, 2)
+        before = (network.state_dict(), network.topology_version)
+        state = {**network.state_dict(), **budgets}
+        state["outgoing"] = [row] + state["outgoing"][1:]
+        with pytest.raises(ValueError):
+            network.load_state_dict(state)
+        assert (network.state_dict(), network.topology_version) == before
+        network.validate_invariants()
+
 
 class TestProtocolStateDict:
     def test_stateless_protocol_rejects_foreign_state(self):
@@ -364,6 +385,49 @@ class TestRunTaskResume:
             "task.checkpoint_invalid", protocol=task.protocol
         ) == 1
         assert recorder.counter("task.resumed", protocol=task.protocol) == 0
+
+    @pytest.mark.parametrize(
+        "protocol, corrupt",
+        [
+            ("perigee-subset", lambda state: state.pop("rng")),
+            (
+                "perigee-ucb",
+                lambda state: state["protocol_state"]["history"].update(
+                    {"not-a-node": {}}
+                ),
+            ),
+        ],
+        ids=["missing-rng", "non-integer-history-key"],
+    )
+    def test_partly_loadable_checkpoint_falls_back_to_identical_record(
+        self, tmp_path, protocol, corrupt
+    ):
+        # The network part of these snapshots loads; a later part fails.
+        # The fallback must then run from round zero exactly as a run that
+        # never saw a checkpoint, not from the round-2 topology.
+        task = make_spec(
+            config=default_config(
+                num_nodes=40, rounds=4, blocks_per_round=8, seed=9
+            ),
+            protocols=(protocol,),
+            repeats=1,
+        ).expand()[0]
+        state = json_round_trip(
+            run_rounds_like_run_task(task, rounds=2).state_dict()
+        )
+        corrupt(state)
+        write_checkpoint(task_checkpoint_dir(tmp_path, task.content_hash()), state)
+        recorder = MetricsRecorder()
+        with use_recorder(recorder):
+            record = run_task(task, checkpoint_store=tmp_path, checkpoint_every=2)
+        assert recorder.counter(
+            "task.checkpoint_invalid", protocol=task.protocol
+        ) == 1
+
+        def record_bytes(record: TaskRecord) -> str:
+            return canonical_json({**record.to_dict(), "duration_s": None})
+
+        assert record_bytes(record) == record_bytes(run_task(task))
 
     def test_non_adaptive_protocol_never_checkpoints(self, tmp_path):
         task = self.make_task(protocol="random")

@@ -12,13 +12,15 @@ import heapq
 import numpy as np
 import pytest
 
+from tests.conftest import adjacency
+
 
 def replay_block(network, latency, validation_delays, source):
     """Return ``(arrival, deliveries)`` with ``deliveries[v][u]`` the time
     neighbor ``u`` hands the block to ``v``."""
     arrival = np.full(network.num_nodes, np.inf)
     deliveries = {v: {} for v in range(network.num_nodes)}
-    adjacency = network.adjacency_lists()
+    neighbors = adjacency(network)
     events = [(0.0, -1, source)]
     while events:
         time, sender, node = heapq.heappop(events)
@@ -28,7 +30,7 @@ def replay_block(network, latency, validation_delays, source):
             continue
         arrival[node] = time
         leaves = time if node == source else time + validation_delays[node]
-        for neighbor in adjacency[node]:
+        for neighbor in neighbors[node]:
             heapq.heappush(
                 events, (leaves + latency.latency(node, neighbor), node, neighbor)
             )

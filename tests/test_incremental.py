@@ -94,3 +94,19 @@ class TestRunIncrementalDeployment:
             run_incremental_deployment(adoption_fractions=(0.0,))
         with pytest.raises(ValueError):
             run_incremental_deployment(adoption_fractions=(1.5,))
+
+    def test_config_latency_model_is_honoured(self):
+        def baseline_delay(latency_model: str) -> float:
+            config = default_config(
+                num_nodes=40,
+                rounds=1,
+                blocks_per_round=10,
+                seed=3,
+                latency_model=latency_model,
+            )
+            (result,) = run_incremental_deployment(
+                adoption_fractions=(0.5,), config=config
+            )
+            return result.baseline_delay_ms
+
+        assert baseline_delay("geographic-sparse") != baseline_delay("geographic")

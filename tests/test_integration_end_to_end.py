@@ -16,6 +16,7 @@ import pytest
 from repro.analysis.experiments import run_experiment
 from repro.metrics.convergence import convergence_report
 from repro.protocols.registry import make_protocol
+from tests.conftest import adjacency
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +164,7 @@ def reference_arrival_times(network, latency, validation_delays, source):
     """
     arrival = np.full(network.num_nodes, np.inf)
     arrival[source] = 0.0
-    adjacency = network.adjacency_lists()
+    neighbors = adjacency(network)
     heap = [(0.0, source)]
     settled = set()
     while heap:
@@ -172,7 +173,7 @@ def reference_arrival_times(network, latency, validation_delays, source):
             continue
         settled.add(u)
         leaves = time if u == source else time + validation_delays[u]
-        for v in adjacency[u]:
+        for v in neighbors[u]:
             candidate = leaves + latency.latency(u, v)
             if candidate < arrival[v]:
                 arrival[v] = candidate

@@ -12,6 +12,7 @@ from repro.metrics.topology import (
     intra_continental_fraction,
     topology_summary,
 )
+from tests.conftest import adjacency
 
 
 @pytest.fixture
@@ -145,15 +146,22 @@ class TestStructuralSummaries:
         assert summary["connected"] == 0.0
 
     def test_topology_summary_degrees_match_network(self, small_network, latency):
-        # The bincount fast path must agree with the per-node degree method.
+        # The bincount and connected_components fast paths must agree with
+        # per-node neighbor lists and a breadth-first search over them.
         summary = topology_summary(small_network, latency)
-        degrees = [
-            small_network.degree(node) for node in small_network.node_ids()
-        ]
+        neighbors = adjacency(small_network)
+        degrees = [len(peers) for peers in neighbors]
+        reached = {0}
+        stack = [0]
+        while stack:
+            for peer in neighbors[stack.pop()]:
+                if peer not in reached:
+                    reached.add(peer)
+                    stack.append(peer)
         assert summary["mean_degree"] == pytest.approx(np.mean(degrees))
         assert summary["max_degree"] == max(degrees)
         assert summary["min_degree"] == min(degrees)
-        assert summary["connected"] == float(small_network.is_connected())
+        assert summary["connected"] == float(len(reached) == len(neighbors))
         assert summary["num_edges"] == float(small_network.num_edges())
 
 

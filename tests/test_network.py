@@ -1,9 +1,14 @@
 """Tests for the p2p overlay graph and its connection-limit semantics."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core.network import ConnectionError_, P2PNetwork
+from repro.latency.base import MatrixLatencyModel
+from repro.metrics.topology import topology_summary
+from tests.conftest import adjacency
 
 
 @pytest.fixture
@@ -33,7 +38,7 @@ class TestConstruction:
         assert network.num_nodes == 10
         assert len(network) == 10
         assert network.num_edges() == 0
-        assert network.degree(0) == 0
+        assert adjacency(network)[0] == []
 
 
 class TestConnect:
@@ -42,8 +47,8 @@ class TestConnect:
         assert network.has_edge(0, 1)
         assert network.has_edge(1, 0)
         assert 1 in network.outgoing_neighbors(0)
-        assert 0 in network.incoming_neighbors(1)
-        assert network.neighbors(1) == frozenset({0})
+        assert network.incoming_slots_free(1) == 3
+        assert adjacency(network)[1] == [0]
 
     def test_duplicate_connection_rejected(self, network):
         assert network.connect(0, 1)
@@ -72,7 +77,7 @@ class TestConnect:
         with pytest.raises(IndexError):
             network.connect(0, 99)
         with pytest.raises(IndexError):
-            network.neighbors(-1)
+            network.outgoing_neighbors(-1)
 
 
 class TestDisconnect:
@@ -80,7 +85,7 @@ class TestDisconnect:
         network.connect(0, 1)
         assert network.disconnect(0, 1)
         assert not network.has_edge(0, 1)
-        assert network.incoming_neighbors(1) == frozenset()
+        assert network.incoming_slots_free(1) == 4
 
     def test_disconnect_only_affects_initiated_connections(self, network):
         network.connect(0, 1)
@@ -93,7 +98,7 @@ class TestDisconnect:
             network.connect(0, target)
         network.disconnect_all_outgoing(0)
         assert network.outgoing_neighbors(0) == frozenset()
-        assert network.incoming_neighbors(1) == frozenset()
+        assert network.incoming_slots_free(1) == 4
 
 
 class TestReplaceOutgoing:
@@ -135,10 +140,12 @@ class TestViews:
     def test_adjacency_lists_are_symmetric(self, network, rng):
         for node in range(10):
             network.fill_random_outgoing(node, rng)
-        adjacency = network.adjacency_lists()
-        for u, neighbors in enumerate(adjacency):
-            for v in neighbors:
-                assert u in adjacency[v]
+        neighbors = adjacency(network)
+        for u, peers in enumerate(neighbors):
+            for v in peers:
+                assert u in neighbors[v]
+            # The edge array holds every connection the node initiated.
+            assert network.outgoing_neighbors(u) <= set(peers)
 
     def test_to_numpy_edges_shape(self, network):
         assert network.to_numpy_edges().shape == (0, 2)
@@ -154,23 +161,28 @@ class TestViews:
 
     def test_degree_histogram_counts_nodes(self, network):
         network.connect(0, 1)
-        histogram = network.degree_histogram()
+        histogram = Counter(len(peers) for peers in adjacency(network))
         assert histogram[1] == 2
         assert histogram[0] == 8
 
     def test_is_connected(self, rng):
         network = P2PNetwork(num_nodes=6, out_degree=2, max_incoming=6)
-        assert not network.is_connected()
+        latency = MatrixLatencyModel(np.ones((6, 6)) - np.eye(6))
+        assert topology_summary(network, latency)["connected"] == 0.0
         # a path 0-1-2-3-4-5
         for u in range(5):
             network.connect(u, u + 1)
-        assert network.is_connected()
+        assert topology_summary(network, latency)["connected"] == 1.0
 
     def test_make_fully_connected(self):
         network = P2PNetwork(num_nodes=5, out_degree=2, max_incoming=2)
         network.make_fully_connected()
         assert network.num_edges() == 10
-        assert all(network.degree(node) == 4 for node in range(5))
+        assert all(len(peers) == 4 for peers in adjacency(network))
+        # Each pair is stored once, initiated by the lower id.
+        assert network.outgoing_neighbors(0) == frozenset({1, 2, 3, 4})
+        assert network.outgoing_neighbors(4) == frozenset()
+        assert network.incoming_slots_free(4) == 0
         network.validate_invariants()
 
 
@@ -189,4 +201,4 @@ class TestInvariants:
         network.validate_invariants()
         for node in range(25):
             assert len(network.outgoing_neighbors(node)) <= 4
-            assert len(network.incoming_neighbors(node)) <= 6
+            assert network.incoming_slots_free(node) >= 0

@@ -43,6 +43,7 @@ from repro.protocols.scoring import (
 )
 from repro.security.eclipse import _HeadStartPerigee
 from repro.security.freeride import _FreeRidingAwarePerigee
+from tests.conftest import adjacency
 
 common_settings = settings(
     max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -242,9 +243,7 @@ def test_normalized_rows_match_legacy_normalisation(
     observations = engine.round_observations(network, result, block_ids=block_ids)
     for node_id in range(num_nodes):
         normalized = legacy_normalized(reference[node_id])
-        neighbors = np.array(
-            sorted(network.neighbors(node_id)), dtype=np.int64
-        )
+        neighbors = np.array(adjacency(network)[node_id], dtype=np.int64)
         rows = observations.normalized_rows(node_id, neighbors)
         expected = legacy_times_block(normalized, neighbors)
         # Exact equality, including the inf pattern of never-delivered blocks.

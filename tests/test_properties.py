@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.core.propagation import PropagationEngine
 from repro.latency.base import MatrixLatencyModel
 from repro.metrics.delay import hash_power_reach_times, reach_time_for_source
 from repro.protocols.scoring import confidence_bounds, greedy_subset_selection_batch
+from tests.conftest import adjacency
 
 common_settings = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -32,33 +34,61 @@ common_settings = settings(
     num_nodes=st.integers(min_value=5, max_value=40),
     out_degree=st.integers(min_value=1, max_value=6),
     max_incoming=st.integers(min_value=1, max_value=10),
+    seed=st.integers(min_value=0, max_value=1000),
     operations=st.lists(
-        st.tuples(st.booleans(), st.integers(0, 1_000_000), st.integers(0, 1_000_000)),
+        st.tuples(
+            st.sampled_from(
+                ["connect", "disconnect", "replace", "clique", "save", "load"]
+            ),
+            st.integers(0, 1_000_000),
+            st.integers(0, 1_000_000),
+        ),
         max_size=200,
     ),
 )
 def test_network_invariants_hold_under_arbitrary_operations(
-    num_nodes, out_degree, max_incoming, operations
+    num_nodes, out_degree, max_incoming, seed, operations
 ):
     network = P2PNetwork(num_nodes, out_degree, max_incoming)
-    for connect, raw_a, raw_b in operations:
+    rng = np.random.default_rng(seed)
+    saved = json.loads(json.dumps(network.state_dict()))
+    for op, raw_a, raw_b in operations:
         a, b = raw_a % num_nodes, raw_b % num_nodes
-        if a == b:
-            continue
-        if connect:
+        if op == "connect" and a != b:
             network.connect(a, b)
-        else:
+        elif op == "disconnect":
             network.disconnect(a, b)
+        elif op == "replace":
+            keep = sorted(network.outgoing_neighbors(a))[: raw_b % 3]
+            num_random = min(1, network.out_degree - len(keep))
+            network.replace_outgoing(a, keep, rng, num_random=num_random)
+        elif op == "clique":
+            network.make_fully_connected()
+        elif op == "save":
+            saved = json.loads(json.dumps(network.state_dict()))
+        elif op == "load":
+            network.load_state_dict(saved)
+        # Each node's incoming count is the number of outgoing sets that
+        # hold it, and never exceeds the incoming budget.
+        targets = [
+            peer
+            for node in range(num_nodes)
+            for peer in network.outgoing_neighbors(node)
+        ]
+        counts = np.bincount(
+            np.asarray(targets, dtype=np.int64), minlength=num_nodes
+        )
+        assert [
+            network.max_incoming - network.incoming_slots_free(node)
+            for node in range(num_nodes)
+        ] == counts.tolist()
+        assert counts.max() <= network.max_incoming
+        for node in range(num_nodes):
+            assert len(network.outgoing_neighbors(node)) <= network.out_degree
     network.validate_invariants()
-    for node in range(num_nodes):
-        assert len(network.outgoing_neighbors(node)) <= out_degree
-        assert len(network.incoming_neighbors(node)) <= max_incoming
-    # The undirected edge view is consistent with per-node neighbor sets.
-    edges = set(network.edge_list())
-    for u, v in edges:
+    # The undirected edge view is consistent with the outgoing sets.
+    for u, v in network.edge_list():
         assert network.has_edge(u, v)
-        assert v in network.neighbors(u)
-        assert u in network.neighbors(v)
 
 
 def _reference_edges(network):
@@ -124,12 +154,13 @@ def test_fill_random_outgoing_uses_full_budget_when_capacity_allows(num_nodes, s
     network = P2PNetwork(num_nodes, out_degree=out_degree, max_incoming=num_nodes)
     for node in range(num_nodes):
         network.fill_random_outgoing(node, rng)
+    neighbors = adjacency(network)
     for node in range(num_nodes):
         # A node fills its whole outgoing budget unless it is already
         # connected (in either direction) to every other node — duplicate
         # connections between a pair are never created.
         filled = len(network.outgoing_neighbors(node))
-        assert filled == out_degree or len(network.neighbors(node)) == num_nodes - 1
+        assert filled == out_degree or len(neighbors[node]) == num_nodes - 1
     network.validate_invariants()
 
 

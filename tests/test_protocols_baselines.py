@@ -8,7 +8,7 @@ from repro.core.network import P2PNetwork
 from repro.core.observations import RoundObservations
 from repro.datasets.bitnodes import generate_population
 from repro.latency.geo import GeographicLatencyModel
-from repro.metrics.topology import intra_continental_fraction
+from repro.metrics.topology import intra_continental_fraction, topology_summary
 from repro.protocols.base import ProtocolContext
 from repro.protocols.fully_connected import FullyConnectedProtocol
 from repro.protocols.geographic import GeographicProtocol
@@ -62,10 +62,10 @@ class TestRandomProtocol:
         network.validate_invariants()
 
     def test_typically_connected(self, context_and_network):
-        _, network, _ = build(RandomProtocol(), context_and_network)
+        context, network, _ = build(RandomProtocol(), context_and_network)
         # With out-degree 8 on 60 nodes, a random overlay is connected with
         # overwhelming probability.
-        assert network.is_connected()
+        assert topology_summary(network, context.latency)["connected"] == 1.0
 
 
 class TestGeographicProtocol:
@@ -183,7 +183,7 @@ class TestFullyConnectedProtocol:
         context, network, _ = build(FullyConnectedProtocol(), context_and_network)
         n = context.config.num_nodes
         assert network.num_edges() == n * (n - 1) // 2
-        assert network.is_connected()
+        assert topology_summary(network, context.latency)["connected"] == 1.0
 
     def test_describe_mentions_lower_bound(self):
         assert "lower bound" in str(FullyConnectedProtocol().describe()["note"])

@@ -9,6 +9,7 @@ from repro.datasets.bitnodes import generate_population
 from repro.latency.geo import GeographicLatencyModel
 from repro.latency.metric_space import MetricSpaceLatencyModel
 from repro.protocols.registry import make_protocol
+from tests.conftest import adjacency
 
 
 @pytest.fixture
@@ -92,8 +93,8 @@ class TestObservationsCollection:
         assert observations.num_nodes == simulator.config.num_nodes
         assert observations.block_ids.tolist() == [b.block_id for b in blocks]
         for node_id in range(simulator.config.num_nodes):
-            neighbors = simulator.network.neighbors(node_id)
-            assert observations.neighbors_of(node_id).tolist() == sorted(neighbors)
+            neighbors = adjacency(simulator.network)[node_id]
+            assert observations.neighbors_of(node_id).tolist() == neighbors
 
     def test_observation_timestamps_not_negative(self, simulator):
         blocks = simulator.mine_blocks(3)
