@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
 
 from repro.config import SimulationConfig, default_config
 from repro.metrics.delay import DelayCurve, improvement_over_baseline
@@ -138,56 +137,70 @@ def _resolve_store(store):
     return ResultStore(os.fspath(store))
 
 
+def check_execution_policy(
+    store=None,
+    *,
+    workers: int = 1,
+    cluster: bool = False,
+    flight: bool = False,
+    checkpoint_every: int = 0,
+) -> None:
+    """Reject an execution policy that cannot run, before any task does.
+
+    Cluster execution (``cluster`` / ``--cluster``), flight recording
+    (``flight`` / ``--flight-recorder``) and checkpointing
+    (``checkpoint_every`` / ``--checkpoint-every``) each write inside the
+    result store (its ``cluster/`` queue, ``runs/`` artifacts and
+    ``checkpoints/`` snapshots), so each needs ``store`` / ``--store``.
+    Cluster execution drains through that queue, so it excludes
+    ``workers > 1``: a cluster scales by extra ``perigee-sim worker``
+    processes.  Raises ``ValueError`` naming the CLI flags;
+    :func:`_execute_spec` calls it for every sweep, and the ``perigee-sim``
+    experiment and ``resume`` commands report it as a usage error.
+    """
+    if store is None:
+        for needed, flag, inside in (
+            (cluster, "--cluster", "the queue lives inside it"),
+            (flight, "--flight-recorder", "runs/ artifacts live inside it"),
+            (checkpoint_every, "--checkpoint-every", "checkpoints/ lives inside it"),
+        ):
+            if needed:
+                raise ValueError(f"{flag} requires --store ({inside})")
+    if cluster and workers > 1:
+        raise ValueError(
+            "--cluster and --workers are mutually exclusive; scale a cluster "
+            "run by starting extra 'perigee-sim worker' processes"
+        )
+
+
 def _execute_spec(
     spec: SweepSpec,
     workers: int = 1,
     store=None,
-    executor=None,
     progress: ProgressCallback | None = None,
     cluster: bool = False,
 ):
-    """Shared execution path: resolve store/executor, run the sweep.
+    """Shared execution path: check the policy, resolve store/executor, run.
 
     ``cluster=True`` routes the sweep through the store-backed distributed
     queue (:class:`~repro.runtime.cluster.ClusterExecutor`): tasks are
     published to ``<store>/cluster/`` where any number of external
     ``perigee-sim worker`` processes help drain them, with this process
     participating as one inline worker.
-
-    A spec flagged for flight recording (``spec.flight``) or periodic
-    checkpointing (``spec.checkpoint_every > 0``) needs a store: per-round
-    ``runs/`` artifacts and ``checkpoints/`` snapshots live inside it.
     """
     resolved_store = _resolve_store(store)
-    if spec.flight and resolved_store is None:
-        raise ValueError(
-            "flight recording persists per-round artifacts into the "
-            "result store; pass store=/--store together with "
-            "flight/--flight-recorder"
-        )
-    if spec.checkpoint_every and resolved_store is None:
-        raise ValueError(
-            "checkpointing persists round snapshots into the result "
-            "store; pass store=/--store together with "
-            "checkpoint_every/--checkpoint-every"
-        )
+    check_execution_policy(
+        resolved_store,
+        workers=workers,
+        cluster=cluster,
+        flight=spec.flight,
+        checkpoint_every=spec.checkpoint_every,
+    )
     if cluster:
-        if resolved_store is None:
-            raise ValueError(
-                "cluster execution needs a result store (the on-disk work "
-                "queue lives inside it); pass store=/--store"
-            )
-        if workers > 1:
-            raise ValueError(
-                "cluster execution drains through the store's work queue; "
-                "start extra 'perigee-sim worker' processes instead of "
-                "passing workers > 1"
-            )
-        if executor is None:
-            from repro.runtime.cluster import ClusterExecutor
+        from repro.runtime.cluster import ClusterExecutor
 
-            executor = ClusterExecutor(resolved_store)
-    elif executor is None:
+        executor = ClusterExecutor(resolved_store)
+    else:
         executor = make_executor(workers)
     return execute_sweep(
         spec, executor=executor, store=resolved_store, progress=progress
@@ -198,76 +211,21 @@ def compare_protocols(
     config: SimulationConfig,
     protocol_names: tuple[str, ...] | list[str],
     repeats: int = 1,
-    rounds: int | None = None,
-    collect_histograms: bool = False,
-    experiment_name: str = "custom",
-    scenario: str = "default",
-    scenario_params: Mapping[str, Any] | None = None,
-    workers: int = 1,
-    store=None,
-    executor=None,
-    progress: ProgressCallback | None = None,
-    cluster: bool = False,
-    flight: bool = False,
-    checkpoint_every: int = 0,
 ) -> ExperimentResult:
     """Run several protocols on shared populations and return their curves.
 
-    Parameters
-    ----------
-    config:
-        The shared simulation configuration.
-    protocol_names:
-        Registry names of the protocols to compare.
-    repeats:
-        Number of independent population/latency draws (the paper uses 3).
-    rounds:
-        Rounds to run adaptive protocols for (defaults to ``config.rounds``).
-    collect_histograms:
-        Also compute the Figure 5 edge-latency histogram of each final
-        topology (first repeat).
-    scenario / scenario_params:
-        Name and parameters of a registered environment scenario
-        (:mod:`repro.runtime.scenarios`) that builds each repeat's population
-        and latency model.
-    workers:
-        Number of worker processes; 1 (the default) runs serially in-process.
-    store:
-        Optional :class:`~repro.runtime.store.ResultStore` or directory path;
-        completed tasks are persisted and served from cache on re-runs.
-    executor:
-        Explicit executor instance overriding ``workers``.
-    progress:
-        Optional ``(done, total, record)`` callback invoked per finished task.
-    cluster:
-        Execute through the distributed store-backed work queue instead of
-        an in-process pool (requires ``store``); external ``perigee-sim
-        worker`` processes sharing the store cooperate on the grid.
+    Every protocol runs ``config.rounds`` rounds on each of ``repeats``
+    independent population/latency draws (the paper uses 3), serially in
+    this process.  Stores, worker pools and clusters are for the named
+    grids of :func:`run_experiment`.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
-    rounds = config.rounds if rounds is None else rounds
     spec = SweepSpec(
-        name=experiment_name,
+        name="custom",
         config=config,
         protocols=tuple(protocol_names),
         repeats=repeats,
-        rounds=rounds,
-        scenario=scenario,
-        scenario_params=dict(scenario_params or {}),
-        collect_histograms=collect_histograms,
-        flight=bool(flight),
-        checkpoint_every=int(checkpoint_every),
     )
-    records = _execute_spec(
-        spec,
-        workers=workers,
-        store=store,
-        executor=executor,
-        progress=progress,
-        cluster=cluster,
-    )
-    return records_to_result(records, name=experiment_name)
+    return records_to_result(execute_sweep(spec), name="custom")
 
 
 # --------------------------------------------------------------------------- #

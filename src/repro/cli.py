@@ -68,14 +68,19 @@ are byte-identical to a fault-free serial run::
 
     perigee-sim chaos --root /tmp/chaos --seed 7 [--json]
 
-The CLI intentionally exposes only the experiment-level knobs (size, rounds,
-repeats, seed, workers, store); anything finer grained is available through
-the Python API.
+Each experiment of ``EXPERIMENT_SPECS`` is one parser, built at the top
+level (run it) and under ``submit`` (queue it) with the same spec flags, so
+``submit X ...`` queues exactly the tasks ``X ...`` runs; the large-N
+``--latency-memory/--eval-*`` flags exist only under ``scaling``, and
+``chaos`` takes the grid flags at 40 nodes and 2 rounds.  What needs
+``--store`` and what excludes ``--workers`` is checked once, by
+``check_execution_policy``.  Finer knobs are in the Python API.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Sequence
 
@@ -84,6 +89,7 @@ from repro.analysis.experiments import (
     NetworkScalingResult,
     ProcessingDelaySweepResult,
     build_experiment_specs,
+    check_execution_policy,
     run_experiment,
 )
 from repro.analysis.reporting import (
@@ -117,11 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command")
 
     list_parser = subparsers.add_parser("list", help="list available experiments")
-    list_parser.set_defaults(command="list")
+    list_parser.set_defaults(handler=_run_list)
 
     resume_parser = subparsers.add_parser(
         "resume", help="complete the missing tasks of a stored sweep"
     )
+    resume_parser.set_defaults(handler=_run_resume)
     resume_parser.add_argument(
         "--store", required=True, help="result store directory of the sweep"
     )
@@ -146,6 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
             "still appending)"
         ),
     )
+    compact_parser.set_defaults(handler=_run_compact)
     compact_parser.add_argument(
         "--store", required=True, help="store directory to compact"
     )
@@ -154,49 +162,17 @@ def build_parser() -> argparse.ArgumentParser:
         "submit",
         help="enqueue an experiment's task grid for distributed workers",
     )
-    submit_parser.add_argument(
-        "experiment", choices=list(EXPERIMENT_SPECS), help="experiment to enqueue"
-    )
-    submit_parser.add_argument(
-        "--store", required=True, help="store directory shared with the workers"
-    )
-    submit_parser.add_argument(
-        "--num-nodes", type=int, default=300, help="number of nodes"
-    )
-    submit_parser.add_argument(
-        "--rounds", type=int, default=12, help="protocol rounds"
-    )
-    submit_parser.add_argument("--seed", type=int, default=0, help="random seed")
-    submit_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        help="independent latency draws (figure5 takes only 1)",
-    )
-    submit_parser.add_argument(
-        "--flight-recorder",
-        action="store_true",
-        help=(
-            "flag every queued task for flight recording: draining workers "
-            "persist per-round traces under <store>/runs/<hash>/"
+    _add_experiment_parsers(
+        submit_parser.add_subparsers(
+            dest="experiment", metavar="experiment", required=True
         ),
+        _run_submit,
     )
-    submit_parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="R",
-        help=(
-            "flag every queued task for checkpointing: draining workers "
-            "snapshot simulation state under <store>/checkpoints/<hash>/ "
-            "every R rounds, making reclaimed tasks resumable"
-        ),
-    )
-    _add_large_n_arguments(submit_parser)
 
     worker_parser = subparsers.add_parser(
         "worker", help="drain queued tasks from a shared store directory"
     )
+    worker_parser.set_defaults(handler=_run_worker)
     worker_parser.add_argument(
         "--store", required=True, help="store directory shared with the fleet"
     )
@@ -265,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     status_parser = subparsers.add_parser(
         "status", help="show queue depth and worker liveness for a store"
     )
+    status_parser.set_defaults(handler=_run_status)
     status_parser.add_argument(
         "--store", required=True, help="store directory to inspect"
     )
@@ -287,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
             "/metrics (Prometheus text), readable while a sweep drains"
         ),
     )
+    serve_parser.set_defaults(handler=_run_serve)
     serve_parser.add_argument(
         "--store", required=True, help="store directory to expose"
     )
@@ -310,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
             "<store>/checkpoints/"
         ),
     )
+    checkpoints_parser.set_defaults(handler=_run_checkpoints)
     checkpoints_parser.add_argument(
         "--store", required=True, help="store directory holding checkpoints/"
     )
@@ -340,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
             "convergence / rewire-churn / topology-drift report"
         ),
     )
+    inspect_parser.set_defaults(handler=_run_inspect)
     inspect_parser.add_argument(
         "--store", required=True, help="store directory holding runs/"
     )
@@ -362,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Chrome-trace JSON loadable in chrome://tracing or Perfetto"
         ),
     )
+    trace_parser.set_defaults(handler=_run_trace)
     trace_parser.add_argument(
         "--out", required=True, help="output path for the trace JSON"
     )
@@ -385,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help=(
             "drain a real sweep through a worker fleet under a seeded "
-            "fault schedule and assert the records are byte-identical to a "
-            "fault-free serial run"
+            "fault schedule (--seed seeds both) and assert the records are "
+            "byte-identical to a fault-free serial run"
         ),
     )
     chaos_parser.add_argument(
@@ -400,24 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--root",
         required=True,
         help="working directory (gains serial/ and chaos/ store dirs)",
-    )
-    chaos_parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seeds both the sweep and the fault schedule",
-    )
-    chaos_parser.add_argument(
-        "--num-nodes", type=int, default=40, help="number of nodes"
-    )
-    chaos_parser.add_argument(
-        "--rounds", type=int, default=2, help="protocol rounds"
-    )
-    chaos_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=1,
-        help="independent latency draws (figure5 takes only 1)",
     )
     chaos_parser.add_argument(
         "--fleet",
@@ -468,13 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="armed worker spawns before respawns run clean",
     )
     chaos_parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="R",
-        help="also checkpoint every task at this round interval",
-    )
-    chaos_parser.add_argument(
         "--timeout",
         type=float,
         default=600.0,
@@ -485,75 +441,95 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the chaos report as JSON instead of a summary",
     )
+    _add_spec_arguments(chaos_parser)
+    chaos_parser.set_defaults(
+        num_nodes=40, rounds=2, flight_recorder=False, handler=_run_chaos
+    )
 
+    _add_experiment_parsers(subparsers, _run_experiment)
+    return parser
+
+
+def _add_experiment_parsers(subparsers, handler) -> None:
+    """One subparser per :data:`EXPERIMENT_SPECS` entry, run by ``handler``.
+
+    Built for the top level (:func:`_run_experiment`) and under ``submit``
+    (:func:`_run_submit`) with the same spec flags, so ``submit X ...``
+    queues exactly the tasks ``X ...`` runs; the large-N flags exist only
+    where they reach the tasks, under ``scaling``.
+    """
+    submit = handler is _run_submit
     for name in EXPERIMENT_SPECS:
         experiment_parser = subparsers.add_parser(
-            name, help=f"run the {name} experiment"
+            name, help=f"{'enqueue' if submit else 'run'} the {name} experiment"
         )
-        experiment_parser.set_defaults(experiment=name)
-        experiment_parser.add_argument(
-            "--num-nodes", type=int, default=300, help="number of nodes"
-        )
-        experiment_parser.add_argument(
-            "--rounds", type=int, default=12, help="protocol rounds"
-        )
-        experiment_parser.add_argument(
-            "--seed", type=int, default=0, help="random seed"
-        )
-        experiment_parser.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="worker processes for the protocol x repeat grid",
-        )
-        experiment_parser.add_argument(
-            "--store",
-            default=None,
-            help="directory persisting raw task results (enables resume)",
-        )
-        experiment_parser.add_argument(
-            "--cluster",
-            action="store_true",
-            help=(
-                "drain the grid through the store's distributed work queue "
-                "(requires --store); external 'perigee-sim worker' processes "
-                "sharing the store cooperate on the tasks"
-            ),
-        )
+        experiment_parser.set_defaults(experiment=name, handler=handler)
+        _add_spec_arguments(experiment_parser)
         experiment_parser.add_argument(
             "--flight-recorder",
             action="store_true",
             help=(
                 "persist a per-round flight-recorder trace of every task "
-                "under <store>/runs/<hash>/ (requires --store); inspect "
-                "with 'perigee-sim inspect'"
+                "under <store>/runs/<hash>/; inspect with 'perigee-sim "
+                "inspect'"
             ),
         )
-        experiment_parser.add_argument(
-            "--checkpoint-every",
-            type=int,
-            default=0,
-            metavar="R",
-            help=(
-                "snapshot each adaptive task's simulation state every R "
-                "rounds under <store>/checkpoints/<hash>/ (requires "
-                "--store); interrupted tasks resume from the newest "
-                "snapshot, bit-identical to an uninterrupted run"
-            ),
-        )
-        experiment_parser.add_argument(
-            "--repeats",
-            type=int,
-            default=1,
-            help="independent latency draws to average over (figure5 takes only 1)",
-        )
+        if submit:
+            experiment_parser.add_argument(
+                "--store", required=True, help="store directory shared with the workers"
+            )
+        else:
+            experiment_parser.add_argument(
+                "--workers",
+                type=int,
+                default=1,
+                help="worker processes for the protocol x repeat grid",
+            )
+            experiment_parser.add_argument(
+                "--store",
+                default=None,
+                help="directory persisting raw task results (enables resume)",
+            )
+            experiment_parser.add_argument(
+                "--cluster",
+                action="store_true",
+                help=(
+                    "drain the grid through the store's distributed work queue "
+                    "(requires --store); external 'perigee-sim worker' processes "
+                    "sharing the store cooperate on the tasks"
+                ),
+            )
         if name == "scaling":
             _add_large_n_arguments(experiment_parser)
-    return parser
+
+
+def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
+    """Grid and checkpoint flags of every command that builds sweep specs."""
+    parser.add_argument("--num-nodes", type=int, default=300, help="number of nodes")
+    parser.add_argument("--rounds", type=int, default=12, help="protocol rounds")
+    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument(
+        "--repeats",
+        type=int,
+        default=1,
+        help="independent latency draws to average over (figure5 takes only 1)",
+    )
+    parser.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=0,
+        metavar="R",
+        help=(
+            "snapshot each adaptive task's simulation state every R rounds "
+            "under <store>/checkpoints/<hash>/ (requires --store); an "
+            "interrupted or reclaimed task resumes from its newest "
+            "snapshot, bit-identical to an uninterrupted run"
+        ),
+    )
 
 
 def _add_large_n_arguments(parser: argparse.ArgumentParser) -> None:
-    """Large-N knobs (scaling ladder / submit).
+    """Large-N knobs of the ``scaling`` parsers (run and ``submit``).
 
     ``--latency-memory sparse`` sets ``latency_model="geographic-sparse"``
     on every rung's configuration; ``--eval-*`` set the delay evaluator's
@@ -593,49 +569,19 @@ def _add_large_n_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _evaluation_params(args: argparse.Namespace) -> dict:
-    """Collect non-default --eval-* flags into DelayEvaluator parameters."""
-    params = {}
-    if getattr(args, "eval_mode", None) is not None:
-        params["mode"] = args.eval_mode
-    if getattr(args, "eval_threshold", None) is not None:
-        params["exact_threshold"] = args.eval_threshold
-    if getattr(args, "eval_samples", None) is not None:
-        params["sample_size"] = args.eval_samples
-    return params
-
-
-def _reject_unsupported_large_n_flags(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, experiment: str
-) -> None:
-    """Fail loudly when large-N flags would be silently dropped.
-
-    Only the ``scaling`` grid threads them through today; accepting them on
-    another experiment and queueing dense/exact tasks anyway would hand a
-    worker fleet the exact memory wall the flags exist to avoid.
-    """
-    if experiment == "scaling":
-        return
-    if getattr(args, "latency_memory", "dense") != "dense" or _evaluation_params(
-        args
-    ):
-        parser.error(
-            "--latency-memory/--eval-* are only supported by the 'scaling' "
-            f"experiment; {experiment!r} would ignore them"
-        )
-
-
 def _progress_printer(done: int, total: int, record) -> None:
     print(render_task_progress(done, total, record), file=sys.stderr)
 
 
-def _run_resume(args: argparse.Namespace) -> int:
+def _run_resume(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    with _usage_error(parser):
+        check_execution_policy(args.store, workers=args.workers, cluster=args.cluster)
     store = ResultStore(args.store)
     specs = store.load_specs()
     if not specs:
         print(f"no stored sweeps found in {store.directory}", file=sys.stderr)
         return 1
-    if getattr(args, "cluster", False):
+    if args.cluster:
         from repro.runtime.cluster import ClusterExecutor
 
         executor = ClusterExecutor(store)
@@ -667,50 +613,57 @@ def _spec_kwargs(args: argparse.Namespace) -> dict:
         "rounds": args.rounds,
         "seed": args.seed,
         "repeats": args.repeats,
+        "flight": args.flight_recorder,
+        "checkpoint_every": args.checkpoint_every,
     }
-    if args.experiment == "scaling":
-        kwargs["latency_memory"] = getattr(args, "latency_memory", "dense")
-        evaluation = _evaluation_params(args)
-        if evaluation:
-            kwargs["evaluation"] = evaluation
-    if getattr(args, "flight_recorder", False):
-        kwargs["flight"] = True
-    if getattr(args, "checkpoint_every", 0):
-        kwargs["checkpoint_every"] = args.checkpoint_every
+    if "latency_memory" in args:  # only the scaling parsers have large-N flags
+        kwargs["latency_memory"] = args.latency_memory
+        evaluation = {
+            "mode": args.eval_mode,
+            "exact_threshold": args.eval_threshold,
+            "sample_size": args.eval_samples,
+        }
+        kwargs["evaluation"] = {k: v for k, v in evaluation.items() if v is not None}
     return kwargs
+
+
+@contextlib.contextmanager
+def _usage_error(parser: argparse.ArgumentParser):
+    """Report a ``ValueError`` raised while vetting a command as a usage error."""
+    try:
+        yield
+    except ValueError as error:
+        parser.error(str(error))
 
 
 def _experiment_specs(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ) -> list[SweepSpec]:
     """The sweep specs of ``args``; a grid its builder rejects is a usage error."""
-    try:
+    with _usage_error(parser):
         return build_experiment_specs(args.experiment, **_spec_kwargs(args))
-    except ValueError as error:
-        parser.error(str(error))
 
 
-def _run_submit(args: argparse.Namespace, specs: list[SweepSpec]) -> int:
+def _run_submit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.runtime.cluster import WorkQueue
 
+    specs = _experiment_specs(parser, args)
     queue = WorkQueue(ResultStore(args.store))
-    total_new = 0
-    total_tasks = 0
+    total_new = total_tasks = 0
     for spec in specs:
         enqueued = queue.submit(spec)
         total_new += enqueued
         total_tasks += spec.num_tasks
         print(f"sweep {spec.name}: enqueued {enqueued}/{spec.num_tasks} task(s)")
-    skipped = total_tasks - total_new
     print(
         f"{total_new} task(s) queued in {queue.store.directory} "
-        f"({skipped} already completed or queued); start workers with: "
-        f"perigee-sim worker --store {args.store}"
+        f"({total_tasks - total_new} already completed or queued); start "
+        f"workers with: perigee-sim worker --store {args.store}"
     )
     return 0
 
 
-def _run_worker(args: argparse.Namespace) -> int:
+def _run_worker(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.runtime.cluster import Worker
 
     worker = Worker(
@@ -747,7 +700,7 @@ def _run_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_compact(args: argparse.Namespace) -> int:
+def _run_compact(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     store = ResultStore(args.store)
     outcome = store.compact()
     print(
@@ -759,7 +712,7 @@ def _run_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_checkpoints(args: argparse.Namespace) -> int:
+def _run_checkpoints(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     import json
 
     from repro.runtime.checkpoint import list_checkpoints, prune_checkpoints
@@ -804,7 +757,7 @@ def _run_checkpoints(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_status(args: argparse.Namespace) -> int:
+def _run_status(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     import json
 
     from repro.telemetry.fleet import fleet_status, render_status_text
@@ -817,7 +770,7 @@ def _run_status(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_serve(args: argparse.Namespace) -> int:
+def _run_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     from repro.telemetry.serve import serve_forever
 
     try:
@@ -832,7 +785,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_inspect(args: argparse.Namespace) -> int:
+def _run_inspect(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     import json
 
     from repro.telemetry.flight import (
@@ -873,22 +826,20 @@ def _run_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_chaos(args: argparse.Namespace) -> int:
+def _run_chaos(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     import json
 
     from repro.runtime.chaos import run_chaos
 
+    specs = _experiment_specs(parser, args)
     actions = tuple(
         action.strip() for action in args.actions.split(",") if action.strip()
     )
     try:
         report = run_chaos(
             args.root,
-            experiment=args.experiment,
+            specs,
             seed=args.seed,
-            num_nodes=args.num_nodes,
-            rounds=args.rounds,
-            repeats=args.repeats,
             workers=args.fleet,
             fires=args.fires,
             max_at=args.max_at,
@@ -896,7 +847,6 @@ def _run_chaos(args: argparse.Namespace) -> int:
             lease_ttl=args.lease_ttl,
             max_attempts=args.max_attempts,
             max_fault_incarnations=args.max_fault_incarnations,
-            checkpoint_every=args.checkpoint_every,
             timeout_s=args.timeout,
             log=lambda message: print(message, file=sys.stderr),
         )
@@ -922,7 +872,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
     return 0 if report.identical else 1
 
 
-def _run_trace(args: argparse.Namespace) -> int:
+def _run_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.config import default_config
@@ -951,6 +901,42 @@ def _run_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_list(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    for name in EXPERIMENT_SPECS:
+        print(name)
+    return 0
+
+
+def _run_experiment(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    with _usage_error(parser):
+        check_execution_policy(
+            args.store,
+            workers=args.workers,
+            cluster=args.cluster,
+            flight=args.flight_recorder,
+            checkpoint_every=args.checkpoint_every,
+        )
+    _experiment_specs(parser, args)  # reject a bad grid before any work runs
+    progress = args.workers > 1 or args.store is not None
+    result = run_experiment(
+        args.experiment,
+        workers=args.workers,
+        store=args.store,
+        progress=_progress_printer if progress else None,
+        cluster=args.cluster,
+        **_spec_kwargs(args),
+    )
+    if isinstance(result, ProcessingDelaySweepResult):
+        print("Figure 4(a) validation-delay sweep")
+        print(render_sweep_report(result))
+    elif isinstance(result, NetworkScalingResult):
+        print("Network-size scaling study (large-network scenario)")
+        print(render_scaling_report(result))
+    else:
+        print(render_experiment_report(result))
+    return 0
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     # Arm the process-wide fault plane when PERIGEE_FAULT_PLAN is set —
@@ -966,77 +952,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--workers must be a positive integer")
     if getattr(args, "checkpoint_every", 0) < 0:
         parser.error("--checkpoint-every must be non-negative")
-    if args.command == "list":
-        for name in EXPERIMENT_SPECS:
-            print(name)
-        return 0
-    if args.command == "resume":
-        if args.cluster and args.workers > 1:
-            parser.error(
-                "--cluster and --workers are mutually exclusive; scale a "
-                "cluster resume by starting extra 'perigee-sim worker' "
-                "processes"
-            )
-        return _run_resume(args)
-    if args.command == "submit":
-        # Direct experiment subcommands only define the large-N flags where
-        # they are supported; submit defines them for all experiments, so
-        # guard against silently dropping them here.
-        _reject_unsupported_large_n_flags(parser, args, args.experiment)
-        return _run_submit(args, _experiment_specs(parser, args))
-    if args.command == "compact":
-        return _run_compact(args)
-    if args.command == "checkpoints":
-        return _run_checkpoints(args)
-    if args.command == "worker":
-        return _run_worker(args)
-    if args.command == "status":
-        return _run_status(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "inspect":
-        return _run_inspect(args)
-    if args.command == "chaos":
-        return _run_chaos(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.cluster and args.store is None:
-        parser.error("--cluster requires --store (the queue lives inside it)")
-    if args.flight_recorder and args.store is None:
-        parser.error(
-            "--flight-recorder requires --store (runs/ artifacts live inside it)"
-        )
-    if args.checkpoint_every and args.store is None:
-        parser.error(
-            "--checkpoint-every requires --store (checkpoints/ lives inside it)"
-        )
-    if args.cluster and args.workers > 1:
-        parser.error(
-            "--cluster and --workers are mutually exclusive; scale a cluster "
-            "run by starting extra 'perigee-sim worker' processes"
-        )
-    _experiment_specs(parser, args)  # reject a bad grid before any work runs
-    result = run_experiment(
-        args.experiment,
-        workers=args.workers,
-        store=args.store,
-        progress=(
-            _progress_printer
-            if args.workers > 1 or args.store is not None
-            else None
-        ),
-        cluster=args.cluster,
-        **_spec_kwargs(args),
-    )
-    if isinstance(result, ProcessingDelaySweepResult):
-        print("Figure 4(a) validation-delay sweep")
-        print(render_sweep_report(result))
-    elif isinstance(result, NetworkScalingResult):
-        print("Network-size scaling study (large-network scenario)")
-        print(render_scaling_report(result))
-    else:
-        print(render_experiment_report(result))
-    return 0
+    return args.handler(parser, args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the console script

@@ -256,14 +256,22 @@ class Simulator:
     def load_state_dict(self, state: dict[str, object]) -> None:
         """Restore a snapshot captured by :meth:`state_dict`.
 
-        Raises ``ValueError`` when the snapshot belongs to a different
-        schema, protocol, or population size — restoring such a snapshot
-        could only produce silently wrong results.  The restore is all or
-        nothing: if any part of the snapshot fails to load, the simulator is
-        put back to the state it had and the error propagates, so a caller
-        that falls back to running from there runs exactly as if it had
-        never tried.
+        Raises ``ValueError`` for any fault of the snapshot, chained from
+        the original error: a different schema, protocol or population size
+        (restoring such a snapshot could only produce silently wrong
+        results), or a part that does not load.  The restore is all or
+        nothing: on any fault the simulator is put back to the state it had
+        before the error is raised, so a caller that falls back to running
+        from there runs exactly as if it had never tried.
         """
+        previous = self.state_dict()
+        try:
+            self._restore(state)
+        except Exception as error:
+            self._restore(previous)
+            raise ValueError(f"checkpoint does not load: {error}") from error
+
+    def _restore(self, state: dict[str, object]) -> None:
         schema = state.get("schema")
         if schema != CHECKPOINT_SCHEMA:
             raise ValueError(
@@ -280,14 +288,6 @@ class Simulator:
                 f"checkpoint is for {state['num_nodes']} nodes, "
                 f"config has {self._config.num_nodes}"
             )
-        previous = self.state_dict()
-        try:
-            self._restore(state)
-        except Exception:
-            self._restore(previous)
-            raise
-
-    def _restore(self, state: dict[str, object]) -> None:
         self._network.load_state_dict(state["network"])
         self._protocol.load_state_dict(state.get("protocol_state", {}))
         self._rng.bit_generator.state = rng_state_from_json(state["rng"])

@@ -45,7 +45,7 @@ from repro.runtime.faults import (
     FaultRule,
 )
 from repro.runtime.store import ResultStore
-from repro.runtime.tasks import TaskRecord, canonical_json
+from repro.runtime.tasks import SweepSpec, TaskRecord, canonical_json
 from repro.telemetry.shards import load_worker_snapshots, merge_snapshots
 
 #: Fault actions a chaos drain arms by default.  ``skew`` is excluded: it
@@ -118,7 +118,10 @@ def comparable_record(record: TaskRecord) -> dict[str, Any]:
 
 @dataclass
 class ChaosReport:
-    """Outcome of one chaos drain, JSON-serialisable for CI assertions."""
+    """Outcome of one chaos drain, JSON-serialisable for CI assertions.
+
+    ``experiment`` names the drained sweeps, comma-separated.
+    """
 
     experiment: str
     seed: int
@@ -198,11 +201,8 @@ def _spawn_worker(
 
 def run_chaos(
     root: str | os.PathLike,
-    experiment: str = "figure5",
+    specs: Sequence[SweepSpec],
     seed: int = 0,
-    num_nodes: int = 40,
-    rounds: int = 2,
-    repeats: int = 1,
     workers: int = 2,
     fires: int = 3,
     max_at: int = 3,
@@ -210,36 +210,26 @@ def run_chaos(
     lease_ttl: float = 4.0,
     max_attempts: int = 8,
     max_fault_incarnations: int = 12,
-    checkpoint_every: int = 0,
     timeout_s: float = 600.0,
     log: LogFn | None = None,
 ) -> ChaosReport:
-    """Run the serial and fault arms of one chaos drain; see module docstring.
+    """Drain ``specs`` in a serial and a fault arm; see module docstring.
 
-    ``root`` gains two store directories: ``serial/`` (clean ground truth)
-    and ``chaos/`` (the queue the armed fleet drains, plus per-incarnation
-    worker logs under ``chaos/chaos-logs/``).  Faulty incarnations past
+    ``seed`` seeds the fault schedule (the sweep's own seed is in its
+    specs).  ``root`` gains two store directories: ``serial/`` (clean
+    ground truth) and ``chaos/`` (the queue the armed fleet drains, plus
+    per-incarnation worker logs under ``chaos/chaos-logs/``).  Faulty incarnations past
     ``max_fault_incarnations`` — and every respawn once the budget is spent
     — run clean, bounding how long the schedule can stall the drain;
     ``timeout_s`` is the hard stop (raises ``RuntimeError``).
 
-    Raises ``KeyError`` for an unknown experiment name and ``ValueError``
-    for a grid the experiment rejects or a bad fault-plan parameterisation
-    — all before any work runs.
+    Raises ``ValueError`` for a bad fault-plan parameterisation before any
+    work runs.
     """
-    from repro.analysis.experiments import build_experiment_specs
-
     emit: LogFn = log if log is not None else (lambda message: None)
     started = time.monotonic()
     root = Path(root)
-    specs = build_experiment_specs(
-        experiment,
-        num_nodes=num_nodes,
-        rounds=rounds,
-        seed=seed,
-        repeats=repeats,
-        checkpoint_every=checkpoint_every,
-    )
+    experiment = ",".join(spec.name for spec in specs)
     # Validate the schedule parameterisation before spending any compute.
     for incarnation in range(max_fault_incarnations):
         incarnation_plan(

@@ -146,9 +146,10 @@ def run_task(
                 if state is not None:
                     try:
                         simulator.load_state_dict(state)
-                    except (KeyError, TypeError, ValueError):
+                    except ValueError:
                         # An unreadable or mismatched snapshot must never
-                        # poison the run: fall back to round zero.
+                        # poison the run: load_state_dict put the fresh
+                        # state back, so fall back to round zero.
                         recorder.incr(
                             "task.checkpoint_invalid", protocol=task.protocol
                         )

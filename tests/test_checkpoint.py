@@ -190,6 +190,22 @@ class TestSimulatorCheckpointParity:
         with pytest.raises(ValueError, match="num_nodes|nodes"):
             build_simulator(other, "perigee-subset").load_state_dict(state)
 
+    def test_every_snapshot_fault_is_a_chained_value_error(self):
+        config = default_config(num_nodes=10, rounds=2, blocks_per_round=4)
+        simulator = build_simulator(config, "perigee-ucb")
+        simulator.run_round(0)
+        before = json_round_trip(simulator.state_dict())
+        no_protocol = {k: v for k, v in before.items() if k != "protocol"}
+        for snapshot, cause in [
+            (["not", "a", "snapshot"], AttributeError),
+            (no_protocol, KeyError),
+            ({**before, "protocol_state": ["not", "a", "dict"]}, AttributeError),
+        ]:
+            with pytest.raises(ValueError) as excinfo:
+                simulator.load_state_dict(snapshot)
+            assert isinstance(excinfo.value.__cause__, cause)
+            assert json_round_trip(simulator.state_dict()) == before
+
     def test_rng_state_json_helpers_round_trip(self):
         rng = np.random.default_rng(123)
         rng.integers(0, 10, size=5)
@@ -428,6 +444,28 @@ class TestRunTaskResume:
             return canonical_json({**record.to_dict(), "duration_s": None})
 
         assert record_bytes(record) == record_bytes(run_task(task))
+
+    def test_non_dict_protocol_state_falls_back_to_round_zero(self, tmp_path):
+        # UCB's load_state_dict meets a list where it reads a dict and raises
+        # AttributeError; the restore reports every snapshot fault as
+        # ValueError, so the task restarts from round zero instead of
+        # being recorded failed.
+        task = self.make_task(protocol="perigee-ucb")
+        clean = run_task(task)
+        state = json_round_trip(
+            run_rounds_like_run_task(task, rounds=2).state_dict()
+        )
+        state["protocol_state"] = ["not", "a", "dict"]
+        write_checkpoint(task_checkpoint_dir(tmp_path, task.content_hash()), state)
+        recorder = MetricsRecorder()
+        with use_recorder(recorder):
+            record = run_task(task, checkpoint_store=tmp_path, checkpoint_every=2)
+        assert record.ok
+        assert record.reach90 == clean.reach90
+        assert record.reach50 == clean.reach50
+        assert recorder.counter(
+            "task.checkpoint_invalid", protocol=task.protocol
+        ) == 1
 
     def test_non_adaptive_protocol_never_checkpoints(self, tmp_path):
         task = self.make_task(protocol="random")

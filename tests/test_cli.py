@@ -1,8 +1,11 @@
 """Tests for the command line interface."""
 
+import re
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.analysis.experiments import EXPERIMENT_SPECS
+from repro.cli import _experiment_specs, build_parser, main
 
 
 class TestParser:
@@ -93,7 +96,10 @@ class TestParser:
                 ]
             )
         assert excinfo.value.code == 2
-        assert "scaling" in capsys.readouterr().err
+        assert (
+            "unrecognized arguments: --latency-memory"
+            in capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("command", [["submit", "figure5"], ["figure5"]])
     def test_figure5_rejects_repeats(self, command, tmp_path, capsys):
@@ -104,6 +110,54 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "single-repeat" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_chaos_rejects_figure5_repeats(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "figure5", "--root", str(tmp_path), "--repeats", "3"])
+        assert excinfo.value.code == 2
+        assert "single-repeat" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENT_SPECS))
+    def test_submit_and_run_build_the_same_tasks(self, experiment):
+        grid = ["--num-nodes", "600", "--rounds", "3", "--seed", "4"]
+        if experiment == "scaling":
+            grid += ["--latency-memory", "sparse", "--eval-mode", "sampled"]
+        parser = build_parser()
+
+        def task_hashes(argv):
+            specs = _experiment_specs(parser, parser.parse_args(argv))
+            return [task.content_hash() for spec in specs for task in spec.expand()]
+
+        submitted = task_hashes(["submit", experiment, "--store", "runs/", *grid])
+        assert submitted
+        assert submitted == task_hashes([experiment, *grid])
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENT_SPECS))
+    def test_submit_and_run_list_the_same_spec_flags(self, experiment, capsys):
+        def flags(argv):
+            with pytest.raises(SystemExit):
+                main([*argv, "-h"])
+            return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+
+        run = flags([experiment])
+        assert {"--num-nodes", "--rounds", "--seed", "--repeats"} <= run
+        assert ("--latency-memory" in run) == (experiment == "scaling")
+        # Only the execution flags of an in-process run are missing.
+        assert flags(["submit", experiment]) == run - {"--workers", "--cluster"}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["figure3a", "--flight-recorder"], "--flight-recorder requires --store"),
+            (["figure3a", "--checkpoint-every", "2"], "--checkpoint-every requires"),
+        ],
+    )
+    def test_execution_policy_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_large_n_flags_reach_scaling_specs(self):
         from repro.analysis.experiments import build_experiment_specs

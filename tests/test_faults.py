@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import build_experiment_specs
 from repro.config import default_config
 from repro.runtime.atomics import atomic_write_bytes, atomic_write_json
 from repro.runtime.chaos import (
@@ -594,10 +595,8 @@ class TestChaosEndToEnd:
     def test_seeded_drain_is_byte_identical_to_serial(self, tmp_path):
         report = run_chaos(
             tmp_path / "chaos",
-            experiment="figure5",
+            build_experiment_specs("figure5", num_nodes=25, rounds=2, seed=7),
             seed=7,
-            num_nodes=25,
-            rounds=2,
             workers=2,
             timeout_s=240.0,
         )
