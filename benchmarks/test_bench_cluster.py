@@ -25,7 +25,9 @@ from pathlib import Path
 import pytest
 
 from repro.config import default_config
-from repro.runtime import ResultStore, Worker, WorkQueue
+from repro.runtime.cluster.queue import WorkQueue
+from repro.runtime.cluster.worker import Worker
+from repro.runtime.store import ResultStore
 from repro.runtime.tasks import SweepSpec, TaskRecord
 
 from benchmarks.conftest import emit_bench_json, print_banner

@@ -23,14 +23,10 @@ import pytest
 
 from repro.analysis.experiments import FIGURE3_PROTOCOLS
 from repro.config import default_config
-from repro.runtime import (
-    ParallelExecutor,
-    ResultStore,
-    SerialExecutor,
-    SweepSpec,
-    execute_sweep,
-    records_to_result,
-)
+from repro.runtime.aggregate import records_to_result
+from repro.runtime.executor import ParallelExecutor, SerialExecutor, execute_sweep
+from repro.runtime.store import ResultStore
+from repro.runtime.tasks import SweepSpec
 
 from benchmarks.conftest import print_banner
 

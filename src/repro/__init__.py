@@ -4,7 +4,8 @@ The package provides a complete simulation framework for studying neighbor
 selection protocols in blockchain peer-to-peer networks, following the system
 model and evaluation methodology of Mao et al., PODC 2020.
 
-Top-level convenience imports expose the most commonly used entry points:
+The package root holds only ``__version__``; import every name from the
+module that defines it:
 
 * :class:`repro.config.SimulationConfig` — experiment configuration.
 * :class:`repro.core.simulator.Simulator` — the round-based simulation driver.
@@ -14,19 +15,6 @@ Top-level convenience imports expose the most commonly used entry points:
   Perigee variants).
 """
 
-from repro.config import SimulationConfig
-from repro.core.block import Block
-from repro.core.network import P2PNetwork
-from repro.core.node import Node
-from repro.core.simulator import RoundResult, Simulator
 from repro.version import __version__
 
-__all__ = [
-    "Block",
-    "Node",
-    "P2PNetwork",
-    "RoundResult",
-    "SimulationConfig",
-    "Simulator",
-    "__version__",
-]
+__all__ = ["__version__"]

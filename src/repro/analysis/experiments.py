@@ -32,12 +32,11 @@ the benchmark suite completes in minutes on a laptop; pass ``num_nodes=1000``
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.config import SimulationConfig, default_config
-from repro.metrics.delay import DelayCurve, improvement_over_baseline
-from repro.metrics.topology import EdgeLatencyHistogram
-from repro.runtime.aggregate import records_to_result
+from repro.runtime.aggregate import ExperimentResult, records_to_result
+from repro.runtime.cluster.executor import ClusterExecutor
 from repro.runtime.executor import ProgressCallback, execute_sweep, make_executor
 from repro.runtime.store import ResultStore
 from repro.runtime.tasks import SweepSpec
@@ -58,43 +57,6 @@ FIGURE5_PROTOCOLS = ("random", "geographic", "geometric", "perigee-subset")
 
 #: Validation-delay multipliers swept in Figure 4(a).
 FIGURE4A_SCALES = (0.1, 0.5, 1.0, 5.0, 10.0)
-
-
-@dataclass
-class ExperimentResult:
-    """Per-protocol delay curves for one experiment.
-
-    Attributes
-    ----------
-    name:
-        Experiment identifier (e.g. ``"figure3a"``).
-    config:
-        The configuration shared by every protocol run.
-    curves:
-        Protocol name -> mean :class:`DelayCurve` across repeats (delays to the
-        90% hash power target unless the experiment says otherwise).
-    curves_50:
-        Same, for the 50% hash power target.
-    histograms:
-        Optional edge-latency histograms (only populated by Figure 5).
-    """
-
-    name: str
-    config: SimulationConfig
-    curves: dict[str, DelayCurve] = field(default_factory=dict)
-    curves_50: dict[str, DelayCurve] = field(default_factory=dict)
-    histograms: dict[str, EdgeLatencyHistogram] = field(default_factory=dict)
-
-    def improvement(
-        self, candidate: str, baseline: str = "random", statistic: str = "median"
-    ) -> float:
-        """Relative improvement of ``candidate`` over ``baseline``."""
-        return improvement_over_baseline(
-            self.curves[candidate], self.curves[baseline], statistic
-        )
-
-    def protocol_names(self) -> list[str]:
-        return list(self.curves)
 
 
 @dataclass
@@ -183,7 +145,7 @@ def _execute_spec(
     """Shared execution path: check the policy, resolve store/executor, run.
 
     ``cluster=True`` routes the sweep through the store-backed distributed
-    queue (:class:`~repro.runtime.cluster.ClusterExecutor`): tasks are
+    queue (:class:`~repro.runtime.cluster.executor.ClusterExecutor`): tasks are
     published to ``<store>/cluster/`` where any number of external
     ``perigee-sim worker`` processes help drain them, with this process
     participating as one inline worker.
@@ -197,8 +159,6 @@ def _execute_spec(
         checkpoint_every=spec.checkpoint_every,
     )
     if cluster:
-        from repro.runtime.cluster import ClusterExecutor
-
         executor = ClusterExecutor(resolved_store)
     else:
         executor = make_executor(workers)

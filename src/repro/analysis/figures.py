@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.experiments import ExperimentResult
 from repro.metrics.delay import DelayCurve
+from repro.runtime.aggregate import ExperimentResult
 
 
 def delay_curve_series(

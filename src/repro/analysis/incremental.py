@@ -28,6 +28,7 @@ from repro.metrics.evaluator import DEFAULT_EVALUATOR
 from repro.protocols.base import ProtocolContext
 from repro.protocols.perigee.base import PerigeeBase
 from repro.protocols.perigee.subset import PerigeeSubsetProtocol
+from repro.protocols.random_policy import RandomProtocol
 
 
 class MixedDeploymentProtocol(PerigeeBase):
@@ -173,8 +174,6 @@ def run_incremental_deployment(
         )
 
     # All-random baseline: nobody adopts.
-    from repro.protocols.random_policy import RandomProtocol
-
     baseline_simulator = Simulator(
         config,
         RandomProtocol(),

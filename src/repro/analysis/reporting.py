@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.analysis.experiments import (
-    ExperimentResult,
     NetworkScalingResult,
     ProcessingDelaySweepResult,
 )
 from repro.analysis.figures import figure5_rows, improvement_table
+from repro.runtime.aggregate import ExperimentResult
 from repro.runtime.tasks import TaskRecord
 
 

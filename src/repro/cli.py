@@ -122,18 +122,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command")
 
-    list_parser = subparsers.add_parser("list", help="list available experiments")
-    list_parser.set_defaults(handler=_run_list)
+    _add_command(subparsers, "list", _run_list, help="list available experiments")
 
-    resume_parser = subparsers.add_parser(
-        "resume", help="complete the missing tasks of a stored sweep"
+    resume_parser = _add_command(
+        subparsers,
+        "resume",
+        _run_resume,
+        help="complete the missing tasks of a stored sweep",
     )
-    resume_parser.set_defaults(handler=_run_resume)
     resume_parser.add_argument(
         "--store", required=True, help="result store directory of the sweep"
     )
     resume_parser.add_argument(
-        "--workers", type=int, default=1, help="worker processes"
+        "--workers", type=_int_at_least(1), default=1, help="worker processes"
     )
     resume_parser.add_argument(
         "--cluster",
@@ -145,15 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    compact_parser = subparsers.add_parser(
+    compact_parser = _add_command(
+        subparsers,
         "compact",
+        _run_compact,
         help=(
             "merge per-worker results-<id>.jsonl shards into results.jsonl "
             "(run after a cluster sweep has drained, not while workers are "
             "still appending)"
         ),
     )
-    compact_parser.set_defaults(handler=_run_compact)
     compact_parser.add_argument(
         "--store", required=True, help="store directory to compact"
     )
@@ -169,10 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
         _run_submit,
     )
 
-    worker_parser = subparsers.add_parser(
-        "worker", help="drain queued tasks from a shared store directory"
+    worker_parser = _add_command(
+        subparsers,
+        "worker",
+        _run_worker,
+        help="drain queued tasks from a shared store directory",
     )
-    worker_parser.set_defaults(handler=_run_worker)
     worker_parser.add_argument(
         "--store", required=True, help="store directory shared with the fleet"
     )
@@ -227,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_parser.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         metavar="R",
         help=(
@@ -238,10 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    status_parser = subparsers.add_parser(
-        "status", help="show queue depth and worker liveness for a store"
+    status_parser = _add_command(
+        subparsers,
+        "status",
+        _run_status,
+        help="show queue depth and worker liveness for a store",
     )
-    status_parser.set_defaults(handler=_run_status)
     status_parser.add_argument(
         "--store", required=True, help="store directory to inspect"
     )
@@ -257,14 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full fleet snapshot as JSON (same payload as /status)",
     )
 
-    serve_parser = subparsers.add_parser(
+    serve_parser = _add_command(
+        subparsers,
         "serve",
+        _run_serve,
         help=(
             "HTTP telemetry endpoint for a store: /status (JSON) and "
             "/metrics (Prometheus text), readable while a sweep drains"
         ),
     )
-    serve_parser.set_defaults(handler=_run_serve)
     serve_parser.add_argument(
         "--store", required=True, help="store directory to expose"
     )
@@ -281,14 +288,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="liveness horizon used for the worker-alive gauges",
     )
 
-    checkpoints_parser = subparsers.add_parser(
+    checkpoints_parser = _add_command(
+        subparsers,
         "checkpoints",
+        _run_checkpoints,
         help=(
             "list or prune resumable task checkpoints stored under "
             "<store>/checkpoints/"
         ),
     )
-    checkpoints_parser.set_defaults(handler=_run_checkpoints)
     checkpoints_parser.add_argument(
         "--store", required=True, help="store directory holding checkpoints/"
     )
@@ -311,15 +319,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the checkpoint listing as JSON",
     )
 
-    inspect_parser = subparsers.add_parser(
+    inspect_parser = _add_command(
+        subparsers,
         "inspect",
+        _run_inspect,
         help=(
             "inspect flight-recorded runs of a store: without a key, list "
             "them; with a (prefix of a) task hash, print the per-run "
             "convergence / rewire-churn / topology-drift report"
         ),
     )
-    inspect_parser.set_defaults(handler=_run_inspect)
     inspect_parser.add_argument(
         "--store", required=True, help="store directory holding runs/"
     )
@@ -335,14 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the run list / report as JSON",
     )
 
-    trace_parser = subparsers.add_parser(
+    trace_parser = _add_command(
+        subparsers,
         "trace",
+        _run_trace,
         help=(
             "run one simulation with span tracing enabled and export a "
             "Chrome-trace JSON loadable in chrome://tracing or Perfetto"
         ),
     )
-    trace_parser.set_defaults(handler=_run_trace)
     trace_parser.add_argument(
         "--out", required=True, help="output path for the trace JSON"
     )
@@ -362,8 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument("--seed", type=int, default=0, help="random seed")
 
-    chaos_parser = subparsers.add_parser(
+    chaos_parser = _add_command(
+        subparsers,
         "chaos",
+        _run_chaos,
         help=(
             "drain a real sweep through a worker fleet under a seeded "
             "fault schedule (--seed seeds both) and assert the records are "
@@ -442,12 +454,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the chaos report as JSON instead of a summary",
     )
     _add_spec_arguments(chaos_parser)
-    chaos_parser.set_defaults(
-        num_nodes=40, rounds=2, flight_recorder=False, handler=_run_chaos
-    )
+    chaos_parser.set_defaults(num_nodes=40, rounds=2, flight_recorder=False)
 
     _add_experiment_parsers(subparsers, _run_experiment)
     return parser
+
+
+def _add_command(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """A subcommand parser whose ``handler`` reports usage errors through it.
+
+    ``main`` calls ``handler(command_parser, args)``, so an error found
+    after parsing prints this command's usage line, not the root's.
+    """
+    command_parser = subparsers.add_parser(name, **kwargs)
+    command_parser.set_defaults(handler=handler, command_parser=command_parser)
+    return command_parser
+
+
+def _int_at_least(minimum: int):
+    """``type=`` of an integer flag whose value must be ``>= minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_experiment_parsers(subparsers, handler) -> None:
@@ -460,10 +496,13 @@ def _add_experiment_parsers(subparsers, handler) -> None:
     """
     submit = handler is _run_submit
     for name in EXPERIMENT_SPECS:
-        experiment_parser = subparsers.add_parser(
-            name, help=f"{'enqueue' if submit else 'run'} the {name} experiment"
+        experiment_parser = _add_command(
+            subparsers,
+            name,
+            handler,
+            help=f"{'enqueue' if submit else 'run'} the {name} experiment",
         )
-        experiment_parser.set_defaults(experiment=name, handler=handler)
+        experiment_parser.set_defaults(experiment=name)
         _add_spec_arguments(experiment_parser)
         experiment_parser.add_argument(
             "--flight-recorder",
@@ -481,7 +520,7 @@ def _add_experiment_parsers(subparsers, handler) -> None:
         else:
             experiment_parser.add_argument(
                 "--workers",
-                type=int,
+                type=_int_at_least(1),
                 default=1,
                 help="worker processes for the protocol x repeat grid",
             )
@@ -516,7 +555,7 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--checkpoint-every",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         metavar="R",
         help=(
@@ -582,7 +621,7 @@ def _run_resume(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         print(f"no stored sweeps found in {store.directory}", file=sys.stderr)
         return 1
     if args.cluster:
-        from repro.runtime.cluster import ClusterExecutor
+        from repro.runtime.cluster.executor import ClusterExecutor
 
         executor = ClusterExecutor(store)
     else:
@@ -645,7 +684,7 @@ def _experiment_specs(
 
 
 def _run_submit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    from repro.runtime.cluster import WorkQueue
+    from repro.runtime.cluster.queue import WorkQueue
 
     specs = _experiment_specs(parser, args)
     queue = WorkQueue(ResultStore(args.store))
@@ -664,7 +703,7 @@ def _run_submit(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _run_worker(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    from repro.runtime.cluster import Worker
+    from repro.runtime.cluster.worker import Worker
 
     worker = Worker(
         ResultStore(args.store),
@@ -948,11 +987,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be a positive integer")
-    if getattr(args, "checkpoint_every", 0) < 0:
-        parser.error("--checkpoint-every must be non-negative")
-    return args.handler(parser, args)
+    return args.handler(args.command_parser, args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via the console script

@@ -13,32 +13,3 @@ archived), so this subpackage synthesizes equivalent populations:
 * :mod:`repro.datasets.hashpower` — the hash power distributions used in
   Sections 5.2 and 5.4.
 """
-
-from repro.datasets.bitnodes import NodePopulation, generate_population
-from repro.datasets.hashpower import (
-    concentrated_hash_power,
-    exponential_hash_power,
-    sample_hash_power,
-    uniform_hash_power,
-)
-from repro.datasets.regions import (
-    REGION_INDEX,
-    REGION_PROPORTIONS,
-    REGIONS,
-    inter_region_latency_ms,
-    region_latency_matrix,
-)
-
-__all__ = [
-    "NodePopulation",
-    "REGIONS",
-    "REGION_INDEX",
-    "REGION_PROPORTIONS",
-    "concentrated_hash_power",
-    "exponential_hash_power",
-    "generate_population",
-    "inter_region_latency_ms",
-    "region_latency_matrix",
-    "sample_hash_power",
-    "uniform_hash_power",
-]

@@ -13,26 +13,3 @@ ways the evaluation derives those constants:
 * :mod:`repro.latency.factory` — the model a ``SimulationConfig`` asks for,
   shared by the simulator and the sweep scenarios.
 """
-
-from repro.latency.base import LatencyModel, MatrixLatencyModel
-from repro.latency.geo import GeographicLatencyModel
-from repro.latency.metric_space import MetricSpaceLatencyModel
-from repro.latency.relay import (
-    MinerSpeedupLatencyModel,
-    RelayNetworkOverlay,
-    RelayOverlayLatencyModel,
-    apply_miner_speedup,
-    apply_relay_overlay,
-)
-
-__all__ = [
-    "GeographicLatencyModel",
-    "LatencyModel",
-    "MatrixLatencyModel",
-    "MetricSpaceLatencyModel",
-    "MinerSpeedupLatencyModel",
-    "RelayNetworkOverlay",
-    "RelayOverlayLatencyModel",
-    "apply_miner_speedup",
-    "apply_relay_overlay",
-]

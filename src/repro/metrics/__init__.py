@@ -12,44 +12,3 @@
   metric: exact chunked multi-source Dijkstra at paper scale, hash-power-
   weighted sampled sources (with reported standard error) at large N.
 """
-
-from repro.metrics.convergence import ConvergenceReport, convergence_report
-from repro.metrics.delay import (
-    DelayCurve,
-    delay_curve,
-    hash_power_reach_times,
-    improvement_over_baseline,
-    reach_time_for_source,
-    reach_times_for_sources,
-)
-from repro.metrics.evaluator import (
-    DEFAULT_EVALUATOR,
-    DelayEvaluation,
-    DelayEvaluator,
-)
-from repro.metrics.topology import (
-    EdgeLatencyHistogram,
-    edge_latency_histogram,
-    edge_latency_values,
-    intra_continental_fraction,
-    topology_summary,
-)
-
-__all__ = [
-    "ConvergenceReport",
-    "DEFAULT_EVALUATOR",
-    "DelayCurve",
-    "DelayEvaluation",
-    "DelayEvaluator",
-    "EdgeLatencyHistogram",
-    "convergence_report",
-    "delay_curve",
-    "edge_latency_histogram",
-    "edge_latency_values",
-    "hash_power_reach_times",
-    "improvement_over_baseline",
-    "intra_continental_fraction",
-    "reach_time_for_source",
-    "reach_times_for_sources",
-    "topology_summary",
-]

@@ -19,29 +19,3 @@ Perigee variants (Section 4):
 * :class:`repro.protocols.perigee.ucb.PerigeeUCBProtocol`
 * :class:`repro.protocols.perigee.subset.PerigeeSubsetProtocol`
 """
-
-from repro.protocols.base import NeighborSelectionProtocol, ProtocolContext
-from repro.protocols.fully_connected import FullyConnectedProtocol
-from repro.protocols.geographic import GeographicProtocol
-from repro.protocols.geometric import GeometricProtocol
-from repro.protocols.kademlia import KademliaProtocol
-from repro.protocols.perigee.subset import PerigeeSubsetProtocol
-from repro.protocols.perigee.ucb import PerigeeUCBProtocol
-from repro.protocols.perigee.vanilla import PerigeeVanillaProtocol
-from repro.protocols.random_policy import RandomProtocol
-from repro.protocols.registry import available_protocols, make_protocol
-
-__all__ = [
-    "FullyConnectedProtocol",
-    "GeographicProtocol",
-    "GeometricProtocol",
-    "KademliaProtocol",
-    "NeighborSelectionProtocol",
-    "PerigeeSubsetProtocol",
-    "PerigeeUCBProtocol",
-    "PerigeeVanillaProtocol",
-    "ProtocolContext",
-    "RandomProtocol",
-    "available_protocols",
-    "make_protocol",
-]

@@ -1,9 +1,10 @@
-"""Reduction from stored task records back to analysis-layer results.
+"""Reduction from stored task records back to experiment results.
 
 Records are the persisted, per-task raw material (unsorted reach times);
 this module rebuilds the objects the reporting/figure code consumes:
 per-protocol mean :class:`~repro.metrics.delay.DelayCurve` objects bundled
-into an ``ExperimentResult``.  The reduction is identical to what the old
+into an :class:`ExperimentResult`, which is defined here beside the
+aggregator that builds it.  The reduction is identical to what the old
 serial loop computed inline, so a sweep executed through the runtime — in
 any order, across any number of processes, possibly partially served from a
 store — aggregates to byte-identical curves.
@@ -21,16 +22,53 @@ streaming path.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.metrics.delay import DelayCurve
+from repro.config import SimulationConfig
+from repro.metrics.delay import DelayCurve, improvement_over_baseline
 from repro.metrics.topology import EdgeLatencyHistogram
 from repro.runtime.tasks import TaskRecord
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.experiments import ExperimentResult
+
+@dataclass
+class ExperimentResult:
+    """Per-protocol delay curves for one experiment.
+
+    Attributes
+    ----------
+    name:
+        Experiment identifier (e.g. ``"figure3a"``).
+    config:
+        The configuration shared by every protocol run.
+    curves:
+        Protocol name -> mean :class:`DelayCurve` across repeats (delays to the
+        90% hash power target unless the experiment says otherwise).
+    curves_50:
+        Same, for the 50% hash power target.
+    histograms:
+        Optional edge-latency histograms (only populated by Figure 5).
+    """
+
+    name: str
+    config: SimulationConfig
+    curves: dict[str, DelayCurve] = field(default_factory=dict)
+    curves_50: dict[str, DelayCurve] = field(default_factory=dict)
+    histograms: dict[str, EdgeLatencyHistogram] = field(default_factory=dict)
+
+    def improvement(
+        self, candidate: str, baseline: str = "random", statistic: str = "median"
+    ) -> float:
+        """Relative improvement of ``candidate`` over ``baseline``."""
+        return improvement_over_baseline(
+            self.curves[candidate], self.curves[baseline], statistic
+        )
+
+    def protocol_names(self) -> list[str]:
+        return list(self.curves)
+
 
 
 def mean_curve(
@@ -220,7 +258,7 @@ class StreamingAggregator:
     # ------------------------------------------------------------------ #
     def result(
         self, name: str | None = None, strict: bool = True
-    ) -> "ExperimentResult":
+    ) -> ExperimentResult:
         """Finalise into an ``ExperimentResult``.
 
         Mirrors the historical :func:`records_to_result` contract: with
@@ -228,8 +266,6 @@ class StreamingAggregator:
         cells; otherwise failures are dropped and protocols average over
         their successful repeats (no successful record at all still raises).
         """
-        from repro.analysis.experiments import ExperimentResult
-
         if self._failures and strict:
             summary = "; ".join(
                 f"{record.task.protocol}[repeat={record.task.repeat}]: "
@@ -258,7 +294,7 @@ def records_to_result(
     records: Sequence[TaskRecord],
     name: str | None = None,
     strict: bool = True,
-) -> "ExperimentResult":
+) -> ExperimentResult:
     """Aggregate task records into an ``ExperimentResult``.
 
     A thin wrapper over :class:`StreamingAggregator` — records are folded in

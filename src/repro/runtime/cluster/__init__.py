@@ -31,23 +31,3 @@ or fully decoupled::
     perigee-sim status --store runs/
     perigee-sim resume --store runs/           # aggregate + report
 """
-
-from repro.runtime.cluster.executor import ClusterExecutor
-from repro.runtime.cluster.queue import (
-    Claim,
-    ClusterStatus,
-    WorkerStatus,
-    WorkQueue,
-    default_worker_id,
-)
-from repro.runtime.cluster.worker import Worker
-
-__all__ = [
-    "Claim",
-    "ClusterExecutor",
-    "ClusterStatus",
-    "WorkQueue",
-    "Worker",
-    "WorkerStatus",
-    "default_worker_id",
-]

@@ -230,7 +230,7 @@ class WorkQueue:
         are garbage-collected here rather than re-run.
 
         ``keys`` restricts claiming to the given content hashes, so a
-        sweep-scoped drainer (:class:`~repro.runtime.cluster.ClusterExecutor`)
+        sweep-scoped drainer (:class:`~repro.runtime.cluster.executor.ClusterExecutor`)
         never executes tasks another sweep queued in the same store.
         """
         completed: set[str] | None = None

@@ -7,6 +7,13 @@ Layout of a store directory::
         results-<writer>.jsonl  # per-writer shard files (cluster workers)
         sweeps/<name>.json      # one SweepSpec per file (atomic writes)
         sweeps.json             # legacy spec index (read-only compatibility)
+        quarantine/             # corrupt record lines (this module)
+        checkpoints/<hash>/     # simulator snapshots (repro.runtime.checkpoint)
+        telemetry/              # worker metric shards (repro.telemetry.shards)
+        runs/<hash>/            # flight recordings (repro.telemetry.flight)
+        cluster/                # work queue (repro.runtime.cluster.queue)
+
+Each subdirectory's name is defined once, in the module named beside it.
 
 Design notes
 ------------
@@ -39,16 +46,14 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.runtime.atomics import atomic_write_bytes, atomic_write_json
+from repro.runtime.checkpoint import prune_checkpoints
 from repro.runtime.faults import get_fault_plane
 from repro.runtime.retry import DEFAULT_IO_RETRY, retry
-from repro.runtime.tasks import TaskRecord
+from repro.runtime.tasks import SweepSpec, TaskRecord
 from repro.telemetry.recorder import get_recorder
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.tasks import SweepSpec
 
 RESULTS_FILENAME = "results.jsonl"
 SWEEPS_FILENAME = "sweeps.json"
@@ -203,25 +208,6 @@ class ResultStore:
         return self._directory / SPECS_DIRNAME
 
     @property
-    def telemetry_dir(self) -> Path:
-        """Directory of per-worker metric shards (``metrics-<worker>.jsonl``).
-
-        Written by workers running with telemetry enabled; read and merged
-        by ``perigee-sim status``/``serve`` (see :mod:`repro.telemetry.shards`).
-        """
-        return self._directory / "telemetry"
-
-    @property
-    def checkpoints_dir(self) -> Path:
-        """Directory of simulator checkpoints (``checkpoints/<hash>/``).
-
-        Written by executors running checkpoint-enabled tasks; consumed on
-        resume and by ``perigee-sim checkpoints`` (see
-        :mod:`repro.runtime.checkpoint`).
-        """
-        return self._directory / "checkpoints"
-
-    @property
     def quarantine_dir(self) -> Path:
         """Directory of quarantined corrupt record lines.
 
@@ -233,16 +219,6 @@ class ResultStore:
         only counted, not quarantined.
         """
         return self._directory / QUARANTINE_DIRNAME
-
-    @property
-    def runs_dir(self) -> Path:
-        """Directory of flight-recorder run artifacts (``runs/<hash>/``).
-
-        Written by workers executing tasks flagged ``flight=True``; read by
-        ``perigee-sim inspect`` and the ``/runs`` endpoints (see
-        :mod:`repro.telemetry.flight`).
-        """
-        return self._directory / "runs"
 
     def shard_paths(self) -> list[Path]:
         """Every results file readers merge: shared file first, then shards."""
@@ -412,8 +388,6 @@ class ResultStore:
                 pass
         # Checkpoints of completed tasks are unreachable (resume consults
         # the store first), so compaction sweeps them with the shards.
-        from repro.runtime.checkpoint import prune_checkpoints
-
         completed_keys = {
             key for key, record in merged.items() if record.ok
         }
@@ -440,7 +414,7 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # Sweep specs (what `perigee-sim resume` rebuilds tasks from)
     # ------------------------------------------------------------------ #
-    def save_spec(self, spec: "SweepSpec") -> None:
+    def save_spec(self, spec: SweepSpec) -> None:
         """Persist (or update) a sweep spec under its name.
 
         Each spec lives in its own file under ``sweeps/``, written via
@@ -484,10 +458,8 @@ class ResultStore:
                     specs[payload["name"]] = payload
         return specs
 
-    def load_specs(self) -> dict[str, "SweepSpec"]:
+    def load_specs(self) -> dict[str, SweepSpec]:
         """All persisted sweep specs keyed by name."""
-        from repro.runtime.tasks import SweepSpec
-
         return {
             name: SweepSpec.from_dict(data)
             for name, data in self._load_spec_dicts().items()

@@ -12,13 +12,3 @@ measurable:
   honest nodes; Perigee's random exploration connections provide partial
   mitigation.
 """
-
-from repro.security.eclipse import EclipseExposure, run_eclipse_attack
-from repro.security.freeride import FreeRideOutcome, run_free_riding_experiment
-
-__all__ = [
-    "EclipseExposure",
-    "FreeRideOutcome",
-    "run_eclipse_attack",
-    "run_free_riding_experiment",
-]

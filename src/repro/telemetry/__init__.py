@@ -20,106 +20,10 @@ The subsystem has four layers, each importable on its own:
 
 Typical enablement (what ``perigee-sim worker --telemetry`` does)::
 
-    from repro.telemetry import MetricsRecorder, use_recorder
+    from repro.telemetry.recorder import MetricsRecorder, use_recorder
 
     recorder = MetricsRecorder()
     with use_recorder(recorder):
         ...  # run rounds / tasks; spans and counters accumulate
     print(recorder.snapshot())
 """
-
-from repro.telemetry.recorder import (
-    NULL_RECORDER,
-    MetricsRecorder,
-    NullRecorder,
-    SpanStats,
-    TelemetryRecorder,
-    TraceEvent,
-    get_recorder,
-    metric_key,
-    set_recorder,
-    split_key,
-    use_recorder,
-)
-# Shard/fleet/serve symbols are loaded lazily (PEP 562): importing them
-# eagerly would pull in repro.runtime.store, whose package __init__ imports
-# the instrumented engine modules — which import this package's recorder —
-# and the cycle would break `import repro.core.propagation`.
-_LAZY = {
-    "TELEMETRY_DIRNAME": "repro.telemetry.shards",
-    "ShardWriter": "repro.telemetry.shards",
-    "load_worker_snapshots": "repro.telemetry.shards",
-    "merge_snapshots": "repro.telemetry.shards",
-    "telemetry_dir": "repro.telemetry.shards",
-    "fleet_status": "repro.telemetry.fleet",
-    "render_status_text": "repro.telemetry.fleet",
-    "prometheus_text": "repro.telemetry.fleet",
-    "build_server": "repro.telemetry.serve",
-    "serve_forever": "repro.telemetry.serve",
-    "NULL_FLIGHT_RECORDER": "repro.telemetry.flight",
-    "RUNS_DIRNAME": "repro.telemetry.flight",
-    "FlightRecorder": "repro.telemetry.flight",
-    "NullFlightRecorder": "repro.telemetry.flight",
-    "flight_report": "repro.telemetry.flight",
-    "flight_run_dir": "repro.telemetry.flight",
-    "get_flight_recorder": "repro.telemetry.flight",
-    "list_runs": "repro.telemetry.flight",
-    "load_run": "repro.telemetry.flight",
-    "render_flight_report": "repro.telemetry.flight",
-    "resolve_run_dir": "repro.telemetry.flight",
-    "set_flight_recorder": "repro.telemetry.flight",
-    "use_flight_recorder": "repro.telemetry.flight",
-    "chrome_trace_events": "repro.telemetry.chrome",
-    "chrome_trace_payload": "repro.telemetry.chrome",
-    "write_chrome_trace": "repro.telemetry.chrome",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-__all__ = [
-    "NULL_RECORDER",
-    "MetricsRecorder",
-    "NullRecorder",
-    "SpanStats",
-    "TelemetryRecorder",
-    "TraceEvent",
-    "get_recorder",
-    "metric_key",
-    "set_recorder",
-    "split_key",
-    "use_recorder",
-    "TELEMETRY_DIRNAME",
-    "ShardWriter",
-    "load_worker_snapshots",
-    "merge_snapshots",
-    "telemetry_dir",
-    "fleet_status",
-    "render_status_text",
-    "prometheus_text",
-    "build_server",
-    "serve_forever",
-    "NULL_FLIGHT_RECORDER",
-    "RUNS_DIRNAME",
-    "FlightRecorder",
-    "NullFlightRecorder",
-    "flight_report",
-    "flight_run_dir",
-    "get_flight_recorder",
-    "list_runs",
-    "load_run",
-    "render_flight_report",
-    "resolve_run_dir",
-    "set_flight_recorder",
-    "use_flight_recorder",
-    "chrome_trace_events",
-    "chrome_trace_payload",
-    "write_chrome_trace",
-]

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.runtime.aggregate import StreamingAggregator
 from repro.runtime.checkpoint import list_checkpoints
+from repro.runtime.cluster.queue import WorkQueue
 from repro.runtime.store import ResultStore, merge_records
 from repro.runtime.tasks import TaskRecord
 from repro.telemetry.recorder import split_key
@@ -174,8 +175,6 @@ def fleet_status(
     lease_ttl: float = 60.0,
 ) -> dict[str, Any]:
     """One merged fleet snapshot (see module docstring for consumers)."""
-    from repro.runtime.cluster.queue import WorkQueue
-
     store = store if isinstance(store, ResultStore) else ResultStore(store)
     queue = WorkQueue(store, lease_ttl=lease_ttl)
     # One scan of the result shards feeds the queue counts (each worker's

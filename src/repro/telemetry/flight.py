@@ -42,6 +42,9 @@ from repro.instruments import InstrumentSlot
 from repro.metrics.convergence import convergence_report
 from repro.metrics.evaluator import DelayEvaluator
 from repro.metrics.topology import topology_summary
+from repro.runtime.atomics import atomic_write_json
+from repro.runtime.retry import DEFAULT_IO_RETRY
+from repro.runtime.store import iter_jsonl_payloads
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.simulator import Simulator
@@ -101,12 +104,6 @@ def _percentile_stats(values: np.ndarray) -> dict[str, Any]:
 
 
 def _write_json_atomic(path: Path, payload: Mapping[str, Any]) -> None:
-    # Imported lazily: this module is reachable from `repro.core.simulator`,
-    # and importing `repro.runtime` submodules at module scope would close
-    # an import cycle back through the executor.
-    from repro.runtime.atomics import atomic_write_json
-    from repro.runtime.retry import DEFAULT_IO_RETRY
-
     atomic_write_json(
         path,
         payload,
@@ -375,8 +372,6 @@ def load_run(run_dir: str | os.PathLike) -> dict[str, Any]:
     for runs that never closed.  Raises :class:`FileNotFoundError` when the
     directory holds no flight artifact at all.
     """
-    from repro.runtime.store import iter_jsonl_payloads
-
     run_dir = Path(run_dir)
     meta_payload = _read_json(run_dir / META_FILENAME)
     rounds_path = run_dir / ROUNDS_FILENAME

@@ -6,33 +6,3 @@
 * :mod:`repro.theory.geometric_graph` — Theorem 2: threshold geometric graphs
   give constant-stretch latencies; also produces the Figure 1 illustration.
 """
-
-from repro.theory.geometric_graph import (
-    Figure1Result,
-    figure1_comparison,
-    geometric_graph_edges,
-    geometric_stretch_experiment,
-)
-from repro.theory.random_graph import (
-    random_graph_edges,
-    random_graph_stretch_experiment,
-)
-from repro.theory.stretch import (
-    StretchStatistics,
-    pairwise_stretch,
-    shortest_path_latencies,
-    stretch_statistics,
-)
-
-__all__ = [
-    "Figure1Result",
-    "StretchStatistics",
-    "figure1_comparison",
-    "geometric_graph_edges",
-    "geometric_stretch_experiment",
-    "pairwise_stretch",
-    "random_graph_edges",
-    "random_graph_stretch_experiment",
-    "shortest_path_latencies",
-    "stretch_statistics",
-]

@@ -38,16 +38,10 @@ from repro.core.simulator import (
 from repro.metrics.evaluator import DelayEvaluator
 from repro.protocols.perigee.ucb import PerigeeUCBProtocol
 from repro.protocols.registry import make_protocol
-from repro.runtime import (
-    ResultStore,
-    SerialExecutor,
+from repro.runtime.aggregate import (
     StreamingAggregator,
-    Worker,
-    WorkQueue,
-    execute_sweep,
     mean_curve,
     records_to_result,
-    run_task,
 )
 from repro.runtime.checkpoint import (
     PACKED_FLOATS_KEY,
@@ -60,7 +54,11 @@ from repro.runtime.checkpoint import (
     task_checkpoint_dir,
     write_checkpoint,
 )
+from repro.runtime.cluster.queue import WorkQueue
+from repro.runtime.cluster.worker import Worker
+from repro.runtime.executor import SerialExecutor, execute_sweep, run_task
 from repro.runtime.scenarios import get_scenario
+from repro.runtime.store import ResultStore
 from repro.runtime.tasks import SweepSpec, Task, TaskRecord, canonical_json
 from repro.telemetry.recorder import MetricsRecorder, use_recorder
 

@@ -111,6 +111,24 @@ class TestParser:
         assert "single-repeat" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["submit", "figure5", "--repeats", "3"], "submit figure5"),
+            (["figure3a", "--workers", "0"], "figure3a"),
+            (["worker", "--checkpoint-every", "-1"], "worker"),
+        ],
+    )
+    def test_usage_errors_print_the_command_usage(
+        self, argv, usage, tmp_path, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--store", str(tmp_path)])
+        assert excinfo.value.code == 2
+        first_line = capsys.readouterr().err.splitlines()[0]
+        assert first_line.startswith(f"usage: perigee-sim {usage} ")
+        assert not any(tmp_path.iterdir())
+
     def test_chaos_rejects_figure5_repeats(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["chaos", "figure5", "--root", str(tmp_path), "--repeats", "3"])

@@ -21,18 +21,18 @@ from pathlib import Path
 import pytest
 
 from repro.config import default_config
-from repro.runtime import (
-    ClusterExecutor,
+from repro.runtime.aggregate import records_to_result
+from repro.runtime.cluster.executor import ClusterExecutor
+from repro.runtime.cluster.queue import WorkQueue
+from repro.runtime.cluster.worker import Worker
+from repro.runtime.executor import (
     ParallelExecutor,
-    ResultStore,
     SerialExecutor,
-    Worker,
-    WorkQueue,
     execute_sweep,
-    records_to_result,
     run_task,
 )
 from repro.runtime.faults import FAULT_PLAN_ENV, FaultPlan, FaultRule
+from repro.runtime.store import ResultStore
 from repro.runtime.tasks import SweepSpec, TaskRecord
 
 CONFIG = default_config(num_nodes=30, rounds=2, blocks_per_round=8, seed=11)

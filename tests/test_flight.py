@@ -24,8 +24,10 @@ from repro.cli import main
 from repro.config import default_config
 from repro.core.simulator import Simulator
 from repro.protocols.registry import make_protocol
-from repro.runtime import ResultStore, Worker, WorkQueue, execute_sweep
-from repro.runtime.executor import run_task
+from repro.runtime.cluster.queue import WorkQueue
+from repro.runtime.cluster.worker import Worker
+from repro.runtime.executor import execute_sweep, run_task
+from repro.runtime.store import ResultStore
 from repro.runtime.tasks import SweepSpec, Task
 from repro.telemetry.chrome import (
     chrome_trace_events,

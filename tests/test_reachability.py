@@ -13,11 +13,18 @@ counts as unreached.
 
 Module-private names stay private: no module imports an ``_name`` from
 another ``repro`` module, so the module defining a rule owns it.
+
+The import graph is acyclic at module level, so no import needs to hide
+inside a function (only ``cli.py`` defers imports, to start fast) and every
+module imports on its own in a fresh interpreter.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -71,6 +78,19 @@ def _relative(target: str) -> str | None:
     return None
 
 
+def _modules_run_by(target: str, modules: dict[str, Path]) -> set[str]:
+    """The ``repro`` modules importing ``target`` runs.
+
+    Importing ``a.b.c`` runs ``a`` and ``a.b`` as well.
+    """
+    relative = _relative(target)
+    if relative is None:
+        return set()
+    parts = relative.split(".") if relative else []
+    prefixes = (".".join(parts[:end]) for end in range(len(parts) + 1))
+    return {prefix for prefix in prefixes if prefix in modules}
+
+
 def _reexport_source(
     package: str, name: str, modules: dict[str, Path]
 ) -> str | None:
@@ -106,17 +126,7 @@ def _imported(name: str, modules: dict[str, Path]) -> set[str]:
                     source = _reexport_source(package, alias.name, modules)
                     if source is not None:
                         targets.add(f"repro.{source}")
-    reached = set()
-    for target in targets:
-        relative = _relative(target)
-        if relative is None:
-            continue
-        parts = relative.split(".") if relative else []
-        # Importing ``a.b.c`` runs ``a`` and ``a.b`` as well.
-        for end in range(len(parts) + 1):
-            candidate = ".".join(parts[:end])
-            if candidate in modules:
-                reached.add(candidate)
+    reached = set().union(*(_modules_run_by(target, modules) for target in targets))
     if name in PACKAGES and name not in ROOTS:
         # An ``__init__`` importing its own submodules reaches none of them.
         reached = {
@@ -166,3 +176,121 @@ def test_no_module_imports_another_modules_private_names():
                 if alias.name.startswith("_") and not alias.name.startswith("__")
             )
     assert offenders == []
+
+
+def _is_type_checking(node: ast.If) -> bool:
+    test = node.test
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _module_level_imports(body: list[ast.stmt]):
+    """Import statements run when the module loads.
+
+    Function and class bodies and ``if TYPE_CHECKING:`` blocks are skipped.
+    """
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If) and _is_type_checking(node):
+            yield from _module_level_imports(node.orelse)
+        else:
+            for field in ("body", "orelse", "handlers", "finalbody"):
+                yield from _module_level_imports(getattr(node, field, []))
+
+
+def _module_level_edges(name: str, modules: dict[str, Path]) -> set[str]:
+    """Modules that loading ``name`` runs, minus ``name``'s own ancestors.
+
+    ``from a.b import c`` runs ``a.b.c`` too when it is a module.
+    """
+    targets: set[str] = set()
+    for node in _module_level_imports(_tree(name, modules).body):
+        if isinstance(node, ast.Import):
+            targets.update(alias.name for alias in node.names)
+        elif node.module:
+            targets.add(node.module)
+            targets.update(f"{node.module}.{alias.name}" for alias in node.names)
+    edges = set().union(*(_modules_run_by(target, modules) for target in targets))
+    return edges - _modules_run_by(f"repro.{name}" if name else "repro", modules)
+
+
+def _cyclic_core(graph: dict[str, set[str]]) -> list[str]:
+    """Modules on an import cycle (or on a path between two cycles)."""
+    remaining = {name: set(edges) for name, edges in graph.items()}
+    while True:
+        imported = set().union(*remaining.values())
+        keep = {
+            name
+            for name, edges in remaining.items()
+            if name in imported and edges & remaining.keys()
+        }
+        if keep == remaining.keys():
+            return sorted(keep)
+        remaining = {name: remaining[name] & keep for name in keep}
+
+
+def test_module_level_import_graph_is_acyclic():
+    modules = _module_files()
+    graph = {name: _module_level_edges(name, modules) for name in modules}
+    assert _cyclic_core(graph) == []
+
+
+def test_no_function_level_imports_outside_cli():
+    modules = _module_files()
+    offenders = []
+    for name in sorted(set(modules) - {"cli"}):
+        for scope in ast.walk(_tree(name, modules)):
+            if not isinstance(
+                scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Import):
+                    targets = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    targets = [node.module or ""]
+                else:
+                    continue
+                offenders.extend(
+                    f"{name}:{node.lineno}: {target}"
+                    for target in targets
+                    if _relative(target) is not None
+                )
+    assert sorted(set(offenders)) == []
+
+
+_IMPORT_EACH_FIRST = """
+import importlib
+import sys
+
+for name in sys.argv[1:]:
+    for key in [key for key in sys.modules if key.split(".")[0] == "repro"]:
+        del sys.modules[key]
+    try:
+        importlib.import_module(name)
+    except Exception as error:
+        print(f"{name}: {type(error).__name__}: {error}")
+"""
+
+
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    names = sorted(
+        f"repro.{name}" if name else "repro" for name in _module_files()
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_ROOT.parent), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_EACH_FIRST, *names],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == []

@@ -16,13 +16,10 @@ from repro.analysis.experiments import (
 from repro.cli import build_parser, main
 from repro.config import default_config
 from repro.datasets.regions import REGION_PROPORTIONS
-from repro.runtime import (
-    ResultStore,
-    SerialExecutor,
-    SweepSpec,
-    execute_sweep,
-)
+from repro.runtime.executor import SerialExecutor, execute_sweep
 from repro.runtime.scenarios import available_scenarios, get_scenario
+from repro.runtime.store import ResultStore
+from repro.runtime.tasks import SweepSpec
 
 
 # --------------------------------------------------------------------------- #

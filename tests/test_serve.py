@@ -20,7 +20,9 @@ import pytest
 
 from repro.cli import main
 from repro.config import default_config
-from repro.runtime import ResultStore, Worker, WorkQueue
+from repro.runtime.cluster.queue import WorkQueue
+from repro.runtime.cluster.worker import Worker
+from repro.runtime.store import ResultStore
 from repro.runtime.tasks import SweepSpec, TaskRecord
 from repro.telemetry.fleet import (
     fleet_status,

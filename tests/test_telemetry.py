@@ -21,8 +21,10 @@ import numpy as np
 from repro.config import default_config
 from repro.core.simulator import Simulator
 from repro.protocols.registry import make_protocol
-from repro.runtime import ResultStore, Worker, WorkQueue
+from repro.runtime.cluster.queue import WorkQueue
+from repro.runtime.cluster.worker import Worker
 from repro.runtime.executor import execute_sweep
+from repro.runtime.store import ResultStore
 from repro.runtime.tasks import SweepSpec
 from repro.telemetry.recorder import (
     NULL_RECORDER,
