@@ -23,6 +23,13 @@ one fig3a round scores (N=1000, B=60): UCB's stacked history slab, Vanilla's
 stacked rows and one Subset greedy step.  It checks the anchors agree and
 records the times, with no speed gate.
 
+A fourth arm, ``round-phases``, records per-round milliseconds of
+:meth:`~repro.core.observations.RoundObservations.first_arrivals` and of the
+update's score and rewire phases (the ``perigee.score`` and
+``perigee.rewire`` spans) for each variant at fig3a's round shape (N=1000,
+B=60, first arrivals timed before the update reuses them), with no speed
+gate.
+
 Knobs:
 
 * ``PERIGEE_BENCH_OBS_NODES``  (default "300,1000") — comma-separated sizes
@@ -368,6 +375,53 @@ def test_bench_batched_scoring(variant):
             f"batched UCB scoring only {speedup:.1f}x faster than per-node "
             f"scoring at N={num_nodes}"
         )
+
+
+#: ``(num_nodes, blocks_per_round)`` of the round-phases arm: fig3a's round.
+ROUND_PHASES_SHAPE = (1000, 60)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_bench_round_phases(variant):
+    """Per-round time of first arrivals and of the update's two phases."""
+    num_nodes, blocks_per_round = ROUND_PHASES_SHAPE
+    print_banner(
+        f"Round phases, {variant}, N={num_nodes}, B={blocks_per_round}"
+    )
+    config = default_config(
+        num_nodes=num_nodes, rounds=4, blocks_per_round=blocks_per_round, seed=0
+    )
+    simulator = Simulator(config, make_protocol(variant))
+    simulator.run_round(0)
+    rounds = 5
+    first_s = score_s = rewire_s = 0.0
+    for _ in range(rounds):
+        blocks = simulator.mine_blocks()
+        result = simulator.propagate_blocks(blocks)
+        observations = simulator.collect_observations(blocks, result)
+        start = time.perf_counter()
+        observations.first_arrivals()
+        first_s += time.perf_counter() - start
+        recorder = MetricsRecorder()
+        with use_recorder(recorder):
+            simulator.protocol.update(
+                simulator.context, simulator.network, observations, simulator._rng
+            )
+        score_s += recorder.span_stats("perigee.score").total_s
+        rewire_s += recorder.span_stats("perigee.rewire").total_s
+    emit_bench_json(
+        {
+            "bench": "round-phases",
+            "num_nodes": num_nodes,
+            "blocks_per_round": blocks_per_round,
+            "variant": variant,
+            "rounds": rounds,
+            "first_arrivals_ms": round(first_s / rounds * 1000.0, 2),
+            "score_ms": round(score_s / rounds * 1000.0, 2),
+            "rewire_ms": round(rewire_s / rounds * 1000.0, 2),
+        }
+    )
+    assert score_s > 0.0 and rewire_s > 0.0
 
 
 @pytest.mark.skipif(

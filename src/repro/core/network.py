@@ -13,9 +13,13 @@ needs about it.  Propagation and the metrics read the undirected edge array
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
+
+#: Most random candidates :meth:`P2PNetwork.redial` draws from the
+#: generator at once.
+DIAL_BATCH = 4096
 
 
 class ConnectionError_(RuntimeError):
@@ -173,68 +177,144 @@ class P2PNetwork:
         """Set the outgoing neighbors of ``node_id`` to ``keep`` plus random peers.
 
         This is the primitive behind Algorithm 1's final two steps: retain the
-        best-scoring subset and connect to a few random peers for exploration.
-        Connections in ``keep`` that already exist are preserved (not torn
-        down and re-established).  Random peers that decline (full incoming
-        capacity) or are already neighbors are skipped and another candidate
-        is drawn, up to a bounded number of attempts.
-
-        Returns the resulting outgoing neighbor set.
-
-        **Invariant:** this method and :meth:`fill_random_outgoing` change
-        the outgoing set of ``node_id`` only.  Disconnecting lowers a former
-        peer's *incoming* count and connecting raises the new peer's; no
-        other node's :meth:`outgoing_neighbors` changes.
-        ``PerigeeBase.update`` relies on this to score every node before any
-        node rewires.
+        best-scoring subset and connect to ``num_random`` random peers for
+        exploration.  A one-node call into :meth:`redial`, whose docstring
+        gives the dial rule.  Returns the resulting outgoing neighbor set.
         """
         self._check_node(node_id)
-        keep_set = {int(peer) for peer in keep}
-        if node_id in keep_set:
+        kept = np.fromiter({int(peer) for peer in keep}, dtype=np.int64)
+        if node_id in kept:
             raise ConnectionError_("a node cannot keep itself as a neighbor")
-        if len(keep_set) + num_random > self._out_degree:
+        if kept.size + num_random > self._out_degree:
             raise ConnectionError_(
                 "requested more outgoing connections than the out-degree budget"
             )
-        # Drop outgoing connections that are not retained.
-        for target in list(self._outgoing[node_id]):
-            if target not in keep_set:
-                self.disconnect(node_id, target)
-        # (Re-)establish retained connections.  A retained peer may decline if
-        # it filled up in the meantime; those slots fall through to random
-        # exploration below.
-        for target in keep_set:
-            if target not in self._outgoing[node_id]:
-                self.connect(node_id, target)
-        # Exploration: connect to random previously-unconnected peers.
-        slots = min(
-            num_random + (len(keep_set) - len(self._outgoing[node_id])),
-            self.outgoing_slots_free(node_id),
+        offsets = np.zeros(self._num_nodes + 1, dtype=np.int64)
+        offsets[node_id + 1 :] = kept.size
+        self.redial(
+            [node_id], candidates_rng, kept, offsets, degree=kept.size + num_random
         )
-        self._connect_random(node_id, slots, candidates_rng)
         return set(self._outgoing[node_id])
 
     def fill_random_outgoing(
         self, node_id: int, rng: np.random.Generator
     ) -> set[int]:
-        """Fill all free outgoing slots of ``node_id`` with random peers."""
+        """Fill all free outgoing slots of ``node_id`` with random peers.
+
+        A one-node call into :meth:`redial` that keeps every current peer.
+        """
         self._check_node(node_id)
-        self._connect_random(node_id, self.outgoing_slots_free(node_id), rng)
+        self.redial([node_id], rng)
         return set(self._outgoing[node_id])
 
-    def _connect_random(
-        self, node_id: int, slots: int, rng: np.random.Generator
+    def redial(
+        self,
+        order: Sequence[int] | np.ndarray,
+        rng: np.random.Generator,
+        keep: np.ndarray | None = None,
+        offsets: np.ndarray | None = None,
+        degree: int | None = None,
     ) -> None:
-        attempts_budget = max(20, 10 * slots) * 10
-        attempts = 0
-        established = 0
-        while established < slots and attempts < attempts_budget:
-            attempts += 1
-            candidate = int(rng.integers(0, self._num_nodes))
-            if candidate == node_id:
-                continue
-            if self.connect(node_id, candidate):
-                established += 1
+        """Rewire the nodes of ``order``, one after the other, in that order.
+
+        Node ``v`` keeps the peers ``keep[offsets[v]:offsets[v + 1]]``
+        (``offsets`` is indexed by node id, like a CSR ``indptr``; with
+        ``keep=None`` it keeps every current peer).  Its turn has three
+        steps:
+
+        1. drop every outgoing peer that is not kept;
+        2. dial every kept peer it is not connected to;
+        3. dial random peers until it has ``degree`` outgoing peers
+           (default :attr:`out_degree`), or until ``max(20, 10 * slots) * 10``
+           random attempts are spent, ``slots`` being the number missing.
+
+        A dial fails, and the next candidate is tried, when the candidate
+        is ``v`` itself, is already connected to ``v`` in either direction,
+        or already has :attr:`max_incoming` incoming connections.  This is
+        the only dial rule of the overlay.  :attr:`topology_version` rises
+        when anything changed.
+
+        **Invariant:** a turn changes the outgoing set of its node only.
+        Disconnecting lowers a former peer's *incoming* count and connecting
+        raises the new peer's; no other node's :meth:`outgoing_neighbors`
+        changes.  ``PerigeeBase.update`` relies on this to score every node
+        before any node rewires, and then to rewire them all in one call.
+
+        **Pre-drawn candidates.** Random candidates are the draws
+        ``rng.integers(0, num_nodes)`` would make one call at a time, taken
+        from batches of up to :data:`DIAL_BATCH` draws.  At the end the
+        generator is put back to its state before the first batch and
+        advanced by exactly the number of candidates used, so it ends where
+        the one-call-at-a-time loop would have left it.  That rests on
+        ``Generator.integers(0, n, size=k)`` returning the values, and
+        leaving the state, of ``k`` scalar calls, which NumPy does not
+        promise; ``tests/test_redial.py::test_batched_integers_match_scalar_draws``
+        pins it for the NumPy in use.
+        """
+        n = self._num_nodes
+        order = np.asarray(order, dtype=np.int64)
+        if order.size and (order.min() < 0 or order.max() >= n):
+            raise IndexError("node id in order out of range")
+        degree = self._out_degree if degree is None else degree
+        outgoing = self._outgoing
+        incoming = self._incoming_count
+        max_incoming = self._max_incoming
+        if keep is not None:
+            keep = np.asarray(keep, dtype=np.int64)
+            offsets = np.asarray(offsets, dtype=np.int64)
+        # One-node calls use a handful of candidates; do not draw 4096.
+        batch_size = min(DIAL_BATCH, 64 * order.size)
+        saved = None
+        batch: list[int] = []
+        position = used = 0
+        changed = False
+        try:
+            for node_id in order.tolist():
+                mine = outgoing[node_id]
+                if keep is not None:
+                    kept = keep[offsets[node_id] : offsets[node_id + 1]].tolist()
+                    dropped = mine.difference(kept)
+                    if dropped:
+                        mine -= dropped
+                        for target in dropped:
+                            incoming[target] -= 1
+                        changed = True
+                    if len(mine) < len(kept):
+                        for target in kept:
+                            if target not in mine:
+                                self.connect(node_id, target)
+                slots = degree - len(mine)
+                if slots <= 0:
+                    continue
+                budget = max(20, 10 * slots) * 10
+                attempts = established = 0
+                while established < slots and attempts < budget:
+                    attempts += 1
+                    if position == len(batch):
+                        if saved is None:
+                            saved = rng.bit_generator.state
+                        batch = rng.integers(0, n, size=batch_size).tolist()
+                        position = 0
+                    candidate = batch[position]
+                    position += 1
+                    used += 1
+                    if (
+                        candidate == node_id
+                        or candidate in mine
+                        or node_id in outgoing[candidate]
+                        or incoming[candidate] >= max_incoming
+                    ):
+                        continue
+                    mine.add(candidate)
+                    incoming[candidate] += 1
+                    established += 1
+                    changed = True
+        finally:
+            if saved is not None:
+                rng.bit_generator.state = saved
+                rng.integers(0, n, size=used)
+            if changed:
+                self._topology_version += 1
 
     # ------------------------------------------------------------------ #
     # Views used by propagation and metrics
@@ -268,6 +348,27 @@ class P2PNetwork:
             np.minimum(initiators, targets) * n + np.maximum(initiators, targets)
         )
         return np.stack([keys // n, keys % n], axis=1)
+
+    def outgoing_csr(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Outgoing peers of ``nodes`` as CSR ``(indptr, peers)``.
+
+        Node ``nodes[i]``'s peers are ``peers[indptr[i]:indptr[i + 1]]``,
+        ascending: one sort of the ``i * N + peer`` keys, as in
+        :meth:`to_numpy_edges`, instead of a sort per node.
+        """
+        n = self._num_nodes
+        sets = [self._outgoing[node_id] for node_id in np.asarray(nodes).tolist()]
+        counts = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        owners = np.repeat(np.arange(len(sets), dtype=np.int64), counts) * n
+        keys = np.fromiter(
+            chain.from_iterable(sets), dtype=np.int64, count=owners.size
+        )
+        keys += owners
+        keys.sort()
+        keys -= owners
+        return indptr, keys
 
     def make_fully_connected(self) -> None:
         """Turn the overlay into a complete graph (the "ideal" baseline).

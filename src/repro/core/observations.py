@@ -33,6 +33,9 @@ import numpy as np
 #: Sentinel used when a neighbor never delivered a block.
 NEVER = math.inf
 
+#: Nodes whose rows :meth:`RoundObservations.first_arrivals` folds together.
+FOLD_CHUNK_NODES = 1024
+
 
 def percentile_score(values: list[float] | np.ndarray, percentile: float = 90.0) -> float:
     """The ``percentile``-th percentile of a timestamp multiset.
@@ -281,20 +284,33 @@ class RoundObservations:
     def first_arrivals(self) -> np.ndarray:
         """``(num_nodes, B)`` matrix of each node's first hearing of each block.
 
-        Computed once per round as a segment-minimum over the receiver-sorted
+        Computed once per round as a segment minimum over the receiver-sorted
         timestamp matrix; :data:`NEVER` where a block never reached a node.
+        The minimum is folded rank by rank: step ``k`` takes ``np.minimum``
+        of the running row and row ``indptr[v] + k`` of every node ``v``
+        with more than ``k`` neighbors, in whole contiguous rows.  That is
+        the same left fold, in the same order, as a per-segment
+        ``np.minimum.reduceat``, so the result is bit-identical (NaN
+        included).  Nodes are folded :data:`FOLD_CHUNK_NODES` at a time, so
+        the temporaries stay small however large the overlay is.
         """
         if self._first_arrivals is None:
             out = np.full((self.num_nodes, self.num_blocks), NEVER, dtype=float)
             starts = self.indptr[:-1]
-            nonempty = self.indptr[1:] > starts
-            if self.times.shape[0] and nonempty.any():
-                # Empty segments occupy no rows, so consecutive non-empty
-                # segment starts are exactly each other's ends and one
-                # reduceat covers every node that has neighbors.
-                out[nonempty] = np.minimum.reduceat(
-                    self.times, starts[nonempty], axis=0
-                )
+            degrees = np.diff(self.indptr)
+            for start in range(0, self.num_nodes, FOLD_CHUNK_NODES):
+                stop = start + FOLD_CHUNK_NODES
+                rows = starts[start:stop]
+                degree = degrees[start:stop]
+                running = out[start:stop]
+                for rank in range(int(degree.max(initial=0))):
+                    present = np.flatnonzero(degree > rank)
+                    if present.size == degree.size:
+                        np.minimum(running, self.times[rows + rank], out=running)
+                    else:
+                        running[present] = np.minimum(
+                            running[present], self.times[rows[present] + rank]
+                        )
             self._first_arrivals = out
         return self._first_arrivals
 

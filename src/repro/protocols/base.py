@@ -129,8 +129,8 @@ def random_initial_topology(
     state from which the Perigee variants start ("Starting from an arbitrary
     initial set of neighbors, e.g. obtained randomly from a bootstrapping
     server", Section 4.1).  Nodes are processed in a random order so no node
-    is systematically advantaged in claiming scarce incoming slots.
+    is systematically advantaged in claiming scarce incoming slots; each
+    node keeps the peers it has and dials random ones until full
+    (:meth:`P2PNetwork.redial`).
     """
-    order = rng.permutation(network.num_nodes)
-    for node_id in order:
-        network.fill_random_outgoing(int(node_id), rng)
+    network.redial(rng.permutation(network.num_nodes), rng)

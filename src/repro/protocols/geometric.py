@@ -79,8 +79,7 @@ class GeometricProtocol(NeighborSelectionProtocol):
         # Any still-unfilled slots (e.g. all close peers declined because they
         # ran out of incoming capacity) fall back to random peers so the graph
         # stays connected.
-        for raw_id in order:
-            network.fill_random_outgoing(int(raw_id), rng)
+        network.redial(order, rng)
 
     @staticmethod
     def _build_nearest(

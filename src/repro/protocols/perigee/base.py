@@ -15,8 +15,9 @@ limits.  Subclasses provide :meth:`PerigeeBase.select_retained_batch`, which
 scores many nodes in one vectorised pass from their normalised observations,
 each a ``(neighbors, blocks)`` timestamp block gathered from the round's
 columnar :class:`~repro.core.observations.RoundObservations`.
-:meth:`PerigeeBase.update` scores every updating node once per round before
-the RNG-consuming rewire loop runs (see its docstring for why that is exact).
+:meth:`PerigeeBase.update` scores every updating node once per round, then
+rewires them all with one RNG-consuming :meth:`P2PNetwork.redial` call (see
+its docstring for why that is exact).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.protocols.base import (
     ProtocolContext,
     random_initial_topology,
 )
-from repro.telemetry.flight import get_flight_recorder
+from repro.telemetry.flight import FlightRecorder, get_flight_recorder
 from repro.telemetry.recorder import get_recorder
 
 #: Nodes gathered and scored together by the scoring phase of an update.
@@ -109,131 +110,139 @@ class PerigeeBase(NeighborSelectionProtocol):
         observations: RoundObservations,
         rng: np.random.Generator,
     ) -> None:
-        """Algorithm 1 for every updating node, in two phases.
+        """Algorithm 1 for every updating node, in two bulk phases.
 
         (a) *Score*: every updating node's retained set is computed before
         the rewire, in chunks of :data:`SCORE_CHUNK_NODES` nodes.  This is
         exact because rewiring a node changes only its own outgoing set (the
-        invariant documented on :meth:`P2PNetwork.replace_outgoing`), so
-        each node's outgoing set at its turn equals the one it had at round
-        start, and scorers are never handed ``rng``.
+        invariant documented on :meth:`P2PNetwork.redial`), so each node's
+        outgoing set at its turn equals the one it had at round start, and
+        scorers are never handed ``rng``.
 
-        (b) *Rewire*: nodes take their turn in ``rng.permutation`` order,
-        exactly as a per-node loop would, and swap the peers they did not
-        retain for random ones.
+        (b) *Rewire*: one :meth:`P2PNetwork.redial` call takes the updating
+        nodes in ``rng.permutation`` order, exactly as a per-node loop would:
+        each keeps its retained peers and swaps the rest for random ones (a
+        node that had no peers fills all its slots).
         """
         exploration = self.exploration_budget(context)
         retain_budget = max(0, network.out_degree - exploration)
         recorder = get_recorder()
         # Flight-recorder capture is read-only bookkeeping: when enabled we
         # note, per node, how many outgoing edges the rewire dropped/added
-        # (against the set replace_outgoing actually installed — a random
-        # redraw can re-add a dropped peer) and collect the timestamp blocks
-        # the scorers read, scored for the recorder in one batched pass
-        # after the loop.  Nothing here touches the RNG.
+        # (against the set it actually installed — a random redraw can
+        # re-add a dropped peer) and score the timestamp blocks the scorers
+        # read for the recorder in one batched pass.  Nothing here touches
+        # the RNG.
         flight = get_flight_recorder()
-        flight_nodes: list[int] = []
-        flight_dropped: list[int] = []
-        flight_added: list[int] = []
-        flight_blocks: list[np.ndarray] = []
-        nodes_updated = 0
-        neighbors_retained = 0
+        updating = np.fromiter(
+            map(self.updates_node, range(network.num_nodes)),
+            dtype=bool,
+            count=network.num_nodes,
+        )
         with recorder.span("perigee.score"):
-            offsets, kept, scored_blocks = self._score_updating_nodes(
-                network, observations, retain_budget, flight.enabled
+            offsets, kept, scored, blocks = self._score_updating_nodes(
+                network,
+                observations,
+                np.flatnonzero(updating),
+                retain_budget,
+                flight.enabled,
             )
         with recorder.span("perigee.rewire"):
             order = rng.permutation(network.num_nodes)
-            for raw_id in order:
-                node_id = int(raw_id)
-                if not self.updates_node(node_id):
-                    continue
-                outgoing = network.outgoing_neighbors(node_id)
-                if not outgoing:
-                    filled = network.fill_random_outgoing(node_id, rng)
-                    if flight.enabled:
-                        flight_nodes.append(node_id)
-                        flight_dropped.append(0)
-                        flight_added.append(len(filled))
-                    continue
-                retained = kept[offsets[node_id] : offsets[node_id + 1]].tolist()
-                if flight.enabled:
-                    flight_blocks.append(scored_blocks[node_id])
-                retained = {peer for peer in retained if peer in outgoing}
-                self.on_neighbors_dropped(node_id, set(outgoing) - retained)
-                nodes_updated += 1
-                neighbors_retained += len(retained)
-                resulting = network.replace_outgoing(
-                    node_id,
-                    retained,
-                    rng,
-                    num_random=network.out_degree - len(retained),
-                )
-                if flight.enabled:
-                    flight_nodes.append(node_id)
-                    flight_dropped.append(len(outgoing - resulting))
-                    flight_added.append(len(resulting - outgoing))
-        recorder.incr("perigee.nodes_updated", nodes_updated)
-        recorder.incr("perigee.neighbors_retained", neighbors_retained)
+            if not updating.all():
+                order = order[updating[order]]
+            # Only variants that keep per-neighbor history (UCB) override
+            # the hook; the others skip the per-node walk it needs.
+            hook = type(self).on_neighbors_dropped
+            if hook is not PerigeeBase.on_neighbors_dropped:
+                for node_id in order.tolist():
+                    outgoing = network.outgoing_neighbors(node_id)
+                    if outgoing:
+                        retained = kept[offsets[node_id] : offsets[node_id + 1]]
+                        self.on_neighbors_dropped(
+                            node_id, set(outgoing.difference(retained.tolist()))
+                        )
+            if flight.enabled:
+                before = [network.outgoing_neighbors(v) for v in order.tolist()]
+            network.redial(order, rng, kept, offsets)
+        recorder.incr("perigee.nodes_updated", scored)
+        recorder.incr("perigee.neighbors_retained", int(kept.size))
         if flight.enabled:
-            flight.record_rewires(flight_nodes, flight_dropped, flight_added)
-            if flight_blocks:
-                flight.record_scores(
-                    batched_percentile_scores(flight_blocks, self._percentile)
-                )
+            self._record_flight(flight, network, order.tolist(), before, blocks)
+
+    def _record_flight(
+        self,
+        flight: FlightRecorder,
+        network: P2PNetwork,
+        order: list[int],
+        before: list[frozenset[int]],
+        scored_blocks: dict[int, np.ndarray],
+    ) -> None:
+        """Flight rows of one rewire: per node, peers dropped and added, in
+        turn order, and the scores of the blocks the scorers read."""
+        dropped: list[int] = []
+        added: list[int] = []
+        blocks: list[np.ndarray] = []
+        for node_id, outgoing in zip(order, before):
+            resulting = network.outgoing_neighbors(node_id)
+            dropped.append(len(outgoing - resulting))
+            added.append(len(resulting - outgoing))
+            if outgoing:
+                blocks.append(scored_blocks[node_id])
+        flight.record_rewires(order, dropped, added)
+        if blocks:
+            flight.record_scores(batched_percentile_scores(blocks, self._percentile))
 
     def _score_updating_nodes(
         self,
         network: P2PNetwork,
         observations: RoundObservations,
+        nodes: np.ndarray,
         retain_budget: int,
         keep_blocks: bool,
-    ) -> tuple[list[int], np.ndarray, dict[int, np.ndarray]]:
-        """Phase (a) of :meth:`update`: score every updating node.
+    ) -> tuple[np.ndarray, np.ndarray, int, dict[int, np.ndarray]]:
+        """Phase (a) of :meth:`update`: score every node of ``nodes``.
 
-        Returns ``(offsets, kept, blocks)``: node ``v`` retains
+        Returns ``(offsets, kept, scored, blocks)``: node ``v`` retains
         ``kept[offsets[v]:offsets[v + 1]]`` (stored flat, not as one set
-        per node, to keep large overlays small), and ``blocks`` maps each
+        per node, to keep large overlays small), ``scored`` counts the
+        nodes that had outgoing peers to score, and ``blocks`` maps each
         scored node to its timestamp block when ``keep_blocks`` (the flight
         recorder reads them) and is empty otherwise.  Nodes are gathered and
         scored :data:`SCORE_CHUNK_NODES` at a time, which keeps the stacked
         temporaries at a few MB however large the overlay is.
         """
-        nodes = [
-            node_id
-            for node_id in range(network.num_nodes)
-            if self.updates_node(node_id)
-        ]
-        counts = np.zeros(network.num_nodes + 1, dtype=np.int64)
+        offsets = np.zeros(network.num_nodes + 1, dtype=np.int64)
         parts: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
         blocks_by_node: dict[int, np.ndarray] = {}
-        for start in range(0, len(nodes), SCORE_CHUNK_NODES):
+        scored = 0
+        for start in range(0, nodes.size, SCORE_CHUNK_NODES):
+            members = nodes[start : start + SCORE_CHUNK_NODES]
+            indptr, peers = network.outgoing_csr(members)
+            bounds = indptr.tolist()
             chunk: list[int] = []
             wanted: list[np.ndarray] = []
-            for node_id in nodes[start : start + SCORE_CHUNK_NODES]:
-                outgoing = network.outgoing_neighbors(node_id)
-                if outgoing:
+            for node_id, lo, hi in zip(members.tolist(), bounds, bounds[1:]):
+                if hi > lo:
                     chunk.append(node_id)
-                    wanted.append(
-                        np.fromiter(
-                            sorted(outgoing), dtype=np.int64, count=len(outgoing)
-                        )
-                    )
+                    wanted.append(peers[lo:hi])
             if not chunk:
                 continue
             blocks = observations.normalized_blocks(chunk, wanted)
             retained = self.select_retained_batch(
                 chunk, wanted, blocks, retain_budget
             )
-            counts[np.asarray(chunk, dtype=np.int64) + 1] = [
-                len(peers) for peers in retained
+            offsets[np.asarray(chunk, dtype=np.int64) + 1] = [
+                len(picked) for picked in retained
             ]
             parts.append(
                 np.fromiter(itertools.chain.from_iterable(retained), dtype=np.int64)
             )
+            scored += len(chunk)
             if keep_blocks:
                 blocks_by_node.update(zip(chunk, blocks))
-        return np.cumsum(counts).tolist(), np.concatenate(parts), blocks_by_node
+        np.cumsum(offsets, out=offsets)
+        return offsets, np.concatenate(parts), scored, blocks_by_node
 
     def select_retained_batch(
         self,

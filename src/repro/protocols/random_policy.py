@@ -59,8 +59,7 @@ class RandomProtocol(NeighborSelectionProtocol):
         order = rng.permutation(network.num_nodes)
         for node_id in order:
             network.disconnect_all_outgoing(int(node_id))
-        for node_id in order:
-            network.fill_random_outgoing(int(node_id), rng)
+        network.redial(order, rng)
 
     def describe(self) -> dict[str, object]:
         info = super().describe()

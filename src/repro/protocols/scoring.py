@@ -149,8 +149,8 @@ def greedy_subset_selection_batch(
     Returns each node's picks in pick order.  Nodes are grouped by the shape
     ``(k, B)`` of their block and each group's greedy runs on one
     ``(nodes, k, B)`` tensor: a step transforms, partitions and scores every
-    node's remaining candidates together, with already-picked candidates
-    masked out.
+    node's remaining candidates together, and each pick is removed from the
+    tensor, so later steps partition fewer rows.
     """
     if subset_size < 0:
         raise ValueError("subset_size must be non-negative")
@@ -182,13 +182,16 @@ def greedy_subset_selection_batch(
         upper = int(math.ceil(rank))
         weight = rank - lower
         rows = np.arange(len(members))
-        available = np.ones((len(members), num_neighbors), dtype=bool)
+        # positions[i, j]: the neighbor index of node i's j-th remaining
+        # candidate.  Each pick leaves the tensor, so step s partitions only
+        # the k - s candidates left, still in ascending id order.
+        positions = np.tile(np.arange(num_neighbors), (len(members), 1))
         group_best = np.full((len(members), num_blocks), NEVER, dtype=float)
         chosen = np.empty((len(members), steps), dtype=np.int64)
         for step in range(steps):
             transformed = np.minimum(stacked, group_best[:, None, :])
             low, high = order_statistics(transformed, lower, upper)
-            finite = np.isfinite(low) & np.isfinite(high) & available
+            finite = np.isfinite(low) & np.isfinite(high)
             if lower == upper:
                 scores = np.where(finite, low, NEVER)
             else:
@@ -197,14 +200,15 @@ def greedy_subset_selection_batch(
                 )
             local = np.argmin(scores, axis=1)
             for row in np.flatnonzero(~finite.any(axis=1)).tolist():
-                candidates = np.flatnonzero(available[row])
-                means = np.array(
-                    [_finite_mean(stacked[row, index]) for index in candidates]
-                )
-                local[row] = candidates[int(np.argmin(means))]
-            chosen[:, step] = local
-            available[rows, local] = False
+                means = [_finite_mean(candidate) for candidate in stacked[row]]
+                local[row] = int(np.argmin(means))
+            chosen[:, step] = positions[rows, local]
             group_best = np.minimum(stacked[rows, local], group_best)
+            if step + 1 < steps:
+                left = positions.shape[1] - 1
+                kept = np.arange(left + 1) != local[:, None]
+                stacked = stacked[kept].reshape(len(members), left, num_blocks)
+                positions = positions[kept].reshape(len(members), left)
         selected = np.take_along_axis(ids, chosen, axis=1)
         for index, row in zip(members, selected.tolist()):
             picks[index] = row

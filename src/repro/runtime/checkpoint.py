@@ -36,7 +36,7 @@ import shutil
 import struct
 import time
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -156,14 +156,19 @@ def newest_checkpoint_round(directory: Path) -> int | None:
     return max(rounds) if rounds else None
 
 
-def latest_checkpoint(directory: Path) -> dict | None:
-    """Load the newest parseable snapshot, or ``None`` when there is none.
+def latest_checkpoint(
+    directory: Path, load: Callable[[dict], None] | None = None
+) -> dict | None:
+    """Load the newest usable snapshot, or ``None`` when there is none.
 
     Packed float lists come back as plain lists of floats.  Corrupt files
     (e.g. a snapshot written by a kernel that lied about fsync) are
     skipped — truncated JSON, invalid bytes, corrupt packed floats, and
     wrong-shape payloads alike — falling back to the next-newest snapshot,
-    which is why retention keeps more than one.
+    which is why retention keeps more than one.  When ``load`` is given, a
+    snapshot counts as usable only once ``load(snapshot)`` returns: one it
+    rejects with ``ValueError`` (it parses but does not restore) is skipped
+    the same way.
     """
     for _, path in sorted(_iter_round_files(directory), reverse=True):
         get_fault_plane().fire("checkpoint.read", path=path)
@@ -175,8 +180,14 @@ def latest_checkpoint(directory: Path) -> dict | None:
             # ValueError covers JSONDecodeError, the UnicodeDecodeError a
             # binary-garbage snapshot raises, and corrupt packed floats.
             continue
-        if isinstance(payload, dict):
-            return payload
+        if not isinstance(payload, dict):
+            continue
+        if load is not None:
+            try:
+                load(payload)
+            except ValueError:
+                continue
+        return payload
     return None
 
 

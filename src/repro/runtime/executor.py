@@ -142,22 +142,24 @@ def run_task(
                 and effective_every > 0
             ):
                 checkpoint_dir = task_checkpoint_dir(checkpoint_store, key)
-                state = latest_checkpoint(checkpoint_dir)
-                if state is not None:
+
+                def restore(state: dict) -> None:
+                    # A snapshot that does not load must never poison the
+                    # run: load_state_dict puts the fresh state back, and
+                    # latest_checkpoint tries the next-older snapshot.
                     try:
                         simulator.load_state_dict(state)
                     except ValueError:
-                        # An unreadable or mismatched snapshot must never
-                        # poison the run: load_state_dict put the fresh
-                        # state back, so fall back to round zero.
                         recorder.incr(
                             "task.checkpoint_invalid", protocol=task.protocol
                         )
-                    else:
-                        start_round = min(
-                            simulator.rounds_completed, task.rounds
-                        )
-                        recorder.incr("task.resumed", protocol=task.protocol)
+                        raise
+
+                # Called through this module's global, so a tracer that
+                # patches the name here sees the read.
+                if latest_checkpoint(checkpoint_dir, load=restore) is not None:
+                    start_round = min(simulator.rounds_completed, task.rounds)
+                    recorder.incr("task.resumed", protocol=task.protocol)
             if protocol.is_adaptive:
                 for round_index in range(start_round, task.rounds):
                     simulator.run_round(round_index)

@@ -465,6 +465,37 @@ class TestRunTaskResume:
             "task.checkpoint_invalid", protocol=task.protocol
         ) == 1
 
+    def test_unloadable_newest_snapshot_resumes_from_older_one(self, tmp_path):
+        # Retention keeps two snapshots for exactly this case: the newest
+        # parses but does not load, so the task resumes from the one before
+        # it rather than from round zero.
+        task = self.make_task(protocol="perigee-ucb", rounds=6)
+        directory = task_checkpoint_dir(tmp_path, task.content_hash())
+        simulator = run_rounds_like_run_task(task, rounds=2)
+        write_checkpoint(directory, json_round_trip(simulator.state_dict()))
+        for round_index in range(2, 4):
+            simulator.run_round(round_index)
+        newest = json_round_trip(simulator.state_dict())
+        newest["protocol_state"] = ["not", "a", "dict"]
+        write_checkpoint(directory, newest)
+        recorder = MetricsRecorder()
+        with use_recorder(recorder):
+            record = run_task(task, checkpoint_store=tmp_path, checkpoint_every=2)
+        assert recorder.counter(
+            "task.checkpoint_invalid", protocol=task.protocol
+        ) == 1
+        assert recorder.counter("task.resumed", protocol=task.protocol) == 1
+        # Resumed after round 2: rounds 3 to 6 ran, and only the round-4
+        # snapshot was written (a restart would also write round 2's).
+        assert recorder.counter(
+            "task.checkpoints_written", protocol=task.protocol
+        ) == 1
+
+        def record_bytes(record: TaskRecord) -> str:
+            return canonical_json({**record.to_dict(), "duration_s": None})
+
+        assert record_bytes(record) == record_bytes(run_task(task))
+
     def test_non_adaptive_protocol_never_checkpoints(self, tmp_path):
         task = self.make_task(protocol="random")
         record = run_task(task, checkpoint_store=tmp_path, checkpoint_every=1)
