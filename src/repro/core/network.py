@@ -264,8 +264,11 @@ class P2PNetwork:
             offsets = np.asarray(offsets, dtype=np.int64)
         # One-node calls use a handful of candidates; do not draw 4096.
         batch_size = min(DIAL_BATCH, 64 * order.size)
+        # The batch stays an array: a candidate becomes a Python int only when
+        # drawn, so the ints the outgoing sets keep are not scattered over
+        # the memory of thousands of discarded ones.
         saved = None
-        batch: list[int] = []
+        batch = np.zeros(0, dtype=np.int64)
         position = used = 0
         changed = False
         try:
@@ -293,9 +296,9 @@ class P2PNetwork:
                     if position == len(batch):
                         if saved is None:
                             saved = rng.bit_generator.state
-                        batch = rng.integers(0, n, size=batch_size).tolist()
+                        batch = rng.integers(0, n, size=batch_size)
                         position = 0
-                    candidate = batch[position]
+                    candidate = int(batch[position])
                     position += 1
                     used += 1
                     if (

@@ -291,26 +291,34 @@ class RoundObservations:
         with more than ``k`` neighbors, in whole contiguous rows.  That is
         the same left fold, in the same order, as a per-segment
         ``np.minimum.reduceat``, so the result is bit-identical (NaN
-        included).  Nodes are folded :data:`FOLD_CHUNK_NODES` at a time, so
-        the temporaries stay small however large the overlay is.
+        included).  Nodes are folded :data:`FOLD_CHUNK_NODES` at a time in
+        two reused scratch blocks, so the temporaries stay small however
+        large the overlay is.
         """
         if self._first_arrivals is None:
             out = np.full((self.num_nodes, self.num_blocks), NEVER, dtype=float)
             starts = self.indptr[:-1]
             degrees = np.diff(self.indptr)
+            # Two scratch blocks serve every chunk and rank, so a round
+            # allocates no timestamp-sized temporaries.
+            size = min(FOLD_CHUNK_NODES, self.num_nodes)
+            running = np.empty((size, self.num_blocks), dtype=float)
+            gathered = np.empty_like(running)
             for start in range(0, self.num_nodes, FOLD_CHUNK_NODES):
-                stop = start + FOLD_CHUNK_NODES
-                rows = starts[start:stop]
-                degree = degrees[start:stop]
-                running = out[start:stop]
-                for rank in range(int(degree.max(initial=0))):
-                    present = np.flatnonzero(degree > rank)
-                    if present.size == degree.size:
-                        np.minimum(running, self.times[rows + rank], out=running)
-                    else:
-                        running[present] = np.minimum(
-                            running[present], self.times[rows[present] + rank]
-                        )
+                # Most neighbors first: the nodes with more than k
+                # neighbors are then a prefix of the chunk.
+                nodes = start + np.argsort(
+                    -degrees[start : start + FOLD_CHUNK_NODES], kind="stable"
+                )
+                degree = degrees[nodes]
+                rows = starts[nodes]
+                block = running[: nodes.size]
+                block.fill(NEVER)
+                for rank in range(int(degree[0])):
+                    count = int(np.count_nonzero(degree > rank))
+                    np.take(self.times, rows[:count] + rank, axis=0, out=gathered[:count])
+                    np.minimum(block[:count], gathered[:count], out=block[:count])
+                out[nodes] = block
             self._first_arrivals = out
         return self._first_arrivals
 
