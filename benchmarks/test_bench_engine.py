@@ -73,15 +73,10 @@ def test_bench_forwarding_time_matrix(benchmark, prepared_simulator):
 def test_bench_full_perigee_round(benchmark):
     config = default_config(num_nodes=200, rounds=3, blocks_per_round=40, seed=1)
     simulator = Simulator(config, make_protocol("perigee-subset"))
-    counter = {"round": 0}
-
-    def one_round():
-        outcome = simulator.run_round(counter["round"])
-        counter["round"] += 1
-        return outcome
-
-    outcome = benchmark.pedantic(one_round, rounds=3, iterations=1)
-    assert len(outcome.blocks) == 40
+    benchmark.pedantic(simulator.run_round, rounds=3, iterations=1)
+    # Every timed round mined its 40 blocks.
+    (next_block,) = simulator.mine_blocks(1)
+    assert next_block.block_id == 40 * simulator.rounds_completed
 
 
 @pytest.mark.skipif(
@@ -114,7 +109,7 @@ def test_bench_engine_100k_smoke():
     )
     build_s = time.perf_counter() - start
     round_start = time.perf_counter()
-    simulator.run_round(0)
+    simulator.run_round()
     round_s = time.perf_counter() - round_start
     eval_start = time.perf_counter()
     evaluation = evaluator.evaluate(

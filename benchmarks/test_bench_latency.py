@@ -179,7 +179,7 @@ def test_bench_memory_wall_20k():
         )
         assert simulator.latency_model.memory == "sparse"
         round_start = time.perf_counter()
-        simulator.run_round(0)
+        simulator.run_round()
         round_s = time.perf_counter() - round_start
         eval_start = time.perf_counter()
         evaluation = evaluator.evaluate(

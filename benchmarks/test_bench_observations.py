@@ -281,7 +281,7 @@ def test_bench_observation_pipeline(num_nodes):
             num_nodes=num_nodes, rounds=4, blocks_per_round=BLOCKS, seed=0
         )
         simulator = Simulator(config, make_protocol(variant))
-        simulator.run_round(0)  # warm-up: topology has been rewired once
+        simulator.run_round()  # warm-up: topology has been rewired once
         array_ms, legacy_ms = _measure(simulator, variant)
         speedup = legacy_ms / array_ms if array_ms > 0 else float("inf")
         record = {
@@ -337,8 +337,7 @@ def test_bench_batched_scoring(variant):
     )
     simulator = Simulator(config, make_protocol(variant))
     fill = HISTORY_FILL_ROUNDS if variant == "perigee-ucb" else 1
-    for round_index in range(fill):
-        simulator.run_round(round_index)
+    simulator.run(fill)
     batch_s = per_node_s = 0.0
     for _ in range(3):
         blocks = simulator.mine_blocks()
@@ -392,7 +391,7 @@ def test_bench_round_phases(variant):
         num_nodes=num_nodes, rounds=4, blocks_per_round=blocks_per_round, seed=0
     )
     simulator = Simulator(config, make_protocol(variant))
-    simulator.run_round(0)
+    simulator.run_round()
     rounds = 5
     first_s = score_s = rewire_s = 0.0
     for _ in range(rounds):
@@ -436,7 +435,7 @@ def test_bench_large_network_smoke():
     )
     simulator = Simulator(config, make_protocol("perigee-subset"))
     start = time.perf_counter()
-    simulator.run_round(0)
+    simulator.run_round()
     round_s = time.perf_counter() - start
     record = {
         "bench": "observations-large",

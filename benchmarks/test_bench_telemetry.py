@@ -76,12 +76,10 @@ def _run_arm(recorder: MetricsRecorder | None) -> tuple[float, list]:
     simulator = _fresh_simulator()
     start = time.perf_counter()
     if recorder is None:
-        for round_index in range(ROUNDS):
-            simulator.run_round(round_index)
+        simulator.run(ROUNDS)
     else:
         with use_recorder(recorder):
-            for round_index in range(ROUNDS):
-                simulator.run_round(round_index)
+            simulator.run(ROUNDS)
     elapsed = time.perf_counter() - start
     return elapsed, _topology(simulator)
 
@@ -92,8 +90,7 @@ def _run_flight_arm(directory) -> tuple[float, list]:
     flight = FlightRecorder(directory)
     start = time.perf_counter()
     with use_flight_recorder(flight):
-        for round_index in range(ROUNDS):
-            simulator.run_round(round_index)
+        simulator.run(ROUNDS)
     flight.close()
     elapsed = time.perf_counter() - start
     return elapsed, _topology(simulator)

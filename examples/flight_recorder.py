@@ -65,7 +65,7 @@ def main() -> None:
     recorder = MetricsRecorder(trace=True)
     with use_recorder(recorder), use_flight_recorder(flight):
         simulator.run(rounds=config.rounds)
-    reach = simulator.evaluate()
+        reach = simulator.evaluate()
     flight.record_final(reach90=reach)
     flight.close()
 

@@ -99,6 +99,7 @@ from repro.analysis.reporting import (
     render_sweep_report,
     render_task_progress,
 )
+from repro.protocols.registry import available_protocols, make_protocol
 from repro.runtime.aggregate import records_to_result
 from repro.runtime.chaos import DEFAULT_CHAOS_ACTIONS
 from repro.runtime.executor import execute_sweep, make_executor
@@ -359,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--protocol",
         default="perigee-subset",
+        choices=available_protocols(),
         help="protocol registry name to run (default perigee-subset)",
     )
     trace_parser.add_argument(
@@ -916,22 +918,23 @@ def _run_trace(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
     from repro.config import default_config
     from repro.core.simulator import Simulator
-    from repro.protocols.registry import make_protocol
     from repro.telemetry.chrome import write_chrome_trace
     from repro.telemetry.recorder import MetricsRecorder, use_recorder
 
-    config = default_config(
-        num_nodes=args.num_nodes,
-        rounds=args.rounds,
-        blocks_per_round=args.blocks,
-        seed=args.seed,
-    )
+    with _usage_error(parser):
+        config = default_config(
+            num_nodes=args.num_nodes,
+            rounds=args.rounds,
+            blocks_per_round=args.blocks,
+            seed=args.seed,
+        )
     simulator = Simulator(
         config, make_protocol(args.protocol), rng=np.random.default_rng(config.seed)
     )
     recorder = MetricsRecorder(trace=True)
     with use_recorder(recorder):
         simulator.run(rounds=args.rounds)
+        simulator.evaluate()
     count = write_chrome_trace(args.out, recorder.trace)
     print(
         f"wrote {count} span event(s) to {args.out}; load in "

@@ -6,9 +6,12 @@ The simulator orchestrates the loop of Section 4.1:
 2. propagate every block over the current overlay and let each node collect
    its observation set (the per-neighbor delivery timestamps);
 3. hand the observation sets to the protocol, which rewires each node's
-   outgoing connections (Algorithm 1) — static baselines skip this step;
-4. optionally evaluate the overlay (time for a block from every node to reach
-   a target fraction of the hash power).
+   outgoing connections (Algorithm 1) — static baselines skip this step.
+
+:meth:`Simulator.run` is the one loop over such rounds.  Scoring the
+overlay (the Section 2.2 delay metric: time for a block from every node to
+reach a target fraction of the hash power) is never part of a round; it is
+the explicit :meth:`Simulator.evaluate` call.
 
 The simulator is deliberately thin: all modelling lives in the propagation
 engines, all policy lives in the protocols, and all analysis lives in
@@ -16,8 +19,6 @@ engines, all policy lives in the protocols, and all analysis lives in
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,54 +66,6 @@ def rng_state_from_json(state: object) -> object:
             return np.array(state["__ndarray__"], dtype=np.dtype(state["dtype"]))
         return {key: rng_state_from_json(value) for key, value in state.items()}
     return state
-
-
-@dataclass(frozen=True)
-class RoundResult:
-    """Summary of one simulated round.
-
-    Attributes
-    ----------
-    round_index:
-        Zero-based round number.
-    blocks:
-        The blocks mined during the round.
-    reach_times_ms:
-        Per-source-node time to reach the configured hash power target,
-        evaluated on the topology *after* this round's update; ``None`` for
-        rounds where evaluation was skipped.
-    median_reach_ms / p90_reach_ms:
-        Convenience percentiles over ``reach_times_ms`` (``None`` when not
-        evaluated).
-    """
-
-    round_index: int
-    blocks: tuple[Block, ...]
-    reach_times_ms: np.ndarray | None = None
-    median_reach_ms: float | None = None
-    p90_reach_ms: float | None = None
-
-
-@dataclass
-class SimulationResult:
-    """Complete output of a simulation run."""
-
-    config: SimulationConfig
-    protocol_name: str
-    rounds: list[RoundResult] = field(default_factory=list)
-    final_reach_times_ms: np.ndarray | None = None
-
-    @property
-    def num_rounds(self) -> int:
-        return len(self.rounds)
-
-    def convergence_trajectory(self) -> list[tuple[int, float]]:
-        """(round, median reach time) pairs for rounds that were evaluated."""
-        return [
-            (item.round_index, float(item.median_reach_ms))
-            for item in self.rounds
-            if item.median_reach_ms is not None
-        ]
 
 
 class Simulator:
@@ -222,7 +175,10 @@ class Simulator:
 
     @property
     def rounds_completed(self) -> int:
-        """Number of :meth:`run_round` calls executed (or restored) so far."""
+        """Number of rounds executed (or restored) so far.
+
+        It is also the index of the next round :meth:`run_round` executes.
+        """
         return self._rounds_completed
 
     # ------------------------------------------------------------------ #
@@ -346,23 +302,25 @@ class Simulator:
         Routed through the simulator's :class:`DelayEvaluator`: exact
         (chunked, bit-identical to the all-pairs path) at small N, sampled
         sources past the evaluator's threshold — in which case the array
-        covers the sampled sources only.
+        covers the sampled sources only.  Rounds never evaluate; this is
+        the one call that scores the current overlay.
         """
-        return self._evaluator.reach_times(
+        target = self._config.hash_power_target
+        return self._evaluator.evaluate(
             self._engine,
             self._network,
             self._hash_power,
-            self._config.hash_power_target,
-        )
+            target_fractions=(target,),
+        ).reach(target)
 
-    def run_round(self, round_index: int, evaluate: bool = False) -> RoundResult:
-        """Execute one full round: mine, propagate, observe, update, evaluate.
+    def run_round(self) -> None:
+        """Execute one full round: mine, propagate, observe, update.
 
         Each phase runs under a telemetry span (``round.mine`` /
-        ``round.propagate`` / ``round.observe`` / ``round.update`` /
-        ``round.evaluate``); with the default no-op recorder the spans cost
-        one function call each and touch no RNG, so instrumented and
-        uninstrumented runs are bit-identical.
+        ``round.propagate`` / ``round.observe`` / ``round.update``); with
+        the default no-op recorder the spans cost one function call each
+        and touch no RNG, so instrumented and uninstrumented runs are
+        bit-identical.
 
         When a flight recorder is installed
         (:func:`repro.telemetry.flight.use_flight_recorder`) the finished
@@ -382,54 +340,23 @@ class Simulator:
                 self._protocol.update(
                     self._context, self._network, observations, self._rng
                 )
-        reach = median = p90 = None
-        if evaluate:
-            with recorder.span("round.evaluate"):
-                reach = self.evaluate()
-            finite = reach[np.isfinite(reach)]
-            if finite.size:
-                median = float(np.median(finite))
-                p90 = float(np.percentile(finite, 90))
         self._rounds_completed += 1
         recorder.incr("round.count")
         recorder.incr("round.blocks_mined", len(blocks))
         if flight.enabled:
             with recorder.span("round.flight"):
-                flight.on_round(self, round_index)
-        return RoundResult(
-            round_index=round_index,
-            blocks=tuple(blocks),
-            reach_times_ms=reach,
-            median_reach_ms=median,
-            p90_reach_ms=p90,
-        )
+                flight.on_round(self)
 
-    def run(
-        self,
-        rounds: int | None = None,
-        evaluate_every: int | None = None,
-    ) -> SimulationResult:
-        """Run the configured number of rounds.
+    def run(self, rounds: int | None = None) -> None:
+        """Run rounds until :attr:`rounds_completed` reaches ``rounds``.
 
-        Parameters
-        ----------
-        rounds:
-            Number of rounds (defaults to ``config.rounds``).
-        evaluate_every:
-            Evaluate the topology every this many rounds (1 = every round);
-            ``None`` evaluates only after the final round.
+        ``rounds`` (default ``config.rounds``) counts from round zero, so a
+        simulator restored from a round-``k`` snapshot runs only the
+        remaining ``rounds - k``.  The overlay is not evaluated; call
+        :meth:`evaluate` for the delay metric.
         """
         rounds = self._config.rounds if rounds is None else rounds
         if rounds < 1:
             raise ValueError("rounds must be positive")
-        outcome = SimulationResult(
-            config=self._config, protocol_name=self._protocol.name
-        )
-        for round_index in range(rounds):
-            evaluate = (
-                evaluate_every is not None
-                and (round_index + 1) % evaluate_every == 0
-            )
-            outcome.rounds.append(self.run_round(round_index, evaluate=evaluate))
-        outcome.final_reach_times_ms = self.evaluate()
-        return outcome
+        while self._rounds_completed < rounds:
+            self.run_round()

@@ -2,9 +2,10 @@
 
 Section 5.2 observes that Perigee's 90-percentile delays converge as rounds
 progress (while 50-percentile delays need not be monotone, because the
-protocol optimises the 90th percentile only).  This module turns the
-per-round evaluations produced by the simulator into a compact convergence
-report used by tests, examples and the ablation benchmarks.
+protocol optimises the 90th percentile only).  This module turns a
+per-round delay series — the ``delay`` entries of a flight recorder's round
+rows, or explicit ``Simulator.evaluate`` calls between rounds — into a
+compact convergence report, which ``perigee-sim inspect`` renders.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class ConvergenceReport:
 def convergence_report(
     trajectory: list[tuple[int, float]]
 ) -> ConvergenceReport:
-    """Build a report from (round, value) pairs (e.g. from ``SimulationResult``)."""
+    """Build a report from (round, value) pairs (e.g. flight rows' delay p90)."""
     if not trajectory:
         return ConvergenceReport(rounds=(), values_ms=())
     rounds, values = zip(*trajectory)

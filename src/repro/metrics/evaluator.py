@@ -322,19 +322,6 @@ class DelayEvaluator:
             standard_error_ms=errors,
         )
 
-    def reach_times(
-        self,
-        engine: "PropagationEngine",
-        network: "P2PNetwork",
-        hash_power: np.ndarray,
-        target_fraction: float = 0.9,
-    ) -> np.ndarray:
-        """Convenience: per-source reach times for a single target."""
-        evaluation = self.evaluate(
-            engine, network, hash_power, target_fractions=(target_fraction,)
-        )
-        return evaluation.reach(target_fraction)
-
 
 def _mean_standard_error(values: np.ndarray) -> float | None:
     """Standard error of the mean over the finite sampled reach times.

@@ -70,35 +70,6 @@ class ExperimentResult:
         return list(self.curves)
 
 
-
-def mean_curve(
-    curves: Sequence[DelayCurve], protocol: str, target: float
-) -> DelayCurve:
-    """Average sorted per-node curves across repeats (element-wise).
-
-    Accumulates a running element-wise sum instead of stacking all repeats
-    (peak memory is one curve), and the result is bit-identical to the
-    ``np.vstack(...).mean(axis=0)`` it replaces: both reduce index ``i`` as
-    ``(c0[i] + c1[i] + ... + ck[i]) / k`` in the same operand order.
-    """
-    if not curves:
-        raise ValueError("curves must be non-empty")
-    total = np.array(curves[0].sorted_delays_ms, dtype=float, copy=True)
-    for curve in curves[1:]:
-        values = np.asarray(curve.sorted_delays_ms, dtype=float)
-        if values.shape != total.shape:
-            raise ValueError(
-                f"curve length mismatch for {protocol!r}: "
-                f"{values.shape} vs {total.shape}"
-            )
-        total += values
-    return DelayCurve(
-        protocol=protocol,
-        sorted_delays_ms=total / len(curves),
-        target_fraction=target,
-    )
-
-
 def failed_records(records: Sequence[TaskRecord]) -> list[TaskRecord]:
     """The subset of records whose task failed."""
     return [record for record in records if not record.ok]

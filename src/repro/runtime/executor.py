@@ -135,7 +135,6 @@ def run_task(
                 else checkpoint_every
             )
             checkpoint_dir = None
-            start_round = 0
             if (
                 protocol.is_adaptive
                 and checkpoint_store is not None
@@ -158,28 +157,23 @@ def run_task(
                 # Called through this module's global, so a tracer that
                 # patches the name here sees the read.
                 if latest_checkpoint(checkpoint_dir, load=restore) is not None:
-                    start_round = min(simulator.rounds_completed, task.rounds)
                     recorder.incr("task.resumed", protocol=task.protocol)
             if protocol.is_adaptive:
-                for round_index in range(start_round, task.rounds):
-                    simulator.run_round(round_index)
-                    completed = round_index + 1
-                    # No snapshot after the final round: the record itself
-                    # is about to persist, making the checkpoint dead weight.
-                    if (
-                        checkpoint_dir is not None
-                        and completed % effective_every == 0
-                        and completed < task.rounds
-                    ):
-                        with recorder.span(
-                            "task.checkpoint", protocol=task.protocol
-                        ):
-                            write_checkpoint(
-                                checkpoint_dir, simulator.state_dict()
-                            )
-                        recorder.incr(
-                            "task.checkpoints_written", protocol=task.protocol
-                        )
+                # One run() per checkpoint interval; a restored simulator
+                # skips the stops it has already passed.  No snapshot after
+                # the final round: the record itself is about to persist,
+                # making the checkpoint dead weight.
+                every = task.rounds if checkpoint_dir is None else effective_every
+                for stop in range(every, task.rounds, every):
+                    if stop <= simulator.rounds_completed:
+                        continue
+                    simulator.run(stop)
+                    with recorder.span("task.checkpoint", protocol=task.protocol):
+                        write_checkpoint(checkpoint_dir, simulator.state_dict())
+                    recorder.incr(
+                        "task.checkpoints_written", protocol=task.protocol
+                    )
+                simulator.run(task.rounds)
             # One evaluation pass covers both targets: the chunked (or
             # sampled) Dijkstra passes are shared, only the reach
             # computation differs.

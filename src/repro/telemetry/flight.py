@@ -130,7 +130,7 @@ class NullFlightRecorder:
     def record_scores(self, scores: np.ndarray) -> None:
         return None
 
-    def on_round(self, simulator: "Simulator", round_index: int) -> None:
+    def on_round(self, simulator: "Simulator") -> None:
         return None
 
     def record_final(
@@ -246,9 +246,14 @@ class FlightRecorder:
         if scores.size:
             self._scores.append(scores)
 
-    def on_round(self, simulator: "Simulator", round_index: int) -> None:
-        """Flush one per-round row (called at the end of ``run_round``)."""
-        row: dict[str, Any] = {"round": int(round_index)}
+    def on_round(self, simulator: "Simulator") -> None:
+        """Flush the row of the round ``simulator`` just finished.
+
+        Called at the end of ``run_round``; the row is labelled from the
+        simulator's own round counter.
+        """
+        round_index = simulator.rounds_completed - 1
+        row: dict[str, Any] = {"round": round_index}
         nodes = self._rewire_nodes
         dropped = self._rewire_dropped
         added = self._rewire_added
@@ -276,12 +281,13 @@ class FlightRecorder:
                 key: _json_safe(value) for key, value in summary.items()
             }
         if self._delay_every and (round_index + 1) % self._delay_every == 0:
-            reach = self._evaluator.reach_times(
+            target = simulator.config.hash_power_target
+            reach = self._evaluator.evaluate(
                 simulator.engine,
                 simulator.network,
                 simulator.population.hash_power,
-                simulator.config.hash_power_target,
-            )
+                target_fractions=(target,),
+            ).reach(target)
             row["delay"] = _percentile_stats(reach)
         self._append_row(row)
 

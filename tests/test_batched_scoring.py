@@ -352,7 +352,7 @@ def update_digest(name: str, seed: int = 4, rounds: int = 5) -> str:
         flight = FlightRecorder(directory, delay_every=0)
         with use_flight_recorder(flight):
             for round_index in range(rounds):
-                simulator.run_round(round_index)
+                simulator.run_round()
                 digest.update(repr(simulator.network.edge_list()).encode())
         flight.close()
         digest.update((Path(directory) / "rounds.jsonl").read_bytes())
@@ -404,18 +404,15 @@ class TestUCBCheckpointCompatibility:
     def test_list_history_checkpoint_resumes_bit_identically(self):
         simulator = build_ucb_simulator()
         simulator.load_state_dict(json.loads(UCB_FIXTURE.read_text()))
-        simulator.run_round(2)
-        simulator.run_round(3)
+        simulator.run(4)
         assert state_sha256(simulator) == UCB_FINAL_SHA256
 
     def test_state_dict_serialises_to_the_list_history_bytes(self):
         simulator = build_ucb_simulator()
-        simulator.run_round(0)
-        simulator.run_round(1)
+        simulator.run(2)
         snapshot = json.dumps(simulator.state_dict(), sort_keys=True)
         assert snapshot == UCB_FIXTURE.read_text()
-        simulator.run_round(2)
-        simulator.run_round(3)
+        simulator.run(4)
         assert state_sha256(simulator) == UCB_FINAL_SHA256
 
 
@@ -430,8 +427,7 @@ def test_score_and_rewire_spans_fire_once_per_round(protocol):
     simulator = Simulator(config, make_protocol(protocol))
     recorder = MetricsRecorder()
     with use_recorder(recorder):
-        for round_index in range(3):
-            simulator.run_round(round_index)
+        simulator.run(3)
     score = recorder.span_stats("perigee.score")
     rewire = recorder.span_stats("perigee.rewire")
     assert score.count == 3 and rewire.count == 3

@@ -38,11 +38,7 @@ from repro.core.simulator import (
 from repro.metrics.evaluator import DelayEvaluator
 from repro.protocols.perigee.ucb import PerigeeUCBProtocol
 from repro.protocols.registry import make_protocol
-from repro.runtime.aggregate import (
-    StreamingAggregator,
-    mean_curve,
-    records_to_result,
-)
+from repro.runtime.aggregate import StreamingAggregator, records_to_result
 from repro.runtime.checkpoint import (
     PACKED_FLOATS_KEY,
     checkpoint_path,
@@ -60,6 +56,7 @@ from repro.runtime.executor import SerialExecutor, execute_sweep, run_task
 from repro.runtime.scenarios import get_scenario
 from repro.runtime.store import ResultStore
 from repro.runtime.tasks import SweepSpec, Task, TaskRecord, canonical_json
+from repro.telemetry.flight import FlightRecorder, load_run, use_flight_recorder
 from repro.telemetry.recorder import MetricsRecorder, use_recorder
 
 common_settings = settings(
@@ -109,8 +106,7 @@ def run_rounds_like_run_task(task: Task, rounds: int) -> Simulator:
         rng=np.random.default_rng(task.protocol_seed()),
         delay_evaluator=DelayEvaluator.from_params(task.evaluation_params),
     )
-    for round_index in range(rounds):
-        simulator.run_round(round_index)
+    simulator.run(rounds)
     return simulator
 
 
@@ -131,24 +127,47 @@ class TestSimulatorCheckpointParity:
             num_nodes=n, rounds=rounds, blocks_per_round=10, seed=seed
         )
         baseline = build_simulator(config, protocol)
-        for round_index in range(rounds):
-            baseline.run_round(round_index)
+        baseline.run(rounds)
 
         interrupted = build_simulator(config, protocol)
-        for round_index in range(k):
-            interrupted.run_round(round_index)
+        interrupted.run(k)
         state = json_round_trip(interrupted.state_dict())
 
         resumed = build_simulator(config, protocol)
         resumed.load_state_dict(state)
         assert resumed.rounds_completed == k
-        for round_index in range(k, rounds):
-            resumed.run_round(round_index)
+        resumed.run(rounds)
 
         assert sorted(resumed.network.edge_list()) == sorted(
             baseline.network.edge_list()
         )
         assert resumed.evaluate().tobytes() == baseline.evaluate().tobytes()
+
+    @pytest.mark.parametrize("protocol", ADAPTIVE_PROTOCOLS)
+    def test_run_resumes_at_the_restored_round(self, tmp_path, protocol):
+        total, k = 5, 2
+        config = default_config(
+            num_nodes=20, rounds=total, blocks_per_round=6, seed=8
+        )
+        baseline = build_simulator(config, protocol)
+        baseline.run(total)
+        interrupted = build_simulator(config, protocol)
+        interrupted.run(k)
+        state = json_round_trip(interrupted.state_dict())
+
+        resumed = build_simulator(config, protocol)
+        resumed.load_state_dict(state)
+        flight = FlightRecorder(tmp_path / "run", delay_every=0)
+        with use_flight_recorder(flight):
+            resumed.run(total)
+        flight.close()
+
+        assert flight.rounds_recorded == total - k
+        rows = load_run(tmp_path / "run")["rounds"]
+        assert [row["round"] for row in rows] == list(range(k, total))
+        assert json.dumps(resumed.state_dict(), sort_keys=True) == json.dumps(
+            baseline.state_dict(), sort_keys=True
+        )
 
     @common_settings
     @given(
@@ -160,7 +179,7 @@ class TestSimulatorCheckpointParity:
             num_nodes=12, rounds=3, blocks_per_round=6, seed=seed
         )
         simulator = build_simulator(config, protocol)
-        simulator.run_round(0)
+        simulator.run_round()
         state = json_round_trip(simulator.state_dict())
         other = build_simulator(config, protocol)
         other.load_state_dict(state)
@@ -172,7 +191,7 @@ class TestSimulatorCheckpointParity:
     def test_snapshot_schema_and_validation(self):
         config = default_config(num_nodes=10, rounds=2, blocks_per_round=4)
         simulator = build_simulator(config, "perigee-subset")
-        simulator.run_round(0)
+        simulator.run_round()
         state = simulator.state_dict()
         assert state["schema"] == CHECKPOINT_SCHEMA
         assert state["protocol"] == "perigee-subset"
@@ -191,7 +210,7 @@ class TestSimulatorCheckpointParity:
     def test_every_snapshot_fault_is_a_chained_value_error(self):
         config = default_config(num_nodes=10, rounds=2, blocks_per_round=4)
         simulator = build_simulator(config, "perigee-ucb")
-        simulator.run_round(0)
+        simulator.run_round()
         before = json_round_trip(simulator.state_dict())
         no_protocol = {k: v for k, v in before.items() if k != "protocol"}
         for snapshot, cause in [
@@ -270,8 +289,7 @@ class TestProtocolStateDict:
     def test_ucb_history_round_trips(self):
         config = default_config(num_nodes=15, rounds=3, blocks_per_round=6)
         simulator = build_simulator(config, "perigee-ucb")
-        simulator.run_round(0)
-        simulator.run_round(1)
+        simulator.run(2)
         source = simulator._protocol
         state = json_round_trip(source.state_dict())
         assert state  # two rounds of observations left history behind
@@ -299,17 +317,14 @@ class TestProtocolStateDict:
             )
 
         baseline = mixed()
-        for round_index in range(6):
-            baseline.run_round(round_index)
+        baseline.run(6)
         interrupted = mixed()
-        for round_index in range(3):
-            interrupted.run_round(round_index)
+        interrupted.run(3)
         state = json_round_trip(interrupted.state_dict())
         assert state["protocol_state"]["history"]
         resumed = mixed()
         resumed.load_state_dict(state)
-        for round_index in range(3, 6):
-            resumed.run_round(round_index)
+        resumed.run(6)
         assert resumed.network.edge_list() == baseline.network.edge_list()
         assert resumed.state_dict() == baseline.state_dict()
 
@@ -473,8 +488,7 @@ class TestRunTaskResume:
         directory = task_checkpoint_dir(tmp_path, task.content_hash())
         simulator = run_rounds_like_run_task(task, rounds=2)
         write_checkpoint(directory, json_round_trip(simulator.state_dict()))
-        for round_index in range(2, 4):
-            simulator.run_round(round_index)
+        simulator.run(4)
         newest = json_round_trip(simulator.state_dict())
         newest["protocol_state"] = ["not", "a", "dict"]
         write_checkpoint(directory, newest)
@@ -816,22 +830,24 @@ class TestStreamingAggregator:
             aggregator.add(shrunk)
 
     def test_mean_curve_is_streaming_and_bit_identical(self):
-        from repro.metrics.delay import DelayCurve
-
+        """The running sum divided at read time is the stacked mean, bytewise."""
+        (task,) = make_spec(protocols=("random",), repeats=1).expand()
         rng = np.random.default_rng(4)
-        curves = [
-            DelayCurve(
-                protocol="p",
-                sorted_delays_ms=np.sort(rng.uniform(1, 500, size=64)),
-                target_fraction=0.9,
+        reach = [rng.uniform(1, 500, size=64) for _ in range(7)]
+        aggregator = StreamingAggregator()
+        for values in reach:
+            aggregator.add(
+                TaskRecord(
+                    key=task.content_hash(),
+                    task=task,
+                    status="ok",
+                    reach90=values.tolist(),
+                    reach50=values.tolist(),
+                )
             )
-            for _ in range(7)
-        ]
-        merged = mean_curve(curves, "p", 0.9)
-        stacked = np.vstack([c.sorted_delays_ms for c in curves]).mean(axis=0)
+        stacked = np.vstack([np.sort(values) for values in reach]).mean(axis=0)
+        merged = aggregator.mean_curves()["random"]
         assert merged.sorted_delays_ms.tobytes() == stacked.tobytes()
-        with pytest.raises(ValueError):
-            mean_curve([], "p", 0.9)
 
 
 class TestStoreCompaction:

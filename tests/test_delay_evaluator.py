@@ -39,9 +39,7 @@ class TestExactMode:
         arrival = engine.all_sources_arrival_times(network)
         expected = hash_power_reach_times(arrival, population.hash_power, 0.9)
         evaluator = DelayEvaluator(mode="exact", chunk_size=chunk_size)
-        reach = evaluator.reach_times(
-            engine, network, population.hash_power, 0.9
-        )
+        reach = evaluator.evaluate(engine, network, population.hash_power).reach(0.9)
         assert np.array_equal(reach, expected)
 
     def test_multiple_targets_share_sources(self):

@@ -74,8 +74,7 @@ def run_recorded(directory, rounds=3, **recorder_kwargs) -> FlightRecorder:
     simulator = Simulator(CONFIG, make_protocol("perigee-subset"))
     flight = FlightRecorder(directory, **recorder_kwargs)
     with use_flight_recorder(flight):
-        for round_index in range(rounds):
-            simulator.run_round(round_index)
+        simulator.run(rounds)
     return flight
 
 
@@ -88,7 +87,7 @@ class TestNullDefault:
         with NULL_FLIGHT_RECORDER as flight:
             flight.record_rewires([1], [0], [1])
             flight.record_scores(np.zeros(3))
-            flight.on_round(None, 0)
+            flight.on_round(None)
             flight.record_final(reach90=[1.0])
 
 
@@ -359,8 +358,7 @@ class TestChromeTrace:
         simulator = Simulator(CONFIG, make_protocol("perigee-subset"))
         recorder = MetricsRecorder(trace=True)
         with use_recorder(recorder):
-            simulator.run_round(0)
-            simulator.run_round(1)
+            simulator.run(2)
         return recorder.trace
 
     def test_structural_validity(self, tmp_path):
@@ -419,3 +417,22 @@ class TestChromeTrace:
         assert "span event(s)" in capsys.readouterr().out
         payload = json.loads(out.read_text())
         assert payload["traceEvents"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--rounds", "0"],
+            ["--blocks", "0"],
+            ["--num-nodes", "1"],
+            ["--protocol", "nope"],
+        ],
+    )
+    def test_cli_trace_rejects_bad_input_as_usage_error(
+        self, tmp_path, capsys, flags
+    ):
+        out = tmp_path / "cli-trace.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "--out", str(out), *flags])
+        assert excinfo.value.code == 2
+        assert "usage: perigee-sim trace" in capsys.readouterr().err
+        assert not out.exists()

@@ -470,12 +470,9 @@ def test_simulation_identical_on_array_and_dict_paths(variant, seed):
     )
     fast = Simulator(config, variant())
     slow = _DictPathSimulator(config, variant())
-    fast_result = fast.run(rounds=5)
-    slow_result = slow.run(rounds=5)
-    assert (
-        fast_result.final_reach_times_ms.tobytes()
-        == slow_result.final_reach_times_ms.tobytes()
-    )
+    fast.run(rounds=5)
+    slow.run(rounds=5)
+    assert fast.evaluate().tobytes() == slow.evaluate().tobytes()
     assert fast.network.edge_list() == slow.network.edge_list()
 
 
@@ -537,18 +534,17 @@ def test_base_without_any_selector_raises():
     config = default_config(num_nodes=20, rounds=1, blocks_per_round=4, seed=0)
     simulator = Simulator(config, PerigeeBase())
     with pytest.raises(NotImplementedError):
-        simulator.run_round(0)
+        simulator.run_round()
 
 
 @pytest.mark.parametrize("variant_name", ["perigee-subset", "perigee-ucb"])
 def test_simulation_deterministic_across_runs(variant_name):
     config = default_config(num_nodes=40, rounds=4, blocks_per_round=10, seed=9)
-    first = Simulator(config, make_protocol(variant_name)).run(rounds=4)
-    second = Simulator(config, make_protocol(variant_name)).run(rounds=4)
-    assert (
-        first.final_reach_times_ms.tobytes()
-        == second.final_reach_times_ms.tobytes()
-    )
+    first = Simulator(config, make_protocol(variant_name))
+    second = Simulator(config, make_protocol(variant_name))
+    first.run(rounds=4)
+    second.run(rounds=4)
+    assert first.evaluate().tobytes() == second.evaluate().tobytes()
 
 
 @pytest.mark.parametrize(

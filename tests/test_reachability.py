@@ -17,6 +17,10 @@ another ``repro`` module, so the module defining a rule owns it.
 The import graph is acyclic at module level, so no import needs to hide
 inside a function (only ``cli.py`` defers imports, to start fast) and every
 module imports on its own in a fresh interpreter.
+
+There is one round loop: inside ``src/`` only ``Simulator.run`` names
+``run_round``, so resume, checkpointing and every experiment advance
+rounds the same way.
 """
 
 from __future__ import annotations
@@ -294,3 +298,31 @@ def test_every_module_imports_first_in_a_fresh_interpreter():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == []
+
+
+def _scoped_nodes(tree: ast.Module):
+    """``(enclosing def/class names, node)`` for every node of ``tree``."""
+    stack = [((), tree)]
+    while stack:
+        scope, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                inner = (*scope, child.name)
+            else:
+                inner = scope
+            yield inner, child
+            stack.append((inner, child))
+
+
+def test_only_simulator_run_calls_run_round():
+    """One round loop: every caller runs rounds through ``Simulator.run``."""
+    modules = _module_files()
+    users = sorted(
+        f"{name}:{'.'.join(scope)}"
+        for name in modules
+        for scope, node in _scoped_nodes(_tree(name, modules))
+        if isinstance(node, ast.Attribute) and node.attr == "run_round"
+    )
+    assert users == ["core.simulator:Simulator.run"]

@@ -9,6 +9,7 @@ from repro.datasets.bitnodes import generate_population
 from repro.latency.geo import GeographicLatencyModel
 from repro.latency.metric_space import MetricSpaceLatencyModel
 from repro.protocols.registry import make_protocol
+from repro.telemetry.recorder import MetricsRecorder, use_recorder
 from tests.conftest import adjacency
 
 
@@ -108,31 +109,31 @@ class TestObservationsCollection:
 
 
 class TestRounds:
-    def test_run_round_returns_blocks_and_optional_metrics(self, simulator):
-        outcome = simulator.run_round(0, evaluate=True)
-        assert outcome.round_index == 0
-        assert len(outcome.blocks) == simulator.config.blocks_per_round
-        assert outcome.reach_times_ms is not None
-        assert outcome.median_reach_ms is not None
-        assert outcome.p90_reach_ms >= outcome.median_reach_ms
+    def test_run_round_advances_one_round(self, simulator):
+        assert simulator.run_round() is None
+        assert simulator.rounds_completed == 1
+        # The round mined exactly one round's worth of blocks.
+        (next_block,) = simulator.mine_blocks(1)
+        assert next_block.block_id == simulator.config.blocks_per_round
 
     def test_run_round_without_evaluation(self, simulator):
-        outcome = simulator.run_round(1, evaluate=False)
-        assert outcome.reach_times_ms is None
-        assert outcome.median_reach_ms is None
+        recorder = MetricsRecorder(trace=True)
+        with use_recorder(recorder):
+            simulator.run(rounds=2)
+        assert recorder.counter("round.count") == 2
+        names = {event.name for event in recorder.trace}
+        assert "round.update" in names
+        assert not any(name.startswith("evaluate") for name in names)
+        assert "round.evaluate" not in names
 
-    def test_run_produces_final_reach_times(self, simulator):
-        result = simulator.run(rounds=2)
-        assert result.num_rounds == 2
-        assert result.final_reach_times_ms.shape == (simulator.config.num_nodes,)
-        assert result.protocol_name == "perigee-subset"
-
-    def test_run_with_evaluate_every(self, simulator):
-        result = simulator.run(rounds=4, evaluate_every=2)
-        evaluated = [r.round_index for r in result.rounds if r.median_reach_ms is not None]
-        assert evaluated == [1, 3]
-        trajectory = result.convergence_trajectory()
-        assert [point[0] for point in trajectory] == [1, 3]
+    def test_run_advances_to_the_given_round_count(self, simulator):
+        assert simulator.run(rounds=2) is None
+        assert simulator.rounds_completed == 2
+        simulator.run(rounds=3)
+        assert simulator.rounds_completed == 3
+        simulator.run(rounds=3)
+        assert simulator.rounds_completed == 3
+        assert simulator.evaluate().shape == (simulator.config.num_nodes,)
 
     def test_run_rejects_non_positive_rounds(self, simulator):
         with pytest.raises(ValueError):
@@ -164,11 +165,11 @@ class TestRounds:
         assert before != after
 
     def test_deterministic_given_seed(self, config):
-        result_a = Simulator(config, make_protocol("perigee-vanilla")).run(rounds=2)
-        result_b = Simulator(config, make_protocol("perigee-vanilla")).run(rounds=2)
-        assert np.allclose(
-            result_a.final_reach_times_ms, result_b.final_reach_times_ms
-        )
+        first = Simulator(config, make_protocol("perigee-vanilla"))
+        second = Simulator(config, make_protocol("perigee-vanilla"))
+        first.run(rounds=2)
+        second.run(rounds=2)
+        assert np.allclose(first.evaluate(), second.evaluate())
 
     def test_evaluate_matches_engine_metric(self, simulator):
         from repro.metrics.delay import hash_power_reach_times

@@ -47,8 +47,7 @@ CONFIG = default_config(num_nodes=40, rounds=3, blocks_per_round=8, seed=7)
 
 def run_simulation(rounds: int = 3):
     simulator = Simulator(CONFIG, make_protocol("perigee-subset"))
-    for round_index in range(rounds):
-        simulator.run_round(round_index)
+    simulator.run(rounds)
     return sorted(
         (node, peer)
         for node in range(simulator.network.num_nodes)
